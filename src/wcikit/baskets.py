@@ -16,6 +16,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping
 
@@ -106,59 +107,98 @@ class FormalBasket:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def rr_correction(q: Orbifold, m: int) -> Fraction:
-    """Riemann-Roch local term: sum_{j<m} jb(r - jb)/(2r) with jb taken mod r."""
-    if q.r == 1:
-        return Fraction(0)
-    total = 0
+# One entry per point type (b, r) met, each of r + 1 integers.
+@lru_cache(maxsize=None)
+def _point_sums(b: int, r: int) -> tuple[int, tuple[int, ...]]:
+    """Sums of rho_j (r - rho_j), rho_j = jb mod r, for one point type.
+
+    Returns the full-period sum r(r^2 - 1)/6 and the prefix sums over
+    j = 1..k for k = 0..r-1, so any partial sum costs O(1).
+    """
+    prefix = [0]
     rho = 0
-    for _ in range(1, m):
-        rho = (rho + q.b) % q.r
-        total += rho * (q.r - rho)
-    return Fraction(total, 2 * q.r)
+    for _ in range(1, r):
+        rho = (rho + b) % r
+        prefix.append(prefix[-1] + rho * (r - rho))
+    return r * (r * r - 1) // 6, tuple(prefix)
 
 
-def _l(fb: FormalBasket, m: int) -> Fraction:
-    return sum((rr_correction(q, m) for q in fb.basket), Fraction(0))
+class RRKernel:
+    """Integer orbifold Riemann-Roch data of one basket.
+
+    Points are grouped by type and everything is scaled by
+    scale = lcm(2r) over the basket, so the local correction
+    l(m) = sum_points sum_{j<m} jb(r - jb)/(2r) (jb taken mod r) and
+    K^3 become integers.  With chi_m = (2m-1)m(m-1)/12 K^3 - (2m-1)chi
+    + l(m), 12 * scale * chi_m is an integer too.  The rational form is
+    that of Buckley, Reid and Zhou, "Ice cream and orbifold
+    Riemann-Roch" (arXiv:1208.0457).
+    """
+
+    __slots__ = ("scale", "c2", "_groups")
+
+    def __init__(self, basket: Basket) -> None:
+        counts: dict[tuple[int, int], int] = {}
+        for q in basket:
+            if q.r > 1:
+                key = (q.b, q.r)
+                counts[key] = counts.get(key, 0) + 1
+        scale = lcm(1, *(2 * r for _, r in counts))
+        self.scale = scale
+        # (count * scale/(2r), r, period sum, prefix sums) per point type
+        self._groups = [(n * (scale // (2 * r)), r, *_point_sums(b, r))
+                        for (b, r), n in counts.items()]
+        # scale * sum(r - 1/r) over the basket
+        self.c2 = sum(n * (r * r - 1) * (scale // r)
+                      for (_, r), n in counts.items())
+
+    def l(self, m: int) -> int:
+        """scale * l(m) for m >= 1."""
+        n = m - 1
+        total = 0
+        for unit, r, period, prefix in self._groups:
+            k, j = divmod(n, r)
+            total += unit * (k * period + prefix[j])
+        return total
+
+    def k3(self, chi: int, chi2: int) -> int:
+        """scale * K^3, where K^3 = 2(chi_2 + 3 chi - l(2))."""
+        return 2 * ((chi2 + 3 * chi) * self.scale - self.l(2))
+
+    def chi_m(self, m: int, chi: int, vol: int) -> int:
+        """12 * scale * chi_m, given vol = scale * K^3."""
+        return ((2 * m - 1) * m * (m - 1) * vol
+                - 12 * self.scale * (2 * m - 1) * chi + 12 * self.l(m))
 
 
 def k3(fb: FormalBasket) -> Fraction:
     """Canonical degree K^3 determined by chi, chi_2 and the basket."""
-    return 2 * (fb.chi2 + 3 * fb.chi - _l(fb, 2))
+    kern = RRKernel(fb.basket)
+    return Fraction(kern.k3(fb.chi, fb.chi2), kern.scale)
 
 
 def chi_m(fb: FormalBasket, m: int) -> Fraction:
     """chi of the m-th pluricanonical sheaf, m >= 1; integral on real baskets."""
     if m < 1:
         raise ValueError("chi_m defined for m >= 1")
-    poly = Fraction((2 * m - 1) * m * (m - 1), 12)
-    return poly * k3(fb) - (2 * m - 1) * fb.chi + _l(fb, m)
+    kern = RRKernel(fb.basket)
+    vol = kern.k3(fb.chi, fb.chi2)
+    return Fraction(kern.chi_m(m, fb.chi, vol), 12 * kern.scale)
 
 
 def chi_int_sequence(fb: FormalBasket, upto: int) -> list[int]:
-    """All chi_m for m <= upto as integers, computed incrementally.
+    """All chi_m for m <= upto as integers.
 
     Index 0 holds 0 and index 1 holds -chi.  Non-integral chi_m means no
     variety carries this data; that raises BasketInconsistency.
     """
-    # Work scaled by 12 * lcm(2r): every term below is then an integer.
-    scale = 12 * lcm(1, *(2 * q.r for q in fb.basket))
-    vol = k3(fb) * scale / 12
-    if vol.denominator != 1:
-        raise BasketInconsistency(f"K^3 denominator escapes basket indices: {k3(fb)}")
-    g = vol.numerator
+    kern = RRKernel(fb.basket)
+    vol = kern.k3(fb.chi, fb.chi2)
+    denom = 12 * kern.scale
     out = [0] * (max(upto, 1) + 1)
     out[1] = -fb.chi
-    points = [(q.b, q.r, scale // (2 * q.r)) for q in fb.basket]
-    rhos = [0] * len(points)
-    running = 0  # scale times the local correction l(m)
     for m in range(2, upto + 1):
-        for i, (b, r, unit) in enumerate(points):
-            rho = (rhos[i] + b) % r
-            rhos[i] = rho
-            running += rho * (r - rho) * unit
-        num = (2 * m - 1) * m * (m - 1) * g - scale * (2 * m - 1) * fb.chi + running
-        q_, rem = divmod(num, scale)
+        q_, rem = divmod(kern.chi_m(m, fb.chi, vol), denom)
         if rem:
             raise BasketInconsistency(f"chi_{m} not integral for {format_basket(fb.basket)}")
         out[m] = q_
@@ -261,12 +301,14 @@ def high_index_count_bounds(chi: int, chis: Mapping[int, int]) -> tuple[int, int
 
 def c2_load(basket: Basket) -> Fraction:
     """sum(r - 1/r) over the basket; grows under packing."""
-    return sum((q.r - Fraction(1, q.r) for q in basket), Fraction(0))
+    kern = RRKernel(basket)
+    return Fraction(kern.c2, kern.scale)
 
 
 def c2_bound_ok(basket: Basket) -> bool:
     """Bound on c_2 . (-K) >= 0 for amplitude -1: sum(r - 1/r) <= 24."""
-    return c2_load(basket) <= 24
+    kern = RRKernel(basket)
+    return kern.c2 <= 24 * kern.scale
 
 
 def pluri_growth_filter(p: Mapping[int, int], pg: int) -> bool:
@@ -286,7 +328,7 @@ def gt_volume_filter(fb: FormalBasket, pg: int, p2: int, p3: int, p5: int,
     must be positive, as must K^3 of the formal basket itself.
     """
     head = Fraction(1 - pg - p2 - p3 + p5, 12) - Fraction(sigma5_lower, 20)
-    return head > 0 and k3(fb) > 0
+    return head > 0 and RRKernel(fb.basket).k3(fb.chi, fb.chi2) > 0
 
 
 def descendants(b0: Basket, chi: int, chi2: int,
@@ -324,7 +366,10 @@ def descendants(b0: Basket, chi: int, chi2: int,
         frontier = nxt
     out: list[FormalBasket] = []
     for state in sorted(seen):
-        fb = FormalBasket(state, chi, chi2)
-        if all(chi_m(fb, m) == val for m, val in targets.items()):
-            out.append(fb)
+        kern = RRKernel(state)
+        vol = kern.k3(chi, chi2)
+        denom = 12 * kern.scale
+        if all(kern.chi_m(m, chi, vol) == denom * val
+               for m, val in targets.items()):
+            out.append(FormalBasket(state, chi, chi2))
     return out

@@ -30,6 +30,7 @@ from .baskets import (
 from .candidate import CandidateParseError, necessary_screen, parse_candidate
 from .classify import ClassificationRecord, RunConfig, classify, realize
 from .series import (
+    MAX_SERIES_BOUND,
     SeriesParseError,
     parse_series,
     poincare_series,
@@ -73,6 +74,10 @@ def _cmd_series(args: argparse.Namespace) -> int:
         cand = parse_candidate(args.candidate)
     except CandidateParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.bound > MAX_SERIES_BOUND:
+        print(f"error: --bound {args.bound} exceeds the ceiling of "
+              f"{MAX_SERIES_BOUND} coefficients", file=sys.stderr)
         return 2
     series = series_from_candidate(cand, args.bound)
     _emit(series.text() + "\n", args.output)
@@ -259,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="print the Poincare series")
     p.add_argument("candidate", help="'a0,...,an / d1,...,dc'")
     p.add_argument("--bound", type=int, default=20,
-                   help="largest exponent to print")
+                   help=f"largest exponent to print (at most {MAX_SERIES_BOUND})")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_series)
 

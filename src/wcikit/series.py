@@ -16,6 +16,12 @@ from fractions import Fraction
 from .baskets import FormalBasket, chi_int_sequence
 
 
+# Largest series bound built on request: a bound allocates one integer
+# per coefficient, and the longest certified recovery bound the drivers
+# use is 86,116.
+MAX_SERIES_BOUND = 1_000_000
+
+
 class SeriesParseError(ValueError):
     """Raised when series text does not parse."""
 
@@ -39,6 +45,8 @@ class TruncatedSeries:
 
     @staticmethod
     def one(bound: int) -> TruncatedSeries:
+        if bound > MAX_SERIES_BOUND:
+            raise ValueError(f"series bound {bound} exceeds {MAX_SERIES_BOUND}")
         return TruncatedSeries((1,) + (0,) * bound)
 
     def mul_factor(self, k: int) -> TruncatedSeries:
@@ -112,6 +120,43 @@ class RecoveredPresentation:
     residual_clean: bool
 
 
+def _table_method(c: list[int], max_entries: int | None
+                  ) -> tuple[list[int], list[int], bool]:
+    """The table method's loop, run in place on the coefficient list c.
+
+    Returns the weights and degrees read off c and whether max_entries
+    stopped the scan.  The decision at index m reads only c_0..c_m, so
+    a prefix of a series stops at the same index as the whole series
+    whenever the cap is hit inside the prefix.
+    """
+    bound = len(c) - 1
+    weights: list[int] = []
+    degrees: list[int] = []
+    m = 1
+    while m <= bound:
+        cm = c[m]
+        if cm == 0:
+            m += 1
+            continue
+        count = abs(cm)
+        if max_entries is not None:
+            budget = max_entries - len(weights) - len(degrees)
+            if count > budget:
+                return weights, degrees, True
+        if cm > 0:
+            weights.extend([m] * count)
+            for _ in range(count):
+                for i in range(bound, m - 1, -1):
+                    c[i] -= c[i - m]
+        else:
+            degrees.extend([m] * count)
+            for _ in range(count):
+                for i in range(m, bound + 1):
+                    c[i] += c[i - m]
+        m += 1
+    return weights, degrees, False
+
+
 def recover_weights_degrees(series: TruncatedSeries,
                             max_entries: int | None = None) -> RecoveredPresentation:
     """Read a presentation off a series (the table method).
@@ -128,34 +173,9 @@ def recover_weights_degrees(series: TruncatedSeries,
     if series[0] != 1:
         raise ValueError("series must have constant coefficient 1")
     c = list(series.coeffs)
-    bound = len(c) - 1
-    weights: list[int] = []
-    degrees: list[int] = []
-    m = 1
-    while m <= bound:
-        cm = c[m]
-        if cm == 0:
-            m += 1
-            continue
-        count = abs(cm)
-        if max_entries is not None:
-            budget = max_entries - len(weights) - len(degrees)
-            if count > budget:
-                return RecoveredPresentation(
-                    tuple(weights), tuple(degrees), False)
-        if cm > 0:
-            weights.extend([m] * count)
-            for _ in range(count):
-                for i in range(bound, m - 1, -1):
-                    c[i] -= c[i - m]
-        else:
-            degrees.extend([m] * count)
-            for _ in range(count):
-                for i in range(m, bound + 1):
-                    c[i] += c[i - m]
-        m += 1
+    weights, degrees, capped = _table_method(c, max_entries)
     top = max(weights + degrees, default=0)
-    clean = not any(c[1:]) and 2 * top <= bound
+    clean = not capped and not any(c[1:]) and 2 * top <= series.bound
     return RecoveredPresentation(tuple(weights), tuple(degrees), clean)
 
 

@@ -12,7 +12,13 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from wcikit import Orbifold, canonical_unpacking, is_prime_packing, merge_orbifolds
+from wcikit import (
+    FormalBasket,
+    Orbifold,
+    canonical_unpacking,
+    is_prime_packing,
+    merge_orbifolds,
+)
 
 
 def poincare_oracle(weights, degrees, bound):
@@ -93,6 +99,39 @@ def wellformed_oracle(weights) -> bool:
         if g > 1:
             return False
     return True
+
+
+def rr_correction(q: Orbifold, m: int) -> Fraction:
+    """Riemann-Roch local term: sum_{j<m} jb(r - jb)/(2r) with jb taken mod r."""
+    if q.r == 1:
+        return Fraction(0)
+    total = 0
+    rho = 0
+    for _ in range(1, m):
+        rho = (rho + q.b) % q.r
+        total += rho * (q.r - rho)
+    return Fraction(total, 2 * q.r)
+
+
+def local_correction(fb: FormalBasket, m: int) -> Fraction:
+    """l(m): the basket's local terms summed point by point."""
+    return sum((rr_correction(q, m) for q in fb.basket), Fraction(0))
+
+
+def k3_oracle(fb: FormalBasket) -> Fraction:
+    """K^3 = 2(chi_2 + 3 chi - l(2)) in rational arithmetic."""
+    return 2 * (fb.chi2 + 3 * fb.chi - local_correction(fb, 2))
+
+
+def chi_m_oracle(fb: FormalBasket, m: int) -> Fraction:
+    """chi_m = (2m-1)m(m-1)/12 K^3 - (2m-1) chi + l(m), m >= 1."""
+    poly = Fraction((2 * m - 1) * m * (m - 1), 12)
+    return poly * k3_oracle(fb) - (2 * m - 1) * fb.chi + local_correction(fb, m)
+
+
+def c2_load_oracle(basket) -> Fraction:
+    """sum(r - 1/r) over the basket."""
+    return sum((q.r - Fraction(1, q.r) for q in basket), Fraction(0))
 
 
 _FIVE_MEMO: dict[tuple[int, int], frozenset[int]] = {}

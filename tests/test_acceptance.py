@@ -100,6 +100,17 @@ def test_codimension_bounds(fano_report, gt_report):
     verdict("codimension stays within 3 (ample -K) and 5 (ample K)", ok)
 
 
+def test_certified_fano_list(fano_report):
+    certified = classify(RunConfig(alpha=-1, full=True))
+    ok = ([r.to_dict() | {"series_bound": 0} for r in certified.records]
+          == [r.to_dict() | {"series_bound": 0} for r in fano_report.records]
+          and len(certified.records) == 181
+          and all(r.series_bound > 300 for r in certified.records)
+          and not certified.exhaustiveness_violations)
+    verdict("amplitude -1 list under certified series bounds equals the "
+            "default-bound list", ok)
+
+
 def test_table_round_trip():
     rng = random.Random(20260816)
     ok = True
@@ -167,7 +178,7 @@ def test_full_list_reproduction():
 
     Each fixture file holds a header line 'alpha=<a> codim=<c>' followed
     by one candidate per line in 'a0,...,an / d1,...,dc' form.  The runs
-    here use the certified series bounds and take hours.
+    here use the certified series bounds and take a few minutes.
     """
     missing = [f for f in FLETCHER_FILES if not (FIXDIR / f).exists()]
     if missing:

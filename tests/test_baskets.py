@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import five_merge_counts, prime_packing_reachable, random_basket
+from oracles import (
+    c2_load_oracle,
+    chi_m_oracle,
+    five_merge_counts,
+    k3_oracle,
+    prime_packing_reachable,
+    random_basket,
+    rr_correction,
+)
 from wcikit import (
     BasketInconsistency,
     FormalBasket,
@@ -27,7 +35,6 @@ from wcikit import (
     pack,
     parse_basket,
     pluri_growth_filter,
-    rr_correction,
 )
 
 
@@ -95,6 +102,65 @@ class TestCorrectionTerm:
             m = rng.randint(1, 10)
             period_sum = rr_correction(q, r + 1)
             assert rr_correction(q, m + r) - rr_correction(q, m) == period_sum
+
+
+def _random_formal_basket(rng, max_r=40, max_size=5):
+    return FormalBasket(canonical(random_basket(rng, max_r, max_size)),
+                        rng.randint(-10, 40), rng.randint(-10, 40))
+
+
+class TestIntegerKernel:
+    """The integer kernel against the rational oracle on random baskets."""
+
+    def test_k3_and_chi_m_match_oracle(self):
+        rng = random.Random(71)
+        for _ in range(200):
+            fb = _random_formal_basket(rng)
+            assert k3(fb) == k3_oracle(fb)
+            period = max((q.r for q in fb.basket), default=1)
+            for m in [1, 2, 3] + [rng.randint(4, 4 * period + 4)
+                                  for _ in range(6)]:
+                assert chi_m(fb, m) == chi_m_oracle(fb, m), (fb, m)
+
+    def test_chi_int_sequence_matches_oracle(self):
+        rng = random.Random(73)
+        for _ in range(200):
+            fb = _random_formal_basket(rng)
+            upto = 3 * max((q.r for q in fb.basket), default=1) + 3
+            want = [chi_m_oracle(fb, m) for m in range(1, upto + 1)]
+            assert chi_int_sequence(fb, upto) == [0] + want
+
+    def test_c2_matches_oracle(self):
+        rng = random.Random(79)
+        verdicts = set()
+        for _ in range(300):
+            basket = canonical(random_basket(rng, max_r=40, max_size=5))
+            want = c2_load_oracle(basket)
+            assert c2_load(basket) == want
+            assert c2_bound_ok(basket) == (want <= 24)
+            verdicts.add(want <= 24)
+        assert verdicts == {True, False}
+
+    def test_volume_filter_sign_matches_oracle(self):
+        rng = random.Random(83)
+        for _ in range(200):
+            fb = _random_formal_basket(rng)
+            assert gt_volume_filter(fb, 0, 0, 0, 1, 0) == (k3_oracle(fb) > 0)
+
+    def test_descendants_targets_match_oracle(self):
+        rng = random.Random(89)
+        for _ in range(60):
+            b0 = canonical(random_basket(rng, max_r=12, max_size=6))
+            chi, chi2 = rng.randint(-10, 40), rng.randint(-10, 40)
+            closure = descendants(b0, chi, chi2, {})
+            # targets read off one member, so at least that member hits
+            src = rng.choice(closure)
+            targets = {m: chi_m_oracle(src, m) for m in (3, 4, 5, 6)}
+            want = [fb for fb in closure
+                    if all(chi_m_oracle(fb, m) == v
+                           for m, v in targets.items())]
+            got = descendants(b0, chi, chi2, targets)
+            assert got == want and src in got
 
 
 class TestVolumeAndChi:

@@ -1,10 +1,14 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
 from wcikit import (
+    BasketInconsistency,
+    ClassificationRecord,
     CountTuple,
     FormalBasket,
+    InvalidCandidate,
     Orbifold,
     RunConfig,
     candidate_formal_baskets,
@@ -12,12 +16,23 @@ from wcikit import (
     classify_cy,
     enumerate_tuples,
     iter_tuples,
+    max_weight_ok,
+    necessary_screen,
+    normalize,
+    parse_basket,
     parse_candidate,
     realize,
+    recover_weights_degrees,
+    recovery_bound,
+    series_from_basket,
+    series_from_candidate,
     tuple_chis,
     tuple_of_candidate,
 )
-from wcikit.classify import _compositions, _quadruples
+from wcikit.classify import PREFIX_BOUND, _compositions, _quadruples
+from wcikit.series import _table_method
+
+classify_module = sys.modules["wcikit.classify"]
 
 X4_TUPLE = CountTuple((5, 0, 0, 0, 0), (0, 0, 1, 0))
 X5_TUPLE = CountTuple((4, 1, 0, 0, 0), (0, 0, 0, 1))
@@ -133,6 +148,85 @@ class TestRealize:
 
     def test_unrealizable(self):
         assert realize(FormalBasket((), 1, 0), -1) is None
+
+
+def reference_realize(fb, alpha, bound):
+    """realize() without the prefix: the full-bound series, then its checks."""
+    try:
+        target = series_from_basket(fb, alpha, bound)
+    except BasketInconsistency:
+        return None
+    if any(cm < 0 for cm in target.coeffs):
+        return None
+    rec = recover_weights_degrees(target, max_entries=15)
+    if not rec.residual_clean or not rec.weights or not rec.degrees:
+        return None
+    if set(rec.weights) & set(rec.degrees):
+        return None
+    try:
+        cand = normalize(rec.weights, rec.degrees)
+    except InvalidCandidate:
+        return None
+    if cand.dim != 3 or cand.amplitude != alpha:
+        return None
+    r_max = max((q.r for q in fb.basket), default=1)
+    if not max_weight_ok(cand.weights[-1], r_max, cand.degrees):
+        return None
+    screen = necessary_screen(cand)
+    if not screen.passed:
+        return None
+    if series_from_candidate(cand, bound).coeffs != target.coeffs:
+        return None
+    return ClassificationRecord(cand, fb, screen, True, (), bound)
+
+
+@pytest.fixture(scope="module")
+def fano_baskets():
+    return [fb for t in enumerate_tuples(-1)
+            for fb in candidate_formal_baskets(t, -1)]
+
+
+def _capped_at_bound(fb, alpha, bound):
+    coeffs = list(series_from_basket(fb, alpha, bound).coeffs)
+    return _table_method(coeffs, 15)[2]
+
+
+class TestPrefixExactness:
+    """realize() equals the plain full-bound path, whatever the prefix."""
+
+    def _check_all(self, baskets):
+        realized = 0
+        for fb in baskets:
+            bound = min(300, recovery_bound(fb, -1))
+            got = realize(fb, -1, 300)
+            assert got == reference_realize(fb, -1, bound), fb
+            realized += got is not None
+        return realized
+
+    def test_every_fano_basket(self, fano_baskets):
+        assert len(fano_baskets) == 1644
+        assert self._check_all(fano_baskets) == 181
+
+    def test_every_fano_basket_with_a_short_prefix(self, fano_baskets,
+                                                   monkeypatch):
+        # at 10 coefficients, 730 of the baskets pass the prefix and hit
+        # the entry cap later
+        monkeypatch.setattr(classify_module, "PREFIX_BOUND", 10)
+        late = [fb for fb in fano_baskets
+                if not classify_module._prefix_rejects(fb, -1)
+                and _capped_at_bound(fb, -1, 300)]
+        assert len(late) == 730
+        assert self._check_all(fano_baskets) == 181
+
+    def test_cap_hit_after_the_prefix(self, monkeypatch):
+        fb = FormalBasket(parse_basket("1x(2,5); 1x(5,12)"), 1, -1)
+        assert classify_module._prefix_rejects(fb, -1)
+        assert _capped_at_bound(fb, -1, PREFIX_BOUND)
+        monkeypatch.setattr(classify_module, "PREFIX_BOUND", 30)
+        assert not classify_module._prefix_rejects(fb, -1)
+        assert _capped_at_bound(fb, -1, 300)
+        assert realize(fb, -1, 300) is None
+        assert reference_realize(fb, -1, 300) is None
 
 
 class TestHelpers:

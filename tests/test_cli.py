@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -70,6 +71,18 @@ class TestSeries:
     def test_negative_bound(self, capsys):
         code, _, err = run(capsys, "series", "1,1,1,1,1 / 5", "--bound", "-1")
         assert code == 2 and "--bound" in err
+
+    def test_huge_bound_fails_before_allocating(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "series", "1,1,1,1,1 / 5",
+                                 "--bound", "1000000000000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--bound" in err
+        assert peak < 1_000_000
 
 
 class TestTable:
@@ -159,6 +172,17 @@ class TestClassify:
     def test_nonpositive_codim(self, capsys):
         code, _, err = run(capsys, "classify", "--alpha", "0", "--codim", "0")
         assert code == 2 and "positive" in err
+
+    def test_json_same_for_every_job_count(self, capsys):
+        outs = []
+        for jobs in ("1", "2"):
+            code, out, _ = run(capsys, "classify", "--alpha", "-1",
+                               "--format", "json", "--jobs", jobs)
+            assert code == 0
+            blob = json.loads(out)
+            assert blob["config"].pop("jobs") == int(jobs)
+            outs.append(json.dumps(blob, indent=2))
+        assert outs[0] == outs[1]
 
     def test_bad_jobs(self, capsys):
         code, _, err = run(capsys, "classify", "--alpha", "0", "--jobs", "0")
