@@ -14,10 +14,14 @@ from __future__ import annotations
 
 import json
 import re
+from array import array
+from bisect import insort
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add
 from typing import Callable, Iterable, Mapping
 
 
@@ -170,6 +174,21 @@ class RRKernel:
         return ((2 * m - 1) * m * (m - 1) * vol
                 - 12 * self.scale * (2 * m - 1) * chi + 12 * self.l(m))
 
+    def chi_ints(self, chi: int, vol: int, lo: int, hi: int) -> list[int]:
+        """chi_m for lo <= m < hi as integers, given vol = scale * K^3.
+
+        Non-integral chi_m means no variety carries this data; that
+        raises BasketInconsistency.
+        """
+        denom = 12 * self.scale
+        out = []
+        for m in range(lo, hi):
+            q_, rem = divmod(self.chi_m(m, chi, vol), denom)
+            if rem:
+                raise BasketInconsistency(f"chi_{m} not integral")
+            out.append(q_)
+        return out
+
 
 def k3(fb: FormalBasket) -> Fraction:
     """Canonical degree K^3 determined by chi, chi_2 and the basket."""
@@ -194,15 +213,7 @@ def chi_int_sequence(fb: FormalBasket, upto: int) -> list[int]:
     """
     kern = RRKernel(fb.basket)
     vol = kern.k3(fb.chi, fb.chi2)
-    denom = 12 * kern.scale
-    out = [0] * (max(upto, 1) + 1)
-    out[1] = -fb.chi
-    for m in range(2, upto + 1):
-        q_, rem = divmod(kern.chi_m(m, fb.chi, vol), denom)
-        if rem:
-            raise BasketInconsistency(f"chi_{m} not integral for {format_basket(fb.basket)}")
-        out[m] = q_
-    return out
+    return [0, -fb.chi] + kern.chi_ints(fb.chi, vol, 2, upto + 1)
 
 
 def merge_orbifolds(p: Orbifold, q: Orbifold) -> Orbifold | None:
@@ -331,45 +342,203 @@ def gt_volume_filter(fb: FormalBasket, pg: int, p2: int, p3: int, p5: int,
     return head > 0 and RRKernel(fb.basket).k3(fb.chi, fb.chi2) > 0
 
 
+# Named prunes for descendants(), evaluated on a state's integer data:
+# "c2" cuts sum(r - 1/r) > 24, the amplitude -1 bound on c_2 . (-K);
+# "volume" cuts K^3 <= 0 for the chi and chi_2 of the call.  Both only
+# grow more true under packing.
+NAMED_PRUNES = ("c2", "volume")
+
+
+def _pack(codes: tuple[int, ...], width: int) -> int:
+    packed = 0
+    for code in reversed(codes):
+        packed = packed << width | code
+    return packed
+
+
+def _points(packed: int, unit: int, width: int) -> tuple[tuple[int, int], ...]:
+    """The (b, r) of each point of a packed state, sorted by (r, b)."""
+    mask = (1 << width) - 1
+    out = []
+    while packed:
+        r, b = divmod(packed & mask, unit)
+        out.append((b, r))
+        packed >>= width
+    return tuple(out)
+
+
+# States a ClosureCache holds, at roughly 100 bytes each.  The amplitude
+# -1 sweep meets 4,438 states in 699 closures and keeps them all; the +1
+# sweep meets 354,026 in 53,378, too many to keep.
+_CACHE_STATES = 20_000
+
+
+class ClosureCache(OrderedDict):
+    """Packing closures shared by the descendants() calls of one run.
+
+    Maps a key (see descendants) to a closure, which depends on nothing
+    else, so a later call on the same root redoes only the target check.
+    The caller creates the cache and drops it with the run.  put() keeps
+    at most _CACHE_STATES states, dropping the oldest closures first.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.states = 0
+
+    def put(self, key: tuple, closure: tuple) -> None:
+        self[key] = closure
+        self.states += len(closure[1])
+        while self.states > _CACHE_STATES and len(self) > 1:
+            self.states -= len(self.popitem(last=False)[1][1])
+
+
+def _build_closure(root: tuple[int, ...], unit: int, width: int,
+                   ms: tuple[int, ...],
+                   prune: str | Callable[[Basket], bool] | None,
+                   volume_floor: int) -> tuple:
+    """Breadth-first closure of a root under packing, with canonical dedup.
+
+    Returns (sigs, states): each state packed into one int, and per
+    state and listed m the value 12 l(m) - 2(2m-1)m(m-1) l(2) over the
+    Riemann-Roch scale, in an array when all are machine integers.
+    While it runs, a state is a sorted tuple of point codes carrying
+    (c_2 load, l(2), l(m) for m in ms) scaled by twice the lcm of every
+    index up to the root's total index, which covers every merged point.
+    Packing p and q into s adds data(s) - data(p) - data(q).
+    """
+    scale = 2 * lcm(1, *range(1, sum(c // unit for c in root) + 1))
+    zero = (0,) * (len(ms) + 2)
+
+    def point_data(code: int) -> tuple[int, ...] | None:
+        r, b = divmod(code, unit)
+        if r == 1:
+            return zero
+        if b < 1 or 2 * b > r or gcd(b, r) != 1:
+            return None
+        period, prefix = _point_sums(b, r)
+        per = scale // (2 * r)
+        ls = [per * (k * period + prefix[j])
+              for k, j in (divmod(m - 1, r) for m in (2, *ms))]
+        return ((r * r - 1) * (scale // r), *ls)
+
+    # A named prune cuts the states whose data[at] exceeds limit.
+    at, limit = {"c2": (0, 24 * scale),
+                 "volume": (1, volume_floor * scale - 1)}.get(prune, (0, None))
+
+    def cut(state: tuple[int, ...], data: tuple[int, ...]) -> bool:
+        if limit is not None:
+            return data[at] > limit
+        if prune is None:
+            return False
+        points = _points(_pack(state, width), unit, width)
+        return prune(tuple(Orbifold(b, r) for b, r in points))
+
+    root_data = zero
+    for code in root:
+        root_data = tuple(map(add, root_data, point_data(code)))
+    states: dict[tuple[int, ...], tuple[int, ...]] = {}
+    if not cut(root, root_data):
+        states[root] = root_data
+    pruned: set[tuple[int, ...]] = set()
+    # (p, q) -> (code of the merged point, change of data), or None
+    moves: dict[tuple[int, int], tuple | None] = {}
+    frontier = list(states)
+    while frontier:
+        nxt = []
+        for state in frontier:
+            data = states[state]
+            n = len(state)
+            for i in range(n - 1):
+                p = state[i]
+                if i and p == state[i - 1]:
+                    continue
+                for j in range(i + 1, n):
+                    q = state[j]
+                    if j > i + 1 and q == state[j - 1]:
+                        continue
+                    if (p, q) not in moves:
+                        ds = point_data(p + q)
+                        moves[p, q] = None if ds is None else (
+                            p + q, tuple(x - y - z for x, y, z in
+                                         zip(ds, point_data(p), point_data(q))))
+                    move = moves[p, q]
+                    if move is None:
+                        continue
+                    rest = list(state)
+                    del rest[j]
+                    del rest[i]
+                    insort(rest, move[0])
+                    child = tuple(rest)
+                    if child in states or child in pruned:
+                        continue
+                    cdata = tuple(map(add, data, move[1]))
+                    if cut(child, cdata):
+                        pruned.add(child)
+                        continue
+                    states[child] = cdata
+                    nxt.append(child)
+        frontier = nxt
+    sigs: list = []
+    for data in states.values():
+        l2 = data[1]
+        for m, lm in zip(ms, data[2:]):
+            d = 12 * lm - 2 * (2 * m - 1) * m * (m - 1) * l2
+            sigs.append(d // scale if d % scale == 0 else Fraction(d, scale))
+    try:
+        sigs = array("q", sigs)
+    except (TypeError, OverflowError):
+        pass
+    return sigs, tuple(_pack(state, width) for state in states)
+
+
 def descendants(b0: Basket, chi: int, chi2: int,
                 targets: Mapping[int, int],
-                prune: Callable[[Basket], bool] | None = None) -> list[FormalBasket]:
+                prune: str | Callable[[Basket], bool] | None = None,
+                cache: ClosureCache | None = None) -> list[FormalBasket]:
     """All baskets dominated by b0 whose chi_m hit the targets.
 
     Breadth-first closure of b0 under pack() with canonical dedup; a
     basket survives iff chi_m(basket, chi, chi2) equals targets[m] for
     every listed m.  prune, when given, must be monotone under packing
     (once true it stays true on every further pack); pruned baskets and
-    their descendants are skipped entirely.
+    their descendants are skipped entirely.  It is one of NAMED_PRUNES or
+    a callable on baskets.
+
+    cache keeps each closure for later calls on the same root.  Its key
+    holds all a closure depends on: the root, the target indices, the
+    prune and, for the "volume" prune, chi_2 + 3 chi.  Callable prunes
+    are not cached.
     """
-    if prune is not None and prune(b0):
-        return []
-    seen: set[Basket] = {b0}
-    frontier: list[Basket] = [b0]
-    while frontier:
-        nxt: list[Basket] = []
-        for state in frontier:
-            tried: set[tuple[Orbifold, Orbifold]] = set()
-            for i in range(len(state)):
-                for j in range(i + 1, len(state)):
-                    key = (state[i], state[j])
-                    if key in tried:
-                        continue
-                    tried.add(key)
-                    child = pack(state, i, j)
-                    if child is None or child in seen:
-                        continue
-                    if prune is not None and prune(child):
-                        continue
-                    seen.add(child)
-                    nxt.append(child)
-        frontier = nxt
-    out: list[FormalBasket] = []
-    for state in sorted(seen):
-        kern = RRKernel(state)
-        vol = kern.k3(chi, chi2)
-        denom = 12 * kern.scale
-        if all(kern.chi_m(m, chi, vol) == denom * val
-               for m, val in targets.items()):
-            out.append(FormalBasket(state, chi, chi2))
-    return out
+    if isinstance(prune, str) and prune not in NAMED_PRUNES:
+        raise ValueError(f"unknown prune {prune!r}")
+    if cache is not None and callable(prune):
+        raise ValueError("only a named prune can be cached")
+    ms = tuple(sorted(targets))
+    floor = chi2 + 3 * chi
+    # Point (b, r) has code r * unit + b.  unit exceeds every b a merge
+    # can reach, so adding codes merges points and sorting codes sorts
+    # points by (r, b); every code fits in width bits.
+    unit = 1 << max(1, sum(q.b for q in b0).bit_length())
+    width = ((sum(q.r for q in b0) + 1) * unit).bit_length()
+    root = tuple(sorted(q.r * unit + q.b for q in b0))
+    key = (_pack(root, width), unit, width, ms, prune,
+           floor if prune == "volume" else None)
+    closure = cache.get(key) if cache is not None else None
+    if closure is None:
+        closure = _build_closure(root, unit, width, ms, prune, floor)
+        if cache is not None:
+            cache.put(key, closure)
+    sigs, states = closure
+    # With scale K^3 = 2((chi_2 + 3 chi) scale - l(2)), chi_m = t reads
+    # 12 l(m) - 2(2m-1)m(m-1) l(2) = scale (12 t + (2m-1)(12 chi
+    # - 2m(m-1)(chi_2 + 3 chi))).
+    want = tuple(12 * targets[m]
+                 + (2 * m - 1) * (12 * chi - 2 * m * (m - 1) * floor)
+                 for m in ms)
+    w = len(ms)
+    hits = sorted(_points(state, unit, width)
+                  for k, state in enumerate(states)
+                  if tuple(sigs[k * w:(k + 1) * w]) == want)
+    return [FormalBasket(tuple(Orbifold(b, r) for b, r in points), chi, chi2)
+            for points in hits]

@@ -20,18 +20,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .baskets import (
     BasketInconsistency,
+    ClosureCache,
     FormalBasket,
     Orbifold,
     RRKernel,
-    c2_bound_ok,
     c2_load,
     canonical,
     descendants,
-    gt_volume_filter,
     high_index_count_bounds,
     initial_counts_from_chis,
     k3,
@@ -45,13 +44,12 @@ from .candidate import (
     normalize,
 )
 from .series import (
+    TableMethod,
     TruncatedSeries,
-    _table_method,
+    basket_series_blocks,
     max_weight_ok,
     poincare_series,
-    recover_weights_degrees,
     recovery_bound,
-    series_from_basket,
     series_from_candidate,
 )
 
@@ -59,12 +57,6 @@ _HORIZON = {-1: 5, 1: 6}
 _MU_CAP = {-1: 7, 1: 9}
 _NU_CAP = {-1: 3, 1: 5}
 
-# realize() first runs the table method on this many basket series
-# coefficients and pays the full series bound only for baskets the
-# prefix does not already reject.  Most formal baskets hit the entry cap
-# within it.  Any value gives the same records: the recovery's decision
-# at index m reads only coefficients 0..m.
-PREFIX_BOUND = 40
 # Entries the table method may recover before realize() gives up.
 _MAX_ENTRIES = 15
 # Tuple chunks per worker process in a multi-job run.
@@ -207,14 +199,16 @@ def _gt_r_multisets(s: int, cap: int, headroom: Fraction) -> Iterator[tuple[int,
     yield from rec(5, s, Fraction(0))
 
 
-def _tuple_baskets(t: CountTuple, alpha: int
+def _tuple_baskets(t: CountTuple, alpha: int,
+                   closures: ClosureCache | None = None
                    ) -> tuple[list[tuple[FormalBasket, str]], list[str], Counter]:
     """Formal baskets consistent with one tuple, with case labels.
 
     Returns (baskets, exhaustiveness violations, prune counters).  Case
     labels: 'sigma5-zero' needs no high index points, 'ambient-capped'
     bounds their index by the largest possible weight, 'volume-capped'
-    by positivity of the unpacked volume.
+    by positivity of the unpacked volume.  closures, when given, shares
+    packing closures with the other tuples of a run.
     """
     prunes: Counter = Counter()
     data = tuple_chis(t, alpha)
@@ -250,7 +244,6 @@ def _tuple_baskets(t: CountTuple, alpha: int
                         + [Orbifold(1, 4)] * counts.n14_plus)
         headroom = k3(FormalBasket(bpp, chi, chi2))
         ambient_capped = sum(t.mu) >= 5 or any(t.nu)
-        gt_prune = lambda b: RRKernel(b).k3(chi, chi2) <= 0  # noqa: E731
 
     for s in range(lo, hi + 1):
         base = [Orbifold(1, 2)] * counts.n12 + [Orbifold(1, 3)] * counts.n13 \
@@ -261,7 +254,7 @@ def _tuple_baskets(t: CountTuple, alpha: int
                 continue
             multisets = _fano_r_multisets(s, budget)
             case = "c2-capped" if s else "sigma5-zero"
-            prune = lambda b: not c2_bound_ok(b)  # noqa: E731
+            prune = "c2"
         else:
             if s == 0:
                 multisets = iter([()])
@@ -283,18 +276,16 @@ def _tuple_baskets(t: CountTuple, alpha: int
                     continue
                 multisets = _gt_r_multisets(s, cap, headroom)
                 case = "ambient-capped" if ambient_capped else "volume-capped"
-            prune = gt_prune
+            prune = "volume"
         for rs in multisets:
             b0 = canonical(base + [Orbifold(1, r) for r in rs])
-            for fb in descendants(b0, chi, chi2, targets, prune=prune):
-                if alpha == -1:
-                    if not (c2_bound_ok(fb.basket)
-                            and RRKernel(fb.basket).k3(chi, chi2) < 0):
-                        continue
-                else:
-                    if not gt_volume_filter(fb, data.pg, data.p[2], data.p[3],
-                                            data.p[5], lo):
-                        continue
+            for fb in descendants(b0, chi, chi2, targets, prune=prune,
+                                  cache=closures):
+                # Every closure state passed its prune: c_2 for -1, and
+                # K^3 > 0 for +1, which with the head > 0 checked above
+                # is all of gt_volume_filter.
+                if alpha == -1 and RRKernel(fb.basket).k3(chi, chi2) >= 0:
+                    continue
                 found.setdefault(fb, case)
     return sorted(found.items(), key=lambda kv: kv[0].basket), violations, prunes
 
@@ -331,45 +322,31 @@ class ClassificationRecord:
         }
 
 
-def _prefix_rejects(fb: FormalBasket, alpha: int) -> bool:
-    """True when the first PREFIX_BOUND series coefficients rule fb out.
-
-    A non-integral or negative coefficient in the prefix is one of the
-    full series too, and an entry cap hit inside the prefix is hit at
-    the same index on the full series, so the rejection is exact.
-    """
-    try:
-        head = series_from_basket(fb, alpha, PREFIX_BOUND)
-    except BasketInconsistency:
-        return True
-    if any(cm < 0 for cm in head.coeffs):
-        return True
-    _, _, capped = _table_method(list(head.coeffs), _MAX_ENTRIES)
-    return capped
-
-
 def realize(fb: FormalBasket, alpha: int,
             m_override: int | None = None) -> ClassificationRecord | None:
     """Try to present a formal basket as a candidate family.
 
-    Builds the basket series, reads a presentation off it, and keeps the
-    result only if it is a dimension 3 candidate of the right amplitude
-    whose own series reproduces the basket series exactly.  Absence of a
-    return value means no realization at this series bound.  Baskets
-    that a short series prefix already rules out never build the full
-    series.
+    Reads a presentation off the basket series, and keeps the result
+    only if it is a dimension 3 candidate of the right amplitude whose
+    own series reproduces the basket series exactly.  Absence of a
+    return value means no realization at this series bound.  The series
+    is built and scanned in blocks, so a basket stops at the first block
+    with a non-integral or negative coefficient or an entry cap hit.
     """
     full = recovery_bound(fb, alpha)
     bound = min(m_override, full) if m_override else full
-    if bound > PREFIX_BOUND and _prefix_rejects(fb, alpha):
-        return None
+    table = TableMethod(_MAX_ENTRIES)
+    target: list[int] = []
     try:
-        target = series_from_basket(fb, alpha, bound)
+        for block in basket_series_blocks(fb, alpha, bound):
+            if min(block) < 0:
+                return None  # section counts are never negative
+            if not table.feed(block):
+                return None
+            target.extend(block)
     except BasketInconsistency:
         return None
-    if any(cm < 0 for cm in target.coeffs):
-        return None  # section counts are never negative
-    rec = recover_weights_degrees(target, max_entries=_MAX_ENTRIES)
+    rec = table.presentation()
     if not rec.residual_clean or not rec.weights or not rec.degrees:
         return None
     if set(rec.weights) & set(rec.degrees):
@@ -386,7 +363,7 @@ def realize(fb: FormalBasket, alpha: int,
     screen = necessary_screen(cand)
     if not screen.passed:
         return None
-    if series_from_candidate(cand, bound).coeffs != target.coeffs:
+    if list(series_from_candidate(cand, bound).coeffs) != target:
         return None
     return ClassificationRecord(cand, fb, screen, True, (), bound)
 
@@ -498,14 +475,32 @@ def classify_cy() -> list[ClassificationRecord]:
                                  r.candidate.weights))
 
 
-def _batch_worker(args: tuple[int, int | None, list[CountTuple]]
+def _merge(merged: dict[tuple, ClassificationRecord],
+           rec: ClassificationRecord) -> None:
+    """Add a record to merged, keyed by family.
+
+    The family's first record, in tuple order, keeps its basket and
+    bound; later ones add their provenance.
+    """
+    key = (rec.candidate.weights, rec.candidate.degrees)
+    old = merged.get(key)
+    if old is None:
+        merged[key] = rec
+    else:
+        prov = tuple(sorted(set(old.provenance) | set(rec.provenance)))
+        merged[key] = replace(old, provenance=prov)
+
+
+def _batch_worker(args: tuple[int, int | None, Iterable[CountTuple]]
                   ) -> tuple[dict, list[str], Counter]:
     alpha, override, batch = args
     records: dict[tuple, ClassificationRecord] = {}
     violations: list[str] = []
     stats: Counter = Counter()
+    closures = ClosureCache()
     for t in batch:
-        fbs, viols, prunes = _tuple_baskets(t, alpha)
+        stats["tuples"] += 1
+        fbs, viols, prunes = _tuple_baskets(t, alpha, closures)
         violations.extend(viols)
         stats.update(prunes)
         stats["baskets"] += len(fbs)
@@ -516,49 +511,37 @@ def _batch_worker(args: tuple[int, int | None, list[CountTuple]]
                 continue
             stats["realized"] += 1
             prov = f"tuple mu={t.mu} nu={t.nu} case={case}"
-            key = (rec.candidate.weights, rec.candidate.degrees)
-            if key in records:
-                old = records[key]
-                merged = tuple(sorted(set(old.provenance) | {prov}))
-                records[key] = replace(old, provenance=merged)
-            else:
-                records[key] = replace(rec, provenance=(prov,))
+            _merge(records, replace(rec, provenance=(prov,)))
     return records, violations, stats
 
 
 def _drive(config: RunConfig) -> RunReport:
     alpha = config.alpha
     override = None if config.full else config.m_override
-    tuples = enumerate_tuples(alpha)
-    stats: Counter = Counter()
-    stats["tuples"] = len(tuples)
-    violations: list[str] = []
-    merged: dict[tuple, ClassificationRecord] = {}
-
     if config.jobs > 1:
         # Many contiguous chunks, handed out as workers free up, balance
         # the few expensive tuples; map() returns them in tuple order, so
         # the merge below sees the same order as a single job.
+        tuples = enumerate_tuples(alpha)
         size = max(1, -(-len(tuples) // (config.jobs * _CHUNKS_PER_JOB)))
         batches = [(alpha, override, tuples[i:i + size])
                    for i in range(0, len(tuples), size)]
+        del tuples
         with ProcessPoolExecutor(
                 max_workers=config.jobs,
                 mp_context=multiprocessing.get_context("spawn")) as pool:
             results = list(pool.map(_batch_worker, batches))
     else:
-        results = [_batch_worker((alpha, override, tuples))]
+        results = [_batch_worker((alpha, override, iter_tuples(alpha)))]
 
+    stats: Counter = Counter()
+    violations: list[str] = []
+    merged: dict[tuple, ClassificationRecord] = {}
     for records, viols, st in results:
         violations.extend(viols)
         stats.update(st)
-        for key, rec in records.items():
-            if key in merged:
-                old = merged[key]
-                prov = tuple(sorted(set(old.provenance) | set(rec.provenance)))
-                merged[key] = replace(old, provenance=prov)
-            else:
-                merged[key] = rec
+        for rec in records.values():
+            _merge(merged, rec)
 
     records = sorted(merged.values(),
                      key=lambda r: (r.candidate.codim, r.candidate.degrees,

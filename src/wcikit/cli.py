@@ -31,7 +31,7 @@ from .candidate import CandidateParseError, necessary_screen, parse_candidate
 from .classify import ClassificationRecord, RunConfig, classify, realize
 from .series import (
     MAX_SERIES_BOUND,
-    SeriesParseError,
+    MAX_TABLE_ENTRIES,
     parse_series,
     poincare_series,
     recover_weights_degrees,
@@ -96,10 +96,14 @@ def _cmd_table(args: argparse.Namespace) -> int:
         raw = sys.stdin.read()
     try:
         series = parse_series(raw)
-    except SeriesParseError as exc:
+        rec = recover_weights_degrees(series, max_entries=MAX_TABLE_ENTRIES)
+    except ValueError as exc:  # a SeriesParseError, or c_0 other than 1
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rec = recover_weights_degrees(series)
+    if rec.capped:
+        print(f"error: the series needs more than {MAX_TABLE_ENTRIES} "
+              f"weights and degrees", file=sys.stderr)
+        return 2
     if args.format == "json":
         out = json.dumps({
             "weights": list(rec.weights),
@@ -269,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("table",
-                       help="recover weights and degrees from a series")
+                       help="recover weights and degrees from a series "
+                            f"(at most {MAX_TABLE_ENTRIES} of them)")
     p.add_argument("file", nargs="?", default=None,
                    help="series file ('m c_m' lines); defaults to stdin")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -12,14 +12,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import sub
+from typing import Iterator, Sequence
 
-from .baskets import FormalBasket, chi_int_sequence
+from .baskets import FormalBasket, RRKernel
 
 
 # Largest series bound built on request: a bound allocates one integer
 # per coefficient, and the longest certified recovery bound the drivers
 # use is 86,116.
 MAX_SERIES_BOUND = 1_000_000
+# Most weights and degrees `wci table` reads off a series.  Each entry
+# costs one pass over the series, and a presentation in the lists has
+# at most a few dozen entries.
+MAX_TABLE_ENTRIES = 100
 
 
 class SeriesParseError(ValueError):
@@ -118,43 +125,88 @@ class RecoveredPresentation:
     weights: tuple[int, ...]
     degrees: tuple[int, ...]
     residual_clean: bool
+    capped: bool = False
 
 
-def _table_method(c: list[int], max_entries: int | None
-                  ) -> tuple[list[int], list[int], bool]:
-    """The table method's loop, run in place on the coefficient list c.
+class TableMethod:
+    """The table method, run online over a series fed in blocks.
 
-    Returns the weights and degrees read off c and whether max_entries
-    stopped the scan.  The decision at index m reads only c_0..c_m, so
-    a prefix of a series stops at the same index as the whole series
-    whenever the cap is hit inside the prefix.
+    Each weight (degree) read off at index m becomes a stage that
+    multiplies (divides) the rest of the series by (1 - t^m).  A stage
+    keeps the last m values it reads back: its input for a weight, its
+    output for a degree.  When a stage starts at index m, the series it
+    acts on reads 1, 0, ..., 0 below m, since every earlier index was
+    already stripped to zero; so a block is stripped without revisiting
+    earlier blocks, and the decision at index m reads only c_0..c_m.
     """
-    bound = len(c) - 1
-    weights: list[int] = []
-    degrees: list[int] = []
-    m = 1
-    while m <= bound:
-        cm = c[m]
-        if cm == 0:
-            m += 1
-            continue
-        count = abs(cm)
-        if max_entries is not None:
-            budget = max_entries - len(weights) - len(degrees)
-            if count > budget:
-                return weights, degrees, True
-        if cm > 0:
-            weights.extend([m] * count)
+
+    __slots__ = ("max_entries", "weights", "degrees", "capped", "length",
+                 "_stages")
+
+    def __init__(self, max_entries: int | None = None) -> None:
+        self.max_entries = max_entries
+        self.weights: list[int] = []
+        self.degrees: list[int] = []
+        self.capped = False
+        self.length = 0
+        # [m, is_weight, the stage's last m values]
+        self._stages: list[list] = []
+
+    def feed(self, block: Sequence[int]) -> bool:
+        """Take the next coefficients; False once the entry cap stops the scan.
+
+        The first block starts with the constant coefficient, which must
+        be 1.  An index whose value would take the entries past
+        max_entries stops the scan before any strip.
+        """
+        lo = self.length
+        if lo == 0 and block and block[0] != 1:
+            raise ValueError("series must have constant coefficient 1")
+        c = list(block)
+        for stage in self._stages:
+            c = _through(stage, c)
+        self.length = lo + len(c)
+        for t in range(1 if lo == 0 else 0, len(c)):
+            v = c[t]
+            if not v:
+                continue
+            m, count, is_weight = lo + t, abs(v), v > 0
+            if (self.max_entries is not None and count > self.max_entries
+                    - len(self.weights) - len(self.degrees)):
+                self.capped = True
+                return False
+            (self.weights if is_weight else self.degrees).extend([m] * count)
             for _ in range(count):
-                for i in range(bound, m - 1, -1):
-                    c[i] -= c[i - m]
-        else:
-            degrees.extend([m] * count)
-            for _ in range(count):
-                for i in range(m, bound + 1):
-                    c[i] += c[i - m]
-        m += 1
-    return weights, degrees, False
+                stage = [m, is_weight, [1] + [0] * (m - 1)]
+                self._stages.append(stage)
+                c[t:] = _through(stage, c[t:])
+        return True
+
+    def presentation(self) -> RecoveredPresentation:
+        """The entries read so far.
+
+        residual_clean holds when the cap did not stop the scan and every
+        entry is at most half the last index fed: then the entries are
+        the unique presentation of the series.
+        """
+        top = max(self.weights + self.degrees, default=0)
+        clean = not self.capped and 2 * top <= self.length - 1
+        return RecoveredPresentation(tuple(self.weights), tuple(self.degrees),
+                                     clean, self.capped)
+
+
+def _through(stage: list, c: list[int]) -> list[int]:
+    """Pass the next coefficients c through a stage, keeping its tail."""
+    m, is_weight, tail = stage
+    ext = tail + c
+    if is_weight:
+        out = list(map(sub, ext[m:], ext))
+    else:
+        for i in range(m, len(ext)):
+            ext[i] += ext[i - m]
+        out = ext[m:]
+    stage[2] = ext[-m:]
+    return out
 
 
 def recover_weights_degrees(series: TruncatedSeries,
@@ -168,15 +220,23 @@ def recover_weights_degrees(series: TruncatedSeries,
     the recovery is the unique presentation of the series; residual_clean
     reports exactly that certified situation.  A series truncated too
     short for its entries comes back with residual_clean false.
-    max_entries aborts recoveries that keep producing entries.
+    max_entries aborts recoveries that keep producing entries; capped
+    reports that abort.
     """
     if series[0] != 1:
         raise ValueError("series must have constant coefficient 1")
-    c = list(series.coeffs)
-    weights, degrees, capped = _table_method(c, max_entries)
-    top = max(weights + degrees, default=0)
-    clean = not capped and not any(c[1:]) and 2 * top <= series.bound
-    return RecoveredPresentation(tuple(weights), tuple(degrees), clean)
+    table = TableMethod(max_entries)
+    table.feed(series.coeffs)
+    return table.presentation()
+
+
+def _shape_bound(alpha: int) -> int:
+    """ceil(1680 s) + alpha, s = max over c = 1..4 of ((4 + c + alpha)/c)^c."""
+    s = max(Fraction(4 + cc + alpha, cc) ** cc for cc in range(1, 5))
+    return -((-1680 * s.numerator) // s.denominator) + alpha
+
+
+_SHAPE_BOUND = {alpha: _shape_bound(alpha) for alpha in (-1, 1)}
 
 
 def recovery_bound(fb: FormalBasket, alpha: int) -> int:
@@ -185,13 +245,10 @@ def recovery_bound(fb: FormalBasket, alpha: int) -> int:
     Twice N, where N caps both the basket indices and the largest weight
     or degree any quasismooth realization with this amplitude can carry.
     """
-    if alpha not in (-1, 1):
+    if alpha not in _SHAPE_BOUND:
         raise ValueError("recovery bound defined for amplitude -1 or +1")
-    s = max(Fraction(4 + cc + alpha, cc) ** cc for cc in range(1, 5))
-    ceil_s = -((-1680 * s.numerator) // s.denominator)
     r_max = max((q.r for q in fb.basket), default=1)
-    n = max(r_max, ceil_s + alpha)
-    return 2 * n
+    return 2 * max(r_max, _SHAPE_BOUND[alpha])
 
 
 def max_weight_ok(a_max: int, r_max: int, degrees: tuple[int, ...]) -> bool:
@@ -201,21 +258,39 @@ def max_weight_ok(a_max: int, r_max: int, degrees: tuple[int, ...]) -> bool:
     return a_max <= r_max or any(d % a_max == 0 for d in degrees)
 
 
+# Coefficients in the first block of basket_series_blocks; each later
+# block doubles the coefficients given so far.  Most formal baskets are
+# decided within the first block.
+_FIRST_BLOCK = 16
+
+
+def basket_series_blocks(fb: FormalBasket, alpha: int,
+                         bound: int) -> Iterator[list[int]]:
+    """Expected section counts c_0..c_bound of a formal basket, in blocks.
+
+    Amplitude +1 reads chi_m directly; amplitude -1 reads -chi_{m+1} by
+    duality.  Raises BasketInconsistency on reaching a block with a
+    non-integral chi_m.
+    """
+    if alpha not in (-1, 1):
+        raise ValueError("basket series defined for amplitude -1 or +1")
+    kern = RRKernel(fb.basket)
+    vol = kern.k3(fb.chi, fb.chi2)
+    sign, shift = (1, 0) if alpha == 1 else (-1, 1)
+    head = [1, 1 - fb.chi] if alpha == 1 else [1]  # not read off chi_m
+    lo, hi = 0, min(_FIRST_BLOCK, bound + 1)
+    while lo < hi:
+        chis = kern.chi_ints(fb.chi, vol, max(lo, len(head)) + shift,
+                             hi + shift)
+        yield head[lo:hi] + [sign * c for c in chis]
+        lo, hi = hi, min(2 * hi, bound + 1)
+
+
 def series_from_basket(fb: FormalBasket, alpha: int, bound: int) -> TruncatedSeries:
     """Expected section-count series of a formal basket with nef and big +-K.
 
     Amplitude +1 reads chi_m directly; amplitude -1 reads -chi_{m+1} by
     duality.  Raises BasketInconsistency when some chi_m is not integral.
     """
-    if alpha == 1:
-        chis = chi_int_sequence(fb, bound)
-        coeffs = [1]
-        if bound >= 1:
-            coeffs.append(1 - fb.chi)
-            coeffs.extend(chis[2:bound + 1])
-        return TruncatedSeries(tuple(coeffs))
-    if alpha == -1:
-        chis = chi_int_sequence(fb, bound + 1)
-        coeffs = [1] + [-chis[m + 1] for m in range(1, bound + 1)]
-        return TruncatedSeries(tuple(coeffs))
-    raise ValueError("basket series defined for amplitude -1 or +1")
+    return TruncatedSeries(tuple(chain.from_iterable(
+        basket_series_blocks(fb, alpha, bound))))

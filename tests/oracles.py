@@ -134,6 +134,51 @@ def c2_load_oracle(basket) -> Fraction:
     return sum((q.r - Fraction(1, q.r) for q in basket), Fraction(0))
 
 
+def table_method_oracle(c: list[int], max_entries: int | None
+                        ) -> tuple[list[int], list[int], bool]:
+    """The table method run in place on the whole coefficient list c.
+
+    Strips each entry from every later coefficient at once.  Returns the
+    weights and degrees read off c and whether max_entries stopped the
+    scan.
+    """
+    bound = len(c) - 1
+    weights: list[int] = []
+    degrees: list[int] = []
+    m = 1
+    while m <= bound:
+        cm = c[m]
+        if cm == 0:
+            m += 1
+            continue
+        count = abs(cm)
+        if max_entries is not None:
+            budget = max_entries - len(weights) - len(degrees)
+            if count > budget:
+                return weights, degrees, True
+        if cm > 0:
+            weights.extend([m] * count)
+            for _ in range(count):
+                for i in range(bound, m - 1, -1):
+                    c[i] -= c[i - m]
+        else:
+            degrees.extend([m] * count)
+            for _ in range(count):
+                for i in range(m, bound + 1):
+                    c[i] += c[i - m]
+        m += 1
+    return weights, degrees, False
+
+
+def recover_oracle(coeffs, max_entries=None):
+    """(weights, degrees, residual_clean, capped) from the in-place loop."""
+    c = list(coeffs)
+    weights, degrees, capped = table_method_oracle(c, max_entries)
+    top = max(weights + degrees, default=0)
+    clean = not capped and not any(c[1:]) and 2 * top <= len(c) - 1
+    return tuple(weights), tuple(degrees), clean, capped
+
+
 _FIVE_MEMO: dict[tuple[int, int], frozenset[int]] = {}
 
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from oracles import (
 )
 from wcikit import (
     BasketInconsistency,
+    ClosureCache,
     FormalBasket,
     Orbifold,
     c2_bound_ok,
@@ -389,3 +391,61 @@ class TestDescendants:
             canonical([Orbifold(2, 5), Orbifold(1, 4)]),
             canonical([Orbifold(1, 2), Orbifold(2, 7)]),
         }
+
+    def test_named_prunes_match_callables(self):
+        # sum(r - 1/r) = 24 and K^3 = 0 exactly sit on the boundaries:
+        # the first is kept, the second cut
+        sixteen = canonical([Orbifold(1, 2)] * 16)
+        assert descendants(sixteen, 1, 0, {}, prune="c2") == \
+            [FormalBasket(sixteen, 1, 0)]
+        four = canonical([Orbifold(1, 2)] * 4)
+        assert descendants(four, 1, -2, {}, prune="volume") == []
+        rng = random.Random(97)
+        cut = {"c2": 0, "volume": 0}
+        for _ in range(80):
+            b0 = canonical(random_basket(rng, max_r=12, max_size=7))
+            # chi_2 + 3 chi, the volume prune's floor, near l(2)
+            chi = rng.randint(-3, 3)
+            chi2 = rng.randint(0, 4) - 3 * chi
+            full = descendants(b0, chi, chi2, {})
+            callables = {
+                "c2": lambda b: c2_load_oracle(b) > 24,
+                "volume": lambda b: k3_oracle(FormalBasket(b, chi, chi2)) <= 0,
+            }
+            for name, fn in callables.items():
+                got = descendants(b0, chi, chi2, {}, prune=name)
+                assert got == descendants(b0, chi, chi2, {}, prune=fn)
+                cut[name] += len(got) < len(full)
+        assert min(cut.values()) > 10
+
+    @pytest.mark.parametrize("states", [20_000, 5])
+    def test_cache_matches_uncached(self, states, monkeypatch):
+        # the default size, and one small enough to evict
+        monkeypatch.setattr(sys.modules["wcikit.baskets"], "_CACHE_STATES",
+                            states)
+        rng = random.Random(101)
+        roots = [canonical(random_basket(rng, max_r=12, max_size=7))
+                 for _ in range(12)]
+        cache = ClosureCache()
+        for _ in range(200):
+            b0 = rng.choice(roots)
+            chi = rng.randint(-3, 3)
+            chi2 = rng.randint(0, 4) - 3 * chi
+            prune = rng.choice([None, "c2", "volume"])
+            closure = descendants(b0, chi, chi2, {}, prune=prune)
+            targets = {}
+            if closure:
+                src = rng.choice(closure)
+                ms = rng.choice([(3, 4, 5, 6), rng.sample((3, 4, 5, 6), 2)])
+                targets = {m: chi_m_oracle(src, m) for m in ms}
+            want = descendants(b0, chi, chi2, targets, prune=prune)
+            got = descendants(b0, chi, chi2, targets, prune=prune, cache=cache)
+            assert got == want
+
+    def test_prune_guards(self):
+        b0 = canonical([Orbifold(1, 2), Orbifold(1, 3)])
+        with pytest.raises(ValueError):
+            descendants(b0, 1, 0, {}, prune="k3")
+        with pytest.raises(ValueError):
+            descendants(b0, 1, 0, {}, prune=lambda b: False,
+                        cache=ClosureCache())

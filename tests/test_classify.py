@@ -1,8 +1,11 @@
+import gc
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from oracles import recover_oracle, table_method_oracle
 from wcikit import (
     BasketInconsistency,
     ClassificationRecord,
@@ -29,10 +32,12 @@ from wcikit import (
     tuple_chis,
     tuple_of_candidate,
 )
-from wcikit.classify import PREFIX_BOUND, _compositions, _quadruples
-from wcikit.series import _table_method
+from wcikit.classify import _compositions, _quadruples
+from wcikit.series import TableMethod, basket_series_blocks
 
 classify_module = sys.modules["wcikit.classify"]
+baskets_module = sys.modules["wcikit.baskets"]
+series_module = sys.modules["wcikit.series"]
 
 X4_TUPLE = CountTuple((5, 0, 0, 0, 0), (0, 0, 1, 0))
 X5_TUPLE = CountTuple((4, 1, 0, 0, 0), (0, 0, 0, 1))
@@ -186,13 +191,17 @@ def fano_baskets():
             for fb in candidate_formal_baskets(t, -1)]
 
 
-def _capped_at_bound(fb, alpha, bound):
+def _cap_index(fb, alpha, bound):
+    """Index where the in-place table method first hits the 15-entry cap."""
     coeffs = list(series_from_basket(fb, alpha, bound).coeffs)
-    return _table_method(coeffs, 15)[2]
+    for m in range(1, bound + 1):
+        if table_method_oracle(coeffs[:m + 1], 15)[2]:
+            return m
+    return None
 
 
 class TestPrefixExactness:
-    """realize() equals the plain full-bound path, whatever the prefix."""
+    """realize() equals the plain full-bound path, whatever the blocks."""
 
     def _check_all(self, baskets):
         realized = 0
@@ -207,26 +216,89 @@ class TestPrefixExactness:
         assert len(fano_baskets) == 1644
         assert self._check_all(fano_baskets) == 181
 
-    def test_every_fano_basket_with_a_short_prefix(self, fano_baskets,
-                                                   monkeypatch):
-        # at 10 coefficients, 730 of the baskets pass the prefix and hit
-        # the entry cap later
-        monkeypatch.setattr(classify_module, "PREFIX_BOUND", 10)
-        late = [fb for fb in fano_baskets
-                if not classify_module._prefix_rejects(fb, -1)
-                and _capped_at_bound(fb, -1, 300)]
+    def test_every_fano_basket_with_a_short_first_block(self, fano_baskets,
+                                                        monkeypatch):
+        # with c_0..c_10 in the first block, 730 of the baskets pass it
+        # and hit the entry cap in a later block
+        def passes_first_block(fb):
+            try:
+                head = list(series_from_basket(fb, -1, 10).coeffs)
+            except BasketInconsistency:
+                return False
+            return min(head) >= 0 and not table_method_oracle(head, 15)[2]
+
+        late = [fb for fb in fano_baskets if passes_first_block(fb)
+                and table_method_oracle(
+                    list(series_from_basket(fb, -1, 300).coeffs), 15)[2]]
         assert len(late) == 730
+        monkeypatch.setattr(series_module, "_FIRST_BLOCK", 11)
         assert self._check_all(fano_baskets) == 181
 
-    def test_cap_hit_after_the_prefix(self, monkeypatch):
+    def test_cap_hit_at_a_block_boundary(self, monkeypatch):
+        # the cap is first hit at index 31: the last index of the second
+        # block by default, the first of the second block when the first
+        # holds 31 coefficients, inside the first block from 32 on
         fb = FormalBasket(parse_basket("1x(2,5); 1x(5,12)"), 1, -1)
-        assert classify_module._prefix_rejects(fb, -1)
-        assert _capped_at_bound(fb, -1, PREFIX_BOUND)
-        monkeypatch.setattr(classify_module, "PREFIX_BOUND", 30)
-        assert not classify_module._prefix_rejects(fb, -1)
-        assert _capped_at_bound(fb, -1, 300)
-        assert realize(fb, -1, 300) is None
+        assert _cap_index(fb, -1, 40) == 31
+        for first in (1, 2, 16, 31, 32):
+            monkeypatch.setattr(series_module, "_FIRST_BLOCK", first)
+            table = TableMethod(15)
+            fed = 0
+            for block in basket_series_blocks(fb, -1, 300):
+                fed += len(block)
+                if not table.feed(block):
+                    break
+            assert table.capped and fed - len(block) <= 31 < fed, first
+            assert realize(fb, -1, 300) is None
         assert reference_realize(fb, -1, 300) is None
+
+
+class TestStreamedRecoveryOnBaskets:
+    def test_every_fano_basket_series(self, fano_baskets):
+        # the table method fed each basket's blocks against the in-place
+        # loop over the whole series at bound 300
+        for fb in fano_baskets:
+            try:
+                coeffs = series_from_basket(fb, -1, 300).coeffs
+            except BasketInconsistency:
+                continue
+            table = TableMethod(15)
+            for block in basket_series_blocks(fb, -1, 300):
+                if not table.feed(block):
+                    break
+            got = table.presentation()
+            assert (got.weights, got.degrees, got.residual_clean,
+                    got.capped) == recover_oracle(coeffs, 15), fb
+
+
+class TestClosureCache:
+    def test_shared_within_a_run_and_dropped_after(self, monkeypatch):
+        caches = []
+        roots = []
+
+        class Recorded(baskets_module.ClosureCache):
+            __slots__ = ()
+
+            def __init__(self):
+                super().__init__()
+                caches.append(weakref.ref(self))
+
+        build = baskets_module._build_closure
+
+        def counted_build(root, *args):
+            roots.append(root)
+            return build(root, *args)
+
+        monkeypatch.setattr(classify_module, "ClosureCache", Recorded)
+        monkeypatch.setattr(baskets_module, "_build_closure", counted_build)
+        first = classify(RunConfig(alpha=-1)).to_json()
+        # the 1,087 descendants calls of the run share 699 distinct roots
+        assert len(roots) == len(set(roots)) == 699
+        gc.collect()
+        assert len(caches) == 1 and caches[0]() is None
+        roots.clear()
+        assert classify(RunConfig(alpha=-1)).to_json() == first
+        assert len(roots) == 699
 
 
 class TestHelpers:

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -118,6 +119,20 @@ class TestTable:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "table", str(tmp_path / "absent.txt"))
         assert code == 2 and err.startswith("error:")
+
+    def test_entry_cap_fails_fast(self, capsys, monkeypatch):
+        # one coefficient of 10^8 would record 10^8 weights
+        self._feed(monkeypatch, "0 1\n1 100000000\n2 0\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "table")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "100 weights and degrees" in err
+
+    def test_constant_coefficient_must_be_one(self, capsys, monkeypatch):
+        self._feed(monkeypatch, "0 2\n1 3\n")
+        code, out, err = run(capsys, "table")
+        assert code == 2 and out == "" and err.startswith("error:")
 
     def test_json(self, capsys, monkeypatch):
         series = poincare_series((1, 1, 1, 1, 2), (6,), 12)

@@ -2,12 +2,19 @@ import random
 
 import pytest
 
-from oracles import poincare_oracle, random_presentation
+from oracles import (
+    chi_m_oracle,
+    poincare_oracle,
+    random_presentation,
+    recover_oracle,
+)
 from wcikit import (
     FormalBasket,
     Orbifold,
     SeriesParseError,
+    TableMethod,
     TruncatedSeries,
+    basket_series_blocks,
     max_weight_ok,
     parse_candidate,
     parse_series,
@@ -140,6 +147,56 @@ class TestRecovery:
             assert rec.residual_clean
             assert list(rec.weights) == weights
             assert list(rec.degrees) == degrees
+
+
+def _streamed(coeffs, max_entries, rng):
+    """TableMethod fed coeffs in random blocks, stopping at the cap."""
+    table = TableMethod(max_entries)
+    i = 0
+    while i < len(coeffs):
+        step = rng.randint(1, 12)
+        if not table.feed(list(coeffs[i:i + step])):
+            break
+        i += step
+    return table.presentation()
+
+
+class TestStreamedRecovery:
+    """The blocked table method equals the in-place loop it replaced."""
+
+    def test_matches_oracle_on_random_series(self):
+        rng = random.Random(41)
+        for _ in range(400):
+            weights, degrees = random_presentation(rng)
+            top = max(weights + degrees)
+            coeffs = list(poincare_series(weights, degrees,
+                                          rng.randint(1, 2 * top + 4)).coeffs)
+            if rng.random() < 0.3:
+                # no longer a presentation's series
+                k = rng.randrange(1, len(coeffs))
+                coeffs[k] += rng.choice([-2, -1, 1, 3])
+            cap = rng.choice([None, 3, 6, 10, 15])
+            want = recover_oracle(coeffs, cap)
+            got = recover_weights_degrees(TruncatedSeries(tuple(coeffs)), cap)
+            assert (got.weights, got.degrees, got.residual_clean,
+                    got.capped) == want
+            got = _streamed(coeffs, cap, rng)
+            assert (got.weights, got.degrees, got.residual_clean,
+                    got.capped) == want
+
+    def test_cap_stops_before_any_strip(self):
+        table = TableMethod(100)
+        assert not table.feed([1, 100_000_000, 0])
+        rec = table.presentation()
+        assert rec.capped and not rec.residual_clean
+        assert rec.weights == () and rec.degrees == ()
+
+    def test_blocks_double(self):
+        fb = FormalBasket((Orbifold(1, 2),), 1, -4)
+        blocks = list(basket_series_blocks(fb, -1, 100))
+        assert [len(b) for b in blocks] == [16, 16, 32, 37]
+        flat = [c for b in blocks for c in b]
+        assert flat == [1] + [-chi_m_oracle(fb, m + 1) for m in range(1, 101)]
 
 
 class TestRecoveryBound:
