@@ -20,9 +20,9 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import add
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 
 class BasketInconsistency(ValueError):
@@ -205,17 +205,6 @@ def chi_m(fb: FormalBasket, m: int) -> Fraction:
     return Fraction(kern.chi_m(m, fb.chi, vol), 12 * kern.scale)
 
 
-def chi_int_sequence(fb: FormalBasket, upto: int) -> list[int]:
-    """All chi_m for m <= upto as integers.
-
-    Index 0 holds 0 and index 1 holds -chi.  Non-integral chi_m means no
-    variety carries this data; that raises BasketInconsistency.
-    """
-    kern = RRKernel(fb.basket)
-    vol = kern.k3(fb.chi, fb.chi2)
-    return [0, -fb.chi] + kern.chi_ints(fb.chi, vol, 2, upto + 1)
-
-
 def merge_orbifolds(p: Orbifold, q: Orbifold) -> Orbifold | None:
     """Componentwise sum, or None when the sum leaves the normalized range."""
     b, r = p.b + q.b, p.r + q.r
@@ -316,30 +305,12 @@ def c2_load(basket: Basket) -> Fraction:
     return Fraction(kern.c2, kern.scale)
 
 
-def c2_bound_ok(basket: Basket) -> bool:
-    """Bound on c_2 . (-K) >= 0 for amplitude -1: sum(r - 1/r) <= 24."""
-    kern = RRKernel(basket)
-    return kern.c2 <= 24 * kern.scale
-
-
 def pluri_growth_filter(p: Mapping[int, int], pg: int) -> bool:
     """Necessary growth of section counts for amplitude +1 families."""
     for m in (2, 3, 4):
         if p[m + 2] < p[m] + p[2] + pg:
             return False
     return p[4] >= 2 * p[2] - 1 and p[6] >= 2 * p[3] - 1
-
-
-def gt_volume_filter(fb: FormalBasket, pg: int, p2: int, p3: int, p5: int,
-                     sigma5_lower: int) -> bool:
-    """Positive volume screen for amplitude +1.
-
-    The first term is K^3 of the unpacked basket with every high index
-    point replaced by (1,5), evaluated at the least allowed sigma5; it
-    must be positive, as must K^3 of the formal basket itself.
-    """
-    head = Fraction(1 - pg - p2 - p3 + p5, 12) - Fraction(sigma5_lower, 20)
-    return head > 0 and RRKernel(fb.basket).k3(fb.chi, fb.chi2) > 0
 
 
 # Named prunes for descendants(), evaluated on a state's integer data:
@@ -394,18 +365,17 @@ class ClosureCache(OrderedDict):
 
 
 def _build_closure(root: tuple[int, ...], unit: int, width: int,
-                   ms: tuple[int, ...],
-                   prune: str | Callable[[Basket], bool] | None,
+                   ms: tuple[int, ...], prune: str | None,
                    volume_floor: int) -> tuple:
     """Breadth-first closure of a root under packing, with canonical dedup.
 
     Returns (sigs, states): each state packed into one int, and per
-    state and listed m the value 12 l(m) - 2(2m-1)m(m-1) l(2) over the
-    Riemann-Roch scale, in an array when all are machine integers.
-    While it runs, a state is a sorted tuple of point codes carrying
-    (c_2 load, l(2), l(m) for m in ms) scaled by twice the lcm of every
-    index up to the root's total index, which covers every merged point.
-    Packing p and q into s adds data(s) - data(p) - data(q).
+    state and listed m, in an array, the signature
+    sigma_m = 12 l(m) - 2(2m-1)m(m-1) l(2).  While it runs, a state is a
+    sorted tuple of point codes carrying its c_2 load and l(2), scaled by
+    twice the lcm of every index up to the root's total index (which
+    covers every merged point), then sigma_m for m in ms.  Packing p and
+    q into s adds data(s) - data(p) - data(q).
     """
     scale = 2 * lcm(1, *range(1, sum(c // unit for c in root) + 1))
     zero = (0,) * (len(ms) + 2)
@@ -416,29 +386,27 @@ def _build_closure(root: tuple[int, ...], unit: int, width: int,
             return zero
         if b < 1 or 2 * b > r or gcd(b, r) != 1:
             return None
+        # With S(m) = sum_{j<m} rho_j (r - rho_j), a point's sigma_m is
+        # (6 S(m) - (2m-1)m(m-1) S(2)) / r, an integer: rho_j = jb mod r
+        # puts both terms at -(2m-1)m(m-1) b^2 mod r.
         period, prefix = _point_sums(b, r)
-        per = scale // (2 * r)
-        ls = [per * (k * period + prefix[j])
-              for k, j in (divmod(m - 1, r) for m in (2, *ms))]
-        return ((r * r - 1) * (scale // r), *ls)
+        s2 = prefix[1]
+        sigs = []
+        for m in ms:
+            k, j = divmod(m - 1, r)
+            sigs.append((6 * (k * period + prefix[j])
+                         - (2 * m - 1) * m * (m - 1) * s2) // r)
+        return ((r * r - 1) * (scale // r), s2 * (scale // (2 * r)), *sigs)
 
     # A named prune cuts the states whose data[at] exceeds limit.
     at, limit = {"c2": (0, 24 * scale),
-                 "volume": (1, volume_floor * scale - 1)}.get(prune, (0, None))
-
-    def cut(state: tuple[int, ...], data: tuple[int, ...]) -> bool:
-        if limit is not None:
-            return data[at] > limit
-        if prune is None:
-            return False
-        points = _points(_pack(state, width), unit, width)
-        return prune(tuple(Orbifold(b, r) for b, r in points))
+                 "volume": (1, volume_floor * scale - 1)}.get(prune, (0, inf))
 
     root_data = zero
     for code in root:
         root_data = tuple(map(add, root_data, point_data(code)))
     states: dict[tuple[int, ...], tuple[int, ...]] = {}
-    if not cut(root, root_data):
+    if root_data[at] <= limit:
         states[root] = root_data
     pruned: set[tuple[int, ...]] = set()
     # (p, q) -> (code of the merged point, change of data), or None
@@ -473,47 +441,34 @@ def _build_closure(root: tuple[int, ...], unit: int, width: int,
                     if child in states or child in pruned:
                         continue
                     cdata = tuple(map(add, data, move[1]))
-                    if cut(child, cdata):
+                    if cdata[at] > limit:
                         pruned.add(child)
                         continue
                     states[child] = cdata
                     nxt.append(child)
         frontier = nxt
-    sigs: list = []
-    for data in states.values():
-        l2 = data[1]
-        for m, lm in zip(ms, data[2:]):
-            d = 12 * lm - 2 * (2 * m - 1) * m * (m - 1) * l2
-            sigs.append(d // scale if d % scale == 0 else Fraction(d, scale))
-    try:
-        sigs = array("q", sigs)
-    except (TypeError, OverflowError):
-        pass
+    sigs = array("q", [x for data in states.values() for x in data[2:]])
     return sigs, tuple(_pack(state, width) for state in states)
 
 
 def descendants(b0: Basket, chi: int, chi2: int,
                 targets: Mapping[int, int],
-                prune: str | Callable[[Basket], bool] | None = None,
+                prune: str | None = None,
                 cache: ClosureCache | None = None) -> list[FormalBasket]:
     """All baskets dominated by b0 whose chi_m hit the targets.
 
     Breadth-first closure of b0 under pack() with canonical dedup; a
     basket survives iff chi_m(basket, chi, chi2) equals targets[m] for
-    every listed m.  prune, when given, must be monotone under packing
-    (once true it stays true on every further pack); pruned baskets and
-    their descendants are skipped entirely.  It is one of NAMED_PRUNES or
-    a callable on baskets.
+    every listed m.  prune, one of NAMED_PRUNES, skips the baskets it
+    cuts and all their descendants; both prunes are monotone under
+    packing (once true they stay true on every further pack).
 
     cache keeps each closure for later calls on the same root.  Its key
     holds all a closure depends on: the root, the target indices, the
-    prune and, for the "volume" prune, chi_2 + 3 chi.  Callable prunes
-    are not cached.
+    prune and, for the "volume" prune, chi_2 + 3 chi.
     """
-    if isinstance(prune, str) and prune not in NAMED_PRUNES:
+    if prune is not None and prune not in NAMED_PRUNES:
         raise ValueError(f"unknown prune {prune!r}")
-    if cache is not None and callable(prune):
-        raise ValueError("only a named prune can be cached")
     ms = tuple(sorted(targets))
     floor = chi2 + 3 * chi
     # Point (b, r) has code r * unit + b.  unit exceeds every b a merge
@@ -530,9 +485,9 @@ def descendants(b0: Basket, chi: int, chi2: int,
         if cache is not None:
             cache.put(key, closure)
     sigs, states = closure
-    # With scale K^3 = 2((chi_2 + 3 chi) scale - l(2)), chi_m = t reads
-    # 12 l(m) - 2(2m-1)m(m-1) l(2) = scale (12 t + (2m-1)(12 chi
-    # - 2m(m-1)(chi_2 + 3 chi))).
+    # With K^3 = 2(chi_2 + 3 chi - l(2)), chi_m = t reads
+    # sigma_m = 12 l(m) - 2(2m-1)m(m-1) l(2)
+    #         = 12 t + (2m-1)(12 chi - 2m(m-1)(chi_2 + 3 chi)).
     want = tuple(12 * targets[m]
                  + (2 * m - 1) * (12 * chi - 2 * m * (m - 1) * floor)
                  for m in ms)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -59,6 +60,9 @@ _NU_CAP = {-1: 3, 1: 5}
 
 # Entries the table method may recover before realize() gives up.
 _MAX_ENTRIES = 15
+# Series bound of a default run; a bound of None in RunConfig asks for
+# each basket's certified recovery bound instead.
+DESK_BOUND = 300
 # Tuple chunks per worker process in a multi-job run.
 _CHUNKS_PER_JOB = 16
 
@@ -281,9 +285,8 @@ def _tuple_baskets(t: CountTuple, alpha: int,
             b0 = canonical(base + [Orbifold(1, r) for r in rs])
             for fb in descendants(b0, chi, chi2, targets, prune=prune,
                                   cache=closures):
-                # Every closure state passed its prune: c_2 for -1, and
-                # K^3 > 0 for +1, which with the head > 0 checked above
-                # is all of gt_volume_filter.
+                # Every closure state passed its prune: c_2 <= 24 for -1
+                # and K^3 > 0 for +1; -1 still needs K^3 < 0.
                 if alpha == -1 and RRKernel(fb.basket).k3(chi, chi2) >= 0:
                     continue
                 found.setdefault(fb, case)
@@ -323,7 +326,7 @@ class ClassificationRecord:
 
 
 def realize(fb: FormalBasket, alpha: int,
-            m_override: int | None = None) -> ClassificationRecord | None:
+            bound: int | None = None) -> ClassificationRecord | None:
     """Try to present a formal basket as a candidate family.
 
     Reads a presentation off the basket series, and keeps the result
@@ -332,9 +335,10 @@ def realize(fb: FormalBasket, alpha: int,
     return value means no realization at this series bound.  The series
     is built and scanned in blocks, so a basket stops at the first block
     with a non-integral or negative coefficient or an entry cap hit.
+    A bound below the basket's recovery bound ends the series there.
     """
     full = recovery_bound(fb, alpha)
-    bound = min(m_override, full) if m_override else full
+    bound = full if bound is None else min(bound, full)
     table = TableMethod(_MAX_ENTRIES)
     target: list[int] = []
     try:
@@ -371,16 +375,15 @@ def realize(fb: FormalBasket, alpha: int,
 @dataclass(frozen=True, slots=True)
 class RunConfig:
     alpha: int
-    m_override: int | None = 300
-    full: bool = False
+    bound: int | None = DESK_BOUND
     codim: tuple[int, ...] | None = None
     jobs: int = 1
 
     def to_dict(self) -> dict:
         return {
             "alpha": self.alpha,
-            "m_override": None if self.full else self.m_override,
-            "full": self.full,
+            "m_override": self.bound,
+            "full": self.bound is None,
             "codim": list(self.codim) if self.codim else None,
             "jobs": self.jobs,
         }
@@ -493,7 +496,7 @@ def _merge(merged: dict[tuple, ClassificationRecord],
 
 def _batch_worker(args: tuple[int, int | None, Iterable[CountTuple]]
                   ) -> tuple[dict, list[str], Counter]:
-    alpha, override, batch = args
+    alpha, bound, batch = args
     records: dict[tuple, ClassificationRecord] = {}
     violations: list[str] = []
     stats: Counter = Counter()
@@ -505,7 +508,7 @@ def _batch_worker(args: tuple[int, int | None, Iterable[CountTuple]]
         stats.update(prunes)
         stats["baskets"] += len(fbs)
         for fb, case in fbs:
-            rec = realize(fb, alpha, override)
+            rec = realize(fb, alpha, bound)
             if rec is None:
                 stats["unrealized"] += 1
                 continue
@@ -516,23 +519,25 @@ def _batch_worker(args: tuple[int, int | None, Iterable[CountTuple]]
 
 
 def _drive(config: RunConfig) -> RunReport:
-    alpha = config.alpha
-    override = None if config.full else config.m_override
-    if config.jobs > 1:
+    alpha, bound = config.alpha, config.bound
+    # The pool starts a process per submitted batch while none is idle,
+    # so more jobs than cores would only start more processes.
+    workers = min(config.jobs, os.cpu_count() or 1)
+    if workers > 1:
         # Many contiguous chunks, handed out as workers free up, balance
         # the few expensive tuples; map() returns them in tuple order, so
         # the merge below sees the same order as a single job.
         tuples = enumerate_tuples(alpha)
-        size = max(1, -(-len(tuples) // (config.jobs * _CHUNKS_PER_JOB)))
-        batches = [(alpha, override, tuples[i:i + size])
+        size = max(1, -(-len(tuples) // (workers * _CHUNKS_PER_JOB)))
+        batches = [(alpha, bound, tuples[i:i + size])
                    for i in range(0, len(tuples), size)]
         del tuples
         with ProcessPoolExecutor(
-                max_workers=config.jobs,
+                max_workers=workers,
                 mp_context=multiprocessing.get_context("spawn")) as pool:
             results = list(pool.map(_batch_worker, batches))
     else:
-        results = [_batch_worker((alpha, override, iter_tuples(alpha)))]
+        results = [_batch_worker((alpha, bound, iter_tuples(alpha)))]
 
     stats: Counter = Counter()
     violations: list[str] = []

@@ -15,9 +15,11 @@ from math import gcd
 from wcikit import (
     FormalBasket,
     Orbifold,
+    canonical,
     canonical_unpacking,
     is_prime_packing,
     merge_orbifolds,
+    pack,
 )
 
 
@@ -127,6 +129,35 @@ def chi_m_oracle(fb: FormalBasket, m: int) -> Fraction:
     """chi_m = (2m-1)m(m-1)/12 K^3 - (2m-1) chi + l(m), m >= 1."""
     poly = Fraction((2 * m - 1) * m * (m - 1), 12)
     return poly * k3_oracle(fb) - (2 * m - 1) * fb.chi + local_correction(fb, m)
+
+
+def descendants_oracle(b0, chi, chi2, targets, cut=None) -> list[FormalBasket]:
+    """descendants() by literal breadth-first search over pack().
+
+    cut, a callable on baskets, drops each basket it is true on and
+    everything reached only through one.  Returns the kept baskets whose
+    chi_m_oracle equals targets[m] for every listed m, sorted.
+    """
+    root = canonical(b0)
+    seen = {root}
+    frontier = [] if cut is not None and cut(root) else [root]
+    kept = list(frontier)
+    while frontier:
+        nxt = []
+        for basket in frontier:
+            for i, j in combinations(range(len(basket)), 2):
+                child = pack(basket, i, j)
+                if child is None or child in seen:
+                    continue
+                seen.add(child)
+                if cut is None or not cut(child):
+                    nxt.append(child)
+        kept += nxt
+        frontier = nxt
+    hits = [FormalBasket(b, chi, chi2) for b in kept]
+    return sorted((fb for fb in hits
+                   if all(chi_m_oracle(fb, m) == v for m, v in targets.items())),
+                  key=lambda fb: fb.basket)
 
 
 def c2_load_oracle(basket) -> Fraction:

@@ -101,7 +101,7 @@ def test_codimension_bounds(fano_report, gt_report):
 
 
 def test_certified_fano_list(fano_report):
-    certified = classify(RunConfig(alpha=-1, full=True))
+    certified = classify(RunConfig(alpha=-1, bound=None))
     ok = ([r.to_dict() | {"series_bound": 0} for r in certified.records]
           == [r.to_dict() | {"series_bound": 0} for r in fano_report.records]
           and len(certified.records) == 181
@@ -186,7 +186,7 @@ def test_full_list_reproduction():
                        f"fixtures (missing: {', '.join(missing)})")
         pytest.skip("external list fixtures not supplied")
 
-    reports = {alpha: classify(RunConfig(alpha=alpha, full=True))
+    reports = {alpha: classify(RunConfig(alpha=alpha, bound=None))
                for alpha in (-1, 1)}
     ok = True
     for alpha, report in reports.items():

@@ -1,12 +1,14 @@
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from oracles import (
     c2_load_oracle,
     chi_m_oracle,
+    descendants_oracle,
     five_merge_counts,
     k3_oracle,
     prime_packing_reachable,
@@ -18,16 +20,13 @@ from wcikit import (
     ClosureCache,
     FormalBasket,
     Orbifold,
-    c2_bound_ok,
     c2_load,
     canonical,
     canonical_unpacking,
-    chi_int_sequence,
     chi_m,
     count_five_packings,
     descendants,
     format_basket,
-    gt_volume_filter,
     high_index_count_bounds,
     initial_basket,
     initial_counts_from_chis,
@@ -38,6 +37,7 @@ from wcikit import (
     parse_basket,
     pluri_growth_filter,
 )
+from wcikit.baskets import RRKernel
 
 
 class TestOrbifold:
@@ -105,10 +105,32 @@ class TestCorrectionTerm:
             period_sum = rr_correction(q, r + 1)
             assert rr_correction(q, m + r) - rr_correction(q, m) == period_sum
 
+    def test_closure_signature_is_integral(self):
+        # descendants() carries sigma_m = 12 l(m) - 2(2m-1)m(m-1) l(2)
+        # per point as an integer.  It is even a multiple of 12, so every
+        # chi_m of a basket is integral and RRKernel.chi_ints never raises
+        # on valid points.
+        for r in range(2, 61):
+            for b in range(1, r // 2 + 1):
+                if gcd(b, r) != 1:
+                    continue
+                q = Orbifold(b, r)
+                l2 = rr_correction(q, 2)
+                for m in range(1, 41):
+                    sig = 12 * rr_correction(q, m) \
+                        - 2 * (2 * m - 1) * m * (m - 1) * l2
+                    assert sig.denominator == 1 and sig % 12 == 0, (q, m)
+
 
 def _random_formal_basket(rng, max_r=40, max_size=5):
     return FormalBasket(canonical(random_basket(rng, max_r, max_size)),
                         rng.randint(-10, 40), rng.randint(-10, 40))
+
+
+def _chi_ints(fb, lo, hi):
+    """chi_m for lo <= m < hi from the integer kernel."""
+    kern = RRKernel(fb.basket)
+    return kern.chi_ints(fb.chi, kern.k3(fb.chi, fb.chi2), lo, hi)
 
 
 class TestIntegerKernel:
@@ -124,45 +146,33 @@ class TestIntegerKernel:
                                   for _ in range(6)]:
                 assert chi_m(fb, m) == chi_m_oracle(fb, m), (fb, m)
 
-    def test_chi_int_sequence_matches_oracle(self):
+    def test_chi_ints_match_oracle(self):
         rng = random.Random(73)
         for _ in range(200):
             fb = _random_formal_basket(rng)
             upto = 3 * max((q.r for q in fb.basket), default=1) + 3
             want = [chi_m_oracle(fb, m) for m in range(1, upto + 1)]
-            assert chi_int_sequence(fb, upto) == [0] + want
+            assert _chi_ints(fb, 1, upto + 1) == want
 
     def test_c2_matches_oracle(self):
         rng = random.Random(79)
-        verdicts = set()
         for _ in range(300):
             basket = canonical(random_basket(rng, max_r=40, max_size=5))
-            want = c2_load_oracle(basket)
-            assert c2_load(basket) == want
-            assert c2_bound_ok(basket) == (want <= 24)
-            verdicts.add(want <= 24)
-        assert verdicts == {True, False}
-
-    def test_volume_filter_sign_matches_oracle(self):
-        rng = random.Random(83)
-        for _ in range(200):
-            fb = _random_formal_basket(rng)
-            assert gt_volume_filter(fb, 0, 0, 0, 1, 0) == (k3_oracle(fb) > 0)
+            assert c2_load(basket) == c2_load_oracle(basket)
 
     def test_descendants_targets_match_oracle(self):
         rng = random.Random(89)
         for _ in range(60):
             b0 = canonical(random_basket(rng, max_r=12, max_size=6))
             chi, chi2 = rng.randint(-10, 40), rng.randint(-10, 40)
-            closure = descendants(b0, chi, chi2, {})
+            closure = descendants_oracle(b0, chi, chi2, {})
+            assert descendants(b0, chi, chi2, {}) == closure
             # targets read off one member, so at least that member hits
             src = rng.choice(closure)
             targets = {m: chi_m_oracle(src, m) for m in (3, 4, 5, 6)}
-            want = [fb for fb in closure
-                    if all(chi_m_oracle(fb, m) == v
-                           for m, v in targets.items())]
             got = descendants(b0, chi, chi2, targets)
-            assert got == want and src in got
+            assert got == descendants_oracle(b0, chi, chi2, targets)
+            assert src in got
 
 
 class TestVolumeAndChi:
@@ -188,13 +198,13 @@ class TestVolumeAndChi:
         for _ in range(150):
             fb = FormalBasket(canonical(random_basket(rng)),
                               rng.randint(-10, 40), rng.randint(-10, 40))
-            seq = chi_int_sequence(fb, 9)
+            seq = _chi_ints(fb, 1, 10)
             for m in range(1, 10):
-                assert seq[m] == chi_m(fb, m)
+                assert seq[m - 1] == chi_m(fb, m)
 
     def test_chi_example(self):
         fb = FormalBasket((Orbifold(1, 2),), 1, 0)
-        assert chi_int_sequence(fb, 3) == [0, -1, 0, 9]
+        assert _chi_ints(fb, 1, 4) == [-1, 0, 9]
 
     def test_chi_m_guard(self):
         with pytest.raises(ValueError):
@@ -308,9 +318,12 @@ class TestCurvatureFilters:
         assert c2_load(()) == 0
 
     def test_c2_bound(self):
-        assert c2_bound_ok((Orbifold(1, 2),))
+        # the "c2" prune keeps sum(r - 1/r) <= 24 and cuts the rest
+        half = (Orbifold(1, 2),)
+        assert descendants(half, 1, 0, {}, prune="c2") == \
+            [FormalBasket(half, 1, 0)]
         big = tuple(Orbifold(1, 24) for _ in range(2))
-        assert not c2_bound_ok(big)
+        assert descendants(big, 1, 0, {}, prune="c2") == []
 
     def test_c2_monotone_under_packing(self):
         rng = random.Random(61)
@@ -352,15 +365,6 @@ class TestGrowthAndVolumeFilters:
         p = {1: 2, 2: 3, 3: 3, 4: 3, 5: 3, 6: 3}
         assert not pluri_growth_filter(p, pg=2)
 
-    def test_volume_filter_golden(self):
-        fb = FormalBasket((), -7, 33)
-        assert gt_volume_filter(fb, pg=8, p2=33, p3=95, p5=423, sigma5_lower=0)
-
-    def test_volume_filter_rejects_nonpositive(self):
-        fb = FormalBasket((), 1, -5)  # k3 = -4
-        assert not gt_volume_filter(fb, pg=0, p2=0, p3=0, p5=1,
-                                    sigma5_lower=0)
-
 
 class TestDescendants:
     def test_golden_chain(self):
@@ -378,9 +382,12 @@ class TestDescendants:
         assert any(fb.basket == b0 for fb in out)
 
     def test_prune_cuts_root(self):
+        # chi_2 + 3 chi = -7 puts K^3 below 0 on the root already
         b0 = canonical([Orbifold(1, 2), Orbifold(1, 3)])
-        out = descendants(b0, 1, 0, {}, prune=lambda b: True)
-        assert out == []
+        assert descendants(b0, 1, -10, {}, prune="volume") == []
+        assert descendants_oracle(
+            b0, 1, -10, {},
+            cut=lambda b: k3_oracle(FormalBasket(b, 1, -10)) <= 0) == []
 
     def test_closure_is_complete_without_targets(self):
         # (1,2)+(1,4) and every merge onto (3,9) drop out on gcd grounds
@@ -414,7 +421,7 @@ class TestDescendants:
             }
             for name, fn in callables.items():
                 got = descendants(b0, chi, chi2, {}, prune=name)
-                assert got == descendants(b0, chi, chi2, {}, prune=fn)
+                assert got == descendants_oracle(b0, chi, chi2, {}, cut=fn)
                 cut[name] += len(got) < len(full)
         assert min(cut.values()) > 10
 
@@ -446,6 +453,7 @@ class TestDescendants:
         b0 = canonical([Orbifold(1, 2), Orbifold(1, 3)])
         with pytest.raises(ValueError):
             descendants(b0, 1, 0, {}, prune="k3")
-        with pytest.raises(ValueError):
-            descendants(b0, 1, 0, {}, prune=lambda b: False,
-                        cache=ClosureCache())
+        # callables are not prunes, with or without a cache
+        for cache in (None, ClosureCache()):
+            with pytest.raises(ValueError):
+                descendants(b0, 1, 0, {}, prune=lambda b: False, cache=cache)

@@ -199,6 +199,25 @@ class TestClassify:
             outs.append(json.dumps(blob, indent=2))
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("flags,echo", [
+        ((), (300, False)),
+        (("--bound", "500"), (500, False)),
+        (("--full",), (None, True)),
+        (("--full", "--bound", "500"), (None, True)),
+    ], ids=["default", "bound", "full", "full-wins"])
+    def test_series_bound_echo(self, capsys, flags, echo):
+        code, out, _ = run(capsys, "classify", "--alpha", "0",
+                           "--format", "json", *flags)
+        config = json.loads(out)["config"]
+        assert code == 0 and (config["m_override"], config["full"]) == echo
+
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_nonpositive_bound(self, capsys, bound):
+        code, out, err = run(capsys, "classify", "--alpha", "-1",
+                             "--bound", bound)
+        assert code == 2 and out == ""
+        assert "--bound must be positive" in err
+
     def test_bad_jobs(self, capsys):
         code, _, err = run(capsys, "classify", "--alpha", "0", "--jobs", "0")
         assert code == 2 and "--jobs" in err
