@@ -180,10 +180,18 @@ class RRKernel:
         Non-integral chi_m means no variety carries this data; that
         raises BasketInconsistency.
         """
+        # chi_m and l inlined: this loop runs once per series coefficient.
         denom = 12 * self.scale
+        groups = self._groups
         out = []
         for m in range(lo, hi):
-            q_, rem = divmod(self.chi_m(m, chi, vol), denom)
+            n = m - 1
+            l_m = 0
+            for unit, r, period, prefix in groups:
+                k, j = divmod(n, r)
+                l_m += unit * (k * period + prefix[j])
+            q_, rem = divmod((2 * m - 1) * (m * n * vol - denom * chi)
+                             + 12 * l_m, denom)
             if rem:
                 raise BasketInconsistency(f"chi_{m} not integral")
             out.append(q_)
@@ -380,6 +388,8 @@ def _build_closure(root: tuple[int, ...], unit: int, width: int,
     scale = 2 * lcm(1, *range(1, sum(c // unit for c in root) + 1))
     zero = (0,) * (len(ms) + 2)
 
+    # Each new move reads three points; most recur across moves.
+    @lru_cache(maxsize=None)
     def point_data(code: int) -> tuple[int, ...] | None:
         r, b = divmod(code, unit)
         if r == 1:

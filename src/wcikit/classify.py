@@ -20,7 +20,10 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from functools import lru_cache
+from itertools import accumulate, combinations_with_replacement
+from math import lcm
+from operator import gt
 from typing import Iterable, Iterator
 
 from .baskets import (
@@ -29,12 +32,10 @@ from .baskets import (
     FormalBasket,
     Orbifold,
     RRKernel,
-    c2_load,
     canonical,
     descendants,
     high_index_count_bounds,
     initial_counts_from_chis,
-    k3,
     pluri_growth_filter,
 )
 from .candidate import (
@@ -48,8 +49,9 @@ from .series import (
     TableMethod,
     TruncatedSeries,
     basket_series_blocks,
+    div_into,
     max_weight_ok,
-    poincare_series,
+    mul_into,
     recovery_bound,
     series_from_candidate,
 )
@@ -90,8 +92,24 @@ class CountTuple:
 
     def low_series(self) -> TruncatedSeries:
         """Poincare series of the counted values, exact up to the horizon."""
-        return poincare_series(self.weight_values(), self.degree_values(),
-                               self.horizon)
+        c = list(_weight_series(self.mu))
+        for v, count in enumerate(self.nu, start=2):
+            for _ in range(count):
+                mul_into(c, v)
+        return TruncatedSeries(tuple(c))
+
+
+# Keyed by mu.  iter_tuples yields the tuples of one mu together, so a
+# few entries serve a whole sweep (792 mus for amplitude -1, 5,005 for
+# +1, against 7,056 and 146,880 tuples).
+@lru_cache(maxsize=16)
+def _weight_series(mu: tuple[int, ...]) -> tuple[int, ...]:
+    """1 / prod(1 - t^v)^mu[v-1] up to t^len(mu)."""
+    c = [1] + [0] * len(mu)
+    for v, count in enumerate(mu, start=1):
+        for _ in range(count):
+            div_into(c, v)
+    return tuple(c)
 
 
 def tuple_of_candidate(c: Candidate, horizon: int) -> CountTuple:
@@ -114,18 +132,41 @@ def iter_tuples(alpha: int) -> Iterator[CountTuple]:
         raise ValueError("tuple enumeration defined for amplitude -1 or +1")
     h = _HORIZON[alpha]
     mu_cap, nu_cap = _MU_CAP[alpha], _NU_CAP[alpha]
-    nus = [n for n in product(range(nu_cap + 1), repeat=h - 1)
-           if sum(n) <= nu_cap]
-    for mu in product(range(mu_cap + 1), repeat=h):
-        if sum(mu) > mu_cap:
-            continue
-        for nu in nus:
-            if any(mu[i + 1] and nu[i] for i in range(h - 1)):
-                continue
-            if alpha == 1 and any(nu):
-                if any(sum(nu[:s - 1]) > sum(mu[:s]) + 4 for s in range(2, 7)):
-                    continue
+    # Per nu: a bit per value 2..h it uses as a degree, and its prefix
+    # sums, the number of degrees of value at most s for s = 2..h.
+    nus = [(nu, _used(nu), tuple(accumulate(nu)))
+           for nu in _bounded_counts(h - 1, nu_cap)]
+    # The nus a mu admits depend only on the values 2..h it uses as
+    # weights and, for +1, on its room: 4 more than the number of
+    # weights of value at most s, for s = 2..h, capped at nu_cap (no nu
+    # prefix sum exceeds that).  For -1 the room is empty and binds no nu.
+    admitted: dict[tuple, list[tuple[int, ...]]] = {}
+    for mu in _bounded_counts(h, mu_cap):
+        used = _used(mu[1:])
+        room = (tuple(min(p + 4, nu_cap) for p in accumulate(mu))[1:]
+                if alpha == 1 else ())
+        nus_of_mu = admitted.get((used, room))
+        if nus_of_mu is None:
+            nus_of_mu = admitted[used, room] = [
+                nu for nu, nu_used, below in nus
+                if not nu_used & used and not any(map(gt, below, room))]
+        for nu in nus_of_mu:
             yield CountTuple(mu, nu)
+
+
+def _bounded_counts(n: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """Tuples of n counts with sum at most cap, in lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(cap + 1):
+        for rest in _bounded_counts(n - 1, cap - first):
+            yield (first, *rest)
+
+
+def _used(counts: tuple[int, ...]) -> int:
+    """Bit i set when counts[i] is nonzero."""
+    return sum(1 << i for i, n in enumerate(counts) if n)
 
 
 def enumerate_tuples(alpha: int) -> list[CountTuple]:
@@ -149,93 +190,109 @@ def tuple_chis(t: CountTuple, alpha: int) -> ChiData:
     the geometric genus, so chi = 1 - p_g.  Amplitude -1: coefficient m
     counts sections of -mK, which equals -chi_{m+1}.
     """
-    low = t.low_series()
+    low = t.low_series().coeffs
     if alpha == 1:
         pg = low[1]
-        return ChiData(1 - pg, {m: low[m] for m in range(2, 7)},
-                       tuple(low.coeffs), pg)
+        return ChiData(1 - pg, {m: low[m] for m in range(2, 7)}, low, pg)
     if alpha == -1:
-        return ChiData(1, {m: -low[m - 1] for m in range(2, 7)},
-                       tuple(low.coeffs), 0)
+        return ChiData(1, {m: -low[m - 1] for m in range(2, 7)}, low, 0)
     raise ValueError("chi data defined for amplitude -1 or +1")
 
 
-def _fano_r_multisets(s: int, budget: Fraction) -> Iterator[tuple[int, ...]]:
-    """Nondecreasing index multisets r >= 5 within the curvature budget."""
+# The -1 index multisets weigh c_2 loads sum(r - 1/r), for r <= 24,
+# scaled by the lcm of 1..24, so every load is an integer.
+_C2_SCALE = lcm(*range(1, 25))
+_C2_LOAD = tuple(r * _C2_SCALE - _C2_SCALE // r if r else 0
+                 for r in range(25))
+
+
+def _fano_r_multisets(s: int, budget: int) -> Iterator[tuple[int, ...]]:
+    """Nondecreasing index multisets r >= 5 within the curvature budget.
+
+    budget is the c_2 load left, scaled by _C2_SCALE.
+    """
     acc: list[int] = []
 
-    def rec(start: int, left: int, load: Fraction) -> Iterator[tuple[int, ...]]:
+    def rec(start: int, left: int, load: int) -> Iterator[tuple[int, ...]]:
         if left == 0:
             yield tuple(acc)
             return
         for r in range(start, 25):
-            floor = load + left * (r - Fraction(1, r))
-            if floor > budget:
+            if load + left * _C2_LOAD[r] > budget:
                 break
             acc.append(r)
-            yield from rec(r, left - 1, load + r - Fraction(1, r))
+            yield from rec(r, left - 1, load + _C2_LOAD[r])
             acc.pop()
 
-    yield from rec(5, s, Fraction(0))
+    yield from rec(5, s, 0)
 
 
-def _gt_r_multisets(s: int, cap: int, headroom: Fraction) -> Iterator[tuple[int, ...]]:
+def _gt_r_multisets(s: int, cap: int, headroom: int,
+                    scale: int) -> Iterator[tuple[int, ...]]:
     """Nondecreasing index multisets r in [5, cap] keeping the volume positive.
 
-    headroom is K^3 of the basket with every high index point set to
-    (1,4); each point (1,r) spends 1/4 - 1/r of it and the total spend
-    must stay strictly below headroom.
+    headroom / scale is K^3 of the basket with every high index point
+    set to (1,4); each point (1,r) spends 1/4 - 1/r of it and the total
+    spend must stay strictly below headroom.
     """
+    unit = lcm(4, scale, *range(5, cap + 1))
+    headroom *= unit // scale
+    spend = {r: unit // 4 - unit // r for r in range(5, cap + 1)}
     acc: list[int] = []
 
-    def rec(start: int, left: int, spent: Fraction) -> Iterator[tuple[int, ...]]:
+    def rec(start: int, left: int, spent: int) -> Iterator[tuple[int, ...]]:
         if left == 0:
             yield tuple(acc)
             return
         for r in range(start, cap + 1):
-            floor = spent + left * (Fraction(1, 4) - Fraction(1, r))
-            if floor >= headroom:
+            if spent + left * spend[r] >= headroom:
                 break
             acc.append(r)
-            yield from rec(r, left - 1, spent + Fraction(1, 4) - Fraction(1, r))
+            yield from rec(r, left - 1, spent + spend[r])
             acc.pop()
 
-    yield from rec(5, s, Fraction(0))
+    yield from rec(5, s, 0)
+
+
+def _volume_cap(s: int, headroom: int, scale: int) -> int | None:
+    """Index cap from beta = 1/4 - headroom/scale + (s - 1)/20, if positive.
+
+    The cap is the largest r with r * beta < 1.  beta is a multiple of
+    1/lcm(20, scale), so the cap stays below that lcm.
+    """
+    unit = lcm(20, scale)
+    beta = unit // 4 - headroom * (unit // scale) + (s - 1) * (unit // 20)
+    return (unit - 1) // beta if beta > 0 else None
 
 
 def _tuple_baskets(t: CountTuple, alpha: int,
                    closures: ClosureCache | None = None
-                   ) -> tuple[list[tuple[FormalBasket, str]], list[str], Counter]:
+                   ) -> tuple[list[tuple[FormalBasket, str]], list[str],
+                              str | None]:
     """Formal baskets consistent with one tuple, with case labels.
 
-    Returns (baskets, exhaustiveness violations, prune counters).  Case
+    Returns (baskets, exhaustiveness violations, the screen that pruned
+    the tuple or None).  Case
     labels: 'sigma5-zero' needs no high index points, 'ambient-capped'
     bounds their index by the largest possible weight, 'volume-capped'
     by positivity of the unpacked volume.  closures, when given, shares
     packing closures with the other tuples of a run.
     """
-    prunes: Counter = Counter()
     data = tuple_chis(t, alpha)
-    if any(cm < 0 for cm in data.p):
-        prunes["negative_sections"] += 1
-        return [], [], prunes
+    if min(data.p) < 0:
+        return [], [], "negative_sections"
     counts = initial_counts_from_chis(data.chi, data.chis)
     if counts.n12 < 0 or counts.n13 < 0 or counts.n14_plus < 0:
-        prunes["negative_unpacked_counts"] += 1
-        return [], [], prunes
+        return [], [], "negative_unpacked_counts"
     lo, hi = high_index_count_bounds(data.chi, data.chis)
     if lo > hi:
-        prunes["empty_sigma5_range"] += 1
-        return [], [], prunes
+        return [], [], "empty_sigma5_range"
     if alpha == 1:
         if not pluri_growth_filter({m: data.p[m] for m in range(1, 7)}, data.pg):
-            prunes["pluri_growth"] += 1
-            return [], [], prunes
-        head = Fraction(1 - data.pg - data.p[2] - data.p[3] + data.p[5], 12) \
-            - Fraction(lo, 20)
-        if head <= 0:
-            prunes["volume"] += 1
-            return [], [], prunes
+            return [], [], "pluri_growth"
+        # (1 - p_g - P_2 - P_3 + P_5)/12 - sigma5/20 <= 0, times 60
+        if 5 * (1 - data.pg - data.p[2] - data.p[3] + data.p[5]) <= 3 * lo:
+            return [], [], "volume"
 
     chi, chi2 = data.chi, data.chis[2]
     targets = {m: data.chis[m] for m in (3, 4, 5, 6)}
@@ -246,14 +303,18 @@ def _tuple_baskets(t: CountTuple, alpha: int,
         bpp = canonical([Orbifold(1, 2)] * counts.n12
                         + [Orbifold(1, 3)] * counts.n13
                         + [Orbifold(1, 4)] * counts.n14_plus)
-        headroom = k3(FormalBasket(bpp, chi, chi2))
+        kern = RRKernel(bpp)
+        headroom, scale = kern.k3(chi, chi2), kern.scale
         ambient_capped = sum(t.mu) >= 5 or any(t.nu)
 
     for s in range(lo, hi + 1):
         base = [Orbifold(1, 2)] * counts.n12 + [Orbifold(1, 3)] * counts.n13 \
             + [Orbifold(1, 4)] * (counts.n14_plus - s)
         if alpha == -1:
-            budget = 24 - c2_load(canonical(base))
+            # 24 - c_2 load of base, scaled
+            budget = 24 * _C2_SCALE - counts.n12 * _C2_LOAD[2] \
+                - counts.n13 * _C2_LOAD[3] \
+                - (counts.n14_plus - s) * _C2_LOAD[4]
             if budget < 0:
                 continue
             multisets = _fano_r_multisets(s, budget)
@@ -267,9 +328,9 @@ def _tuple_baskets(t: CountTuple, alpha: int,
                 caps: list[int] = []
                 if ambient_capped:
                     caps.append(31)
-                beta = Fraction(1, 4) - headroom + Fraction(s - 1, 20)
-                if beta > 0:
-                    caps.append((beta.denominator - 1) // beta.numerator)
+                vcap = _volume_cap(s, headroom, scale)
+                if vcap is not None:
+                    caps.append(vcap)
                 if not caps:
                     violations.append(
                         f"tuple mu={t.mu} nu={t.nu}: no index cap for "
@@ -278,7 +339,7 @@ def _tuple_baskets(t: CountTuple, alpha: int,
                 cap = min(caps)
                 if cap < 5:
                     continue
-                multisets = _gt_r_multisets(s, cap, headroom)
+                multisets = _gt_r_multisets(s, cap, headroom, scale)
                 case = "ambient-capped" if ambient_capped else "volume-capped"
             prune = "volume"
         for rs in multisets:
@@ -290,7 +351,7 @@ def _tuple_baskets(t: CountTuple, alpha: int,
                 if alpha == -1 and RRKernel(fb.basket).k3(chi, chi2) >= 0:
                     continue
                 found.setdefault(fb, case)
-    return sorted(found.items(), key=lambda kv: kv[0].basket), violations, prunes
+    return sorted(found.items(), key=lambda kv: kv[0].basket), violations, None
 
 
 def candidate_formal_baskets(t: CountTuple, alpha: int) -> list[FormalBasket]:
@@ -503,9 +564,10 @@ def _batch_worker(args: tuple[int, int | None, Iterable[CountTuple]]
     closures = ClosureCache()
     for t in batch:
         stats["tuples"] += 1
-        fbs, viols, prunes = _tuple_baskets(t, alpha, closures)
+        fbs, viols, pruned = _tuple_baskets(t, alpha, closures)
         violations.extend(viols)
-        stats.update(prunes)
+        if pruned:
+            stats[pruned] += 1
         stats["baskets"] += len(fbs)
         for fb, case in fbs:
             rec = realize(fb, alpha, bound)

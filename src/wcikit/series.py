@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import sub
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .baskets import FormalBasket, RRKernel
 
@@ -31,6 +31,28 @@ MAX_TABLE_ENTRIES = 100
 
 class SeriesParseError(ValueError):
     """Raised when series text does not parse."""
+
+
+def mul_into(c: list[int], k: int) -> None:
+    """Multiply the coefficient list c by (1 - t^k) in place, k >= 1."""
+    for m in range(len(c) - 1, k - 1, -1):
+        c[m] -= c[m - k]
+
+
+def div_into(c: list[int], k: int) -> None:
+    """Divide the coefficient list c by (1 - t^k) in place, k >= 1."""
+    for m in range(k, len(c)):
+        c[m] += c[m - k]
+
+
+def _check_bound(bound: int) -> None:
+    if bound > MAX_SERIES_BOUND:
+        raise ValueError(f"series bound {bound} exceeds {MAX_SERIES_BOUND}")
+
+
+def _check_factors(exponents: Iterable[int]) -> None:
+    if min(exponents, default=1) < 1:
+        raise ValueError("factor exponent must be >= 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,26 +74,21 @@ class TruncatedSeries:
 
     @staticmethod
     def one(bound: int) -> TruncatedSeries:
-        if bound > MAX_SERIES_BOUND:
-            raise ValueError(f"series bound {bound} exceeds {MAX_SERIES_BOUND}")
+        _check_bound(bound)
         return TruncatedSeries((1,) + (0,) * bound)
 
     def mul_factor(self, k: int) -> TruncatedSeries:
         """Multiply by (1 - t^k)."""
-        if k < 1:
-            raise ValueError("factor exponent must be >= 1")
+        _check_factors((k,))
         c = list(self.coeffs)
-        for m in range(self.bound, k - 1, -1):
-            c[m] -= c[m - k]
+        mul_into(c, k)
         return TruncatedSeries(tuple(c))
 
     def div_factor(self, k: int) -> TruncatedSeries:
         """Divide by (1 - t^k); exact inverse of mul_factor(k)."""
-        if k < 1:
-            raise ValueError("factor exponent must be >= 1")
+        _check_factors((k,))
         c = list(self.coeffs)
-        for m in range(k, self.bound + 1):
-            c[m] += c[m - k]
+        div_into(c, k)
         return TruncatedSeries(tuple(c))
 
     def is_one(self) -> bool:
@@ -107,12 +124,14 @@ def poincare_series(weights: list[int] | tuple[int, ...],
                     degrees: list[int] | tuple[int, ...],
                     bound: int) -> TruncatedSeries:
     """Series of prod(1 - t^d) / prod(1 - t^a) up to the bound."""
-    s = TruncatedSeries.one(bound)
+    _check_bound(bound)
+    _check_factors(chain(weights, degrees))
+    c = [1] + [0] * bound
     for d in degrees:
-        s = s.mul_factor(d)
+        mul_into(c, d)
     for a in weights:
-        s = s.div_factor(a)
-    return s
+        div_into(c, a)
+    return TruncatedSeries(tuple(c))
 
 
 def series_from_candidate(c, bound: int) -> TruncatedSeries:

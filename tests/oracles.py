@@ -9,12 +9,14 @@ seeded random data.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 from wcikit import (
+    CountTuple,
     FormalBasket,
     Orbifold,
+    TruncatedSeries,
     canonical,
     canonical_unpacking,
     is_prime_packing,
@@ -50,6 +52,72 @@ def poincare_oracle(weights, degrees, bound):
             for m in range(s, bound + 1):
                 out[m] += sign * counts[m - s]
     return out
+
+
+def low_series_oracle(t) -> TruncatedSeries:
+    """A count tuple's series by one TruncatedSeries factor at a time."""
+    s = TruncatedSeries.one(t.horizon)
+    for d in t.degree_values():
+        s = s.mul_factor(d)
+    for a in t.weight_values():
+        s = s.div_factor(a)
+    return s
+
+
+def iter_tuples_oracle(alpha):
+    """Count tuples by the literal product scan and per-pair filters."""
+    h = {-1: 5, 1: 6}[alpha]
+    mu_cap, nu_cap = {-1: (7, 3), 1: (9, 5)}[alpha]
+    nus = [n for n in product(range(nu_cap + 1), repeat=h - 1)
+           if sum(n) <= nu_cap]
+    for mu in product(range(mu_cap + 1), repeat=h):
+        if sum(mu) > mu_cap:
+            continue
+        for nu in nus:
+            if any(mu[i + 1] and nu[i] for i in range(h - 1)):
+                continue
+            if alpha == 1 and any(nu):
+                if any(sum(nu[:s - 1]) > sum(mu[:s]) + 4 for s in range(2, 7)):
+                    continue
+            yield CountTuple(mu, nu)
+
+
+def fano_r_multisets_oracle(s, budget):
+    """Index multisets r >= 5 with c_2 load sum(r - 1/r) within budget."""
+    acc = []
+
+    def rec(start, left, load):
+        if left == 0:
+            yield tuple(acc)
+            return
+        for r in range(start, 25):
+            floor = load + left * (r - Fraction(1, r))
+            if floor > budget:
+                break
+            acc.append(r)
+            yield from rec(r, left - 1, load + r - Fraction(1, r))
+            acc.pop()
+
+    yield from rec(5, s, Fraction(0))
+
+
+def gt_r_multisets_oracle(s, cap, headroom):
+    """Index multisets r in [5, cap] spending 1/4 - 1/r each below headroom."""
+    acc = []
+
+    def rec(start, left, spent):
+        if left == 0:
+            yield tuple(acc)
+            return
+        for r in range(start, cap + 1):
+            floor = spent + left * (Fraction(1, 4) - Fraction(1, r))
+            if floor >= headroom:
+                break
+            acc.append(r)
+            yield from rec(r, left - 1, spent + Fraction(1, 4) - Fraction(1, r))
+            acc.pop()
+
+    yield from rec(5, s, Fraction(0))
 
 
 def isolated_subsets_ok(weights, degrees, codim) -> bool:

@@ -90,6 +90,18 @@ def test_high_codimension_families(gt_report):
     verdict("amplitude +1 classification in codimensions 4 and 5", ok)
 
 
+def test_ample_canonical_statistics(gt_report):
+    # every tuple and basket in its bucket, keys in first-seen order
+    report, _ = gt_report
+    ok = list(report.statistics.items()) == [
+        ("tuples", 146880), ("baskets", 114826), ("unrealized", 114704),
+        ("negative_sections", 57170), ("empty_sigma5_range", 4233),
+        ("negative_unpacked_counts", 84223), ("pluri_growth", 335),
+        ("realized", 122), ("volume", 1)]
+    verdict("amplitude +1 sweep counts every tuple and basket in its "
+            "bucket", ok)
+
+
 def test_codimension_bounds(fano_report, gt_report):
     report, _ = gt_report
     cy = classify(RunConfig(alpha=0)).records

@@ -1,7 +1,7 @@
 import random
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -153,6 +153,24 @@ class TestIntegerKernel:
             upto = 3 * max((q.r for q in fb.basket), default=1) + 3
             want = [chi_m_oracle(fb, m) for m in range(1, upto + 1)]
             assert _chi_ints(fb, 1, upto + 1) == want
+
+    def test_chi_ints_from_inside_a_period(self):
+        # basket_series_blocks starts each later block wherever the last
+        # ended, mostly inside a period of every point type
+        rng = random.Random(83)
+        checked = 0
+        while checked < 200:
+            fb = _random_formal_basket(rng, max_r=30, max_size=6)
+            types = {(q.b, q.r) for q in fb.basket}
+            if len(types) < 2:
+                continue
+            period = lcm(*(r for _, r in types))
+            hi = rng.randint(2, min(period, 200)) + 2 * max(r for _, r in types)
+            whole = _chi_ints(fb, 1, hi)
+            for lo in rng.sample(range(2, hi), 5):
+                if all(lo % r != 1 for _, r in types):
+                    assert _chi_ints(fb, lo, hi) == whole[lo - 1:], (fb, lo)
+                    checked += 1
 
     def test_c2_matches_oracle(self):
         rng = random.Random(79)

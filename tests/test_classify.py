@@ -1,11 +1,20 @@
 import gc
+import random
 import sys
 import weakref
 from fractions import Fraction
 
 import pytest
 
-from oracles import recover_oracle, table_method_oracle
+from oracles import (
+    fano_r_multisets_oracle,
+    gt_r_multisets_oracle,
+    iter_tuples_oracle,
+    low_series_oracle,
+    poincare_oracle,
+    recover_oracle,
+    table_method_oracle,
+)
 from wcikit import (
     BasketInconsistency,
     ClassificationRecord,
@@ -32,7 +41,15 @@ from wcikit import (
     tuple_chis,
     tuple_of_candidate,
 )
-from wcikit.classify import _compositions, _quadruples
+from wcikit.classify import (
+    _C2_SCALE,
+    _compositions,
+    _fano_r_multisets,
+    _gt_r_multisets,
+    _quadruples,
+    _tuple_baskets,
+    _volume_cap,
+)
 from wcikit.series import TableMethod, basket_series_blocks
 
 classify_module = sys.modules["wcikit.classify"]
@@ -74,6 +91,15 @@ class TestCountTuple:
     def test_low_series_of_quartic(self):
         assert X4_TUPLE.low_series().coeffs == (1, 5, 15, 35, 69, 121)
 
+    @pytest.mark.parametrize("alpha", [-1, 1])
+    def test_low_series_of_every_tuple(self, alpha):
+        tuples = enumerate_tuples(alpha)
+        for t in tuples:
+            assert t.low_series() == low_series_oracle(t), t
+        for t in random.Random(alpha + 500).sample(tuples, 200):
+            assert list(t.low_series().coeffs) == poincare_oracle(
+                t.weight_values(), t.degree_values(), t.horizon), t
+
     def test_of_candidate(self):
         assert tuple_of_candidate(parse_candidate("1,1,1,1,1 / 4"), 5) == X4_TUPLE
         # degree 7 sits beyond the horizon, so nu stays empty
@@ -103,6 +129,10 @@ class TestTupleEnumeration:
         with pytest.raises(ValueError):
             next(iter_tuples(0))
 
+    @pytest.mark.parametrize("alpha", [-1, 1])
+    def test_matches_oracle_in_order(self, alpha):
+        assert list(iter_tuples(alpha)) == list(iter_tuples_oracle(alpha))
+
 
 class TestTupleChis:
     def test_quartic(self):
@@ -118,6 +148,78 @@ class TestTupleChis:
     def test_guard(self):
         with pytest.raises(ValueError):
             tuple_chis(X4_TUPLE, 0)
+
+
+@pytest.fixture(scope="module", params=[-1, 1])
+def front_end_calls(request):
+    """Arguments of every multiset and index cap call in a tuple sweep.
+
+    descendants() is stubbed out, so the sweep runs the tuple screens
+    and the multiset enumerations only.
+    """
+    alpha = request.param
+    calls = {"fano": set(), "gt": set(), "cap": set()}
+
+    def recorded(name, fn):
+        def wrapper(*args):
+            calls[name].add(args)
+            return fn(*args)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify_module, "descendants", lambda *a, **k: [])
+        mp.setattr(classify_module, "_fano_r_multisets",
+                   recorded("fano", _fano_r_multisets))
+        mp.setattr(classify_module, "_gt_r_multisets",
+                   recorded("gt", _gt_r_multisets))
+        mp.setattr(classify_module, "_volume_cap",
+                   recorded("cap", _volume_cap))
+        for t in iter_tuples(alpha):
+            _tuple_baskets(t, alpha)
+    return alpha, calls
+
+
+class TestMultisetBounds:
+    """The integer multiset enumerations against their Fraction forms."""
+
+    def test_every_call_of_a_sweep(self, front_end_calls):
+        alpha, calls = front_end_calls
+        if alpha == -1:
+            assert len(calls["fano"]) > 100
+            assert not calls["gt"] and not calls["cap"]
+        else:
+            assert not calls["fano"]
+            assert len(calls["gt"]) > 50 and len(calls["cap"]) > 50
+        for s, budget in calls["fano"]:
+            assert list(_fano_r_multisets(s, budget)) == list(
+                fano_r_multisets_oracle(s, Fraction(budget, _C2_SCALE)))
+        for s, cap, headroom, scale in calls["gt"]:
+            assert list(_gt_r_multisets(s, cap, headroom, scale)) == list(
+                gt_r_multisets_oracle(s, cap, Fraction(headroom, scale)))
+        for s, headroom, scale in calls["cap"]:
+            beta = Fraction(1, 4) - Fraction(headroom, scale) \
+                + Fraction(s - 1, 20)
+            want = (beta.denominator - 1) // beta.numerator if beta > 0 \
+                else None
+            assert _volume_cap(s, headroom, scale) == want
+
+    def test_boundaries(self):
+        # a budget exactly one point's load admits that point, one less
+        # does not; a headroom exactly one point's spend does not admit it
+        five = 5 * _C2_SCALE - _C2_SCALE // 5
+        assert list(_fano_r_multisets(1, five)) == [(5,)]
+        assert list(_fano_r_multisets(1, five - 1)) == []
+        spend = Fraction(1, 4) - Fraction(1, 6)
+        assert list(_gt_r_multisets(1, 6, spend.numerator,
+                                    spend.denominator)) == [(5,)]
+        for s, budget in [(1, five), (2, 2 * five), (3, 24 * _C2_SCALE)]:
+            assert list(_fano_r_multisets(s, budget)) == list(
+                fano_r_multisets_oracle(s, Fraction(budget, _C2_SCALE)))
+        for s, cap, headroom in [(1, 6, spend), (2, 31, Fraction(7, 24)),
+                                 (3, 19, Fraction(5, 8))]:
+            assert list(_gt_r_multisets(s, cap, headroom.numerator,
+                                        headroom.denominator)) == list(
+                gt_r_multisets_oracle(s, cap, headroom))
 
 
 class TestFormalBaskets:
@@ -365,8 +467,11 @@ class TestDriver:
             ["1,1,1,1,1,1,1 / 2,2,2"]
 
     def test_statistics_shape(self, fano):
-        assert fano.statistics["tuples"] == 7056
-        assert fano.statistics["realized"] == 181
+        # every tuple and basket in its bucket, keys in first-seen order
+        assert list(fano.statistics.items()) == [
+            ("tuples", 7056), ("baskets", 1644), ("negative_sections", 2360),
+            ("unrealized", 1463), ("empty_sigma5_range", 453),
+            ("negative_unpacked_counts", 4044), ("realized", 181)]
 
     def test_report_round_trips_to_json(self, fano):
         import json

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -24,6 +25,7 @@ from wcikit import (
     series_from_basket,
     series_from_candidate,
 )
+from wcikit.series import MAX_SERIES_BOUND
 
 
 class TestTruncatedSeries:
@@ -105,6 +107,28 @@ class TestPoincareSeries:
     def test_low_series_of_degree_ten_family(self):
         c = parse_candidate("1,1,1,2,5 / 10")
         assert series_from_candidate(c, 5).coeffs == (1, 3, 7, 13, 22, 35)
+
+    @pytest.mark.parametrize("weights,degrees", [
+        ([1, 1, 0], []), ([1, 1, 1], [0]), ([1, -2], [3]), ([1, 1], [-1])])
+    def test_factor_guard(self, weights, degrees):
+        with pytest.raises(ValueError, match="exponent"):
+            poincare_series(weights, degrees, 10)
+
+    @pytest.mark.parametrize("weights,degrees,bound", [
+        ([1, 1, 1, 1, 0], [4], MAX_SERIES_BOUND),
+        ([1, 1, 1, 1, 1], [5], MAX_SERIES_BOUND + 1),
+        ([1, 1, 1, 1, 1], [5], 10 ** 12)],
+        ids=["zero-weight", "just-above-ceiling", "far-above-ceiling"])
+    def test_guards_run_before_allocation(self, weights, degrees, bound):
+        # a coefficient list at these bounds takes at least 8 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                poincare_series(weights, degrees, bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestRecovery:
