@@ -54,14 +54,15 @@ from .series import (
     mul_into,
     recovery_bound,
     series_from_candidate,
+    series_numerator_degree,
 )
 
 _HORIZON = {-1: 5, 1: 6}
+# A record has codim <= codim_max (check_codim_bound: 3 for -1, 5 for
+# +1), so at most codim_max + 4 weights and codim_max degrees; these
+# cap both the tuples and the entries realize() reads off a series.
 _MU_CAP = {-1: 7, 1: 9}
 _NU_CAP = {-1: 3, 1: 5}
-
-# Entries the table method may recover before realize() gives up.
-_MAX_ENTRIES = 15
 # Series bound of a default run; a bound of None in RunConfig asks for
 # each basket's certified recovery bound instead.
 DESK_BOUND = 300
@@ -110,6 +111,42 @@ def _weight_series(mu: tuple[int, ...]) -> tuple[int, ...]:
         for _ in range(count):
             div_into(c, v)
     return tuple(c)
+
+
+@lru_cache(maxsize=16)
+def _divisible_weights(mu: tuple[int, ...]) -> tuple[int, ...]:
+    """Counted weights divisible by h, for h = 2..len(mu)."""
+    h_max = len(mu)
+    return tuple(sum(mu[v - 1] for v in range(h, h_max + 1, h))
+                 for h in range(2, h_max + 1))
+
+
+# Keyed by nu and codim_max: 35 nus for amplitude -1, 252 for +1.
+@lru_cache(maxsize=256)
+def _divisible_weight_room(nu: tuple[int, ...],
+                           codim_max: int) -> tuple[int, ...]:
+    """Most weights divisible by h, h = 2..len(nu) + 1, a record may have.
+
+    One more than the degrees divisible by h: the counted ones plus the
+    codim_max - sum(nu) degrees a record may have past the horizon.
+    This never exceeds codim_max + 1, the other cap of the screen.
+    """
+    h_max = len(nu) + 1
+    spare = codim_max - sum(nu)
+    return tuple(sum(nu[v - 2] for v in range(h, h_max + 1, h)) + spare + 1
+                 for h in range(2, h_max + 1))
+
+
+def _gcd_counts_cut(t: CountTuple, alpha: int) -> bool:
+    """True when no record with these counts passes isolated_gcd_counts.
+
+    The counts of a record's weights and degrees up to the horizon are
+    its source tuple's, since c_0..c_h fix the table method's entries
+    up to h; so too many counted weights divisible by some h, against
+    the room _divisible_weight_room leaves, fail the record's screen.
+    """
+    return any(map(gt, _divisible_weights(t.mu),
+                   _divisible_weight_room(t.nu, _NU_CAP[alpha])))
 
 
 def tuple_of_candidate(c: Candidate, horizon: int) -> CountTuple:
@@ -278,6 +315,8 @@ def _tuple_baskets(t: CountTuple, alpha: int,
     by positivity of the unpacked volume.  closures, when given, shares
     packing closures with the other tuples of a run.
     """
+    if _gcd_counts_cut(t, alpha):
+        return [], [], "isolated_gcd_counts"
     data = tuple_chis(t, alpha)
     if min(data.p) < 0:
         return [], [], "negative_sections"
@@ -397,10 +436,22 @@ def realize(fb: FormalBasket, alpha: int,
     is built and scanned in blocks, so a basket stops at the first block
     with a non-integral or negative coefficient or an entry cap hit.
     A bound below the basket's recovery bound ends the series there.
+
+    Reading also stops after a block of length L whose clean, nonempty
+    presentation (a; d) meets L - 1 >= max(deg N + sum(a), 4 + sum(r)
+    + sum(d)), with N and r as in series_numerator_degree.  The basket
+    series and prod(1 - t^d) / prod(1 - t^a) then agree mod t^L, and
+    the numerator of their difference has degree below L, so they are
+    equal: the rest of the read would add no entry and meet no
+    non-integral coefficient, and a negative one past L shows in the
+    candidate's own series.
     """
     full = recovery_bound(fb, alpha)
     bound = full if bound is None else min(bound, full)
-    table = TableMethod(_MAX_ENTRIES)
+    table = TableMethod(max_weights=_MU_CAP[alpha],
+                        max_degrees=_NU_CAP[alpha])
+    num = series_numerator_degree(fb, alpha)
+    den = num - (alpha == 1)  # deg of (1 - t)^4 prod(1 - t^r)
     target: list[int] = []
     try:
         for block in basket_series_blocks(fb, alpha, bound):
@@ -409,6 +460,10 @@ def realize(fb: FormalBasket, alpha: int,
             if not table.feed(block):
                 return None
             target.extend(block)
+            rec = table.presentation()
+            if rec.residual_clean and rec.weights and len(target) > max(
+                    num + sum(rec.weights), den + sum(rec.degrees)):
+                break
     except BasketInconsistency:
         return None
     rec = table.presentation()
@@ -428,7 +483,9 @@ def realize(fb: FormalBasket, alpha: int,
     screen = necessary_screen(cand)
     if not screen.passed:
         return None
-    if list(series_from_candidate(cand, bound).coeffs) != target:
+    series = series_from_candidate(cand, bound).coeffs
+    fed = len(target)
+    if list(series[:fed]) != target or min(series[fed:], default=0) < 0:
         return None
     return ClassificationRecord(cand, fb, screen, True, (), bound)
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from operator import sub
+from itertools import accumulate, chain
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
 from .baskets import FormalBasket, RRKernel
@@ -35,14 +35,24 @@ class SeriesParseError(ValueError):
 
 def mul_into(c: list[int], k: int) -> None:
     """Multiply the coefficient list c by (1 - t^k) in place, k >= 1."""
-    for m in range(len(c) - 1, k - 1, -1):
-        c[m] -= c[m - k]
+    # a slice assignment reads the whole map before it writes
+    c[k:] = map(sub, c[k:], c)
 
 
 def div_into(c: list[int], k: int) -> None:
-    """Divide the coefficient list c by (1 - t^k) in place, k >= 1."""
-    for m in range(k, len(c)):
-        c[m] += c[m - k]
+    """Divide the coefficient list c by (1 - t^k) in place, k >= 1.
+
+    c_m += c_{m-k} upward is a running sum over each residue class mod
+    k: k strided sums when the classes are long, else one chunk of k
+    coefficients at a time, each added to the chunk below it.
+    """
+    n = len(c)
+    if k * k < n:
+        for j in range(k):
+            c[j::k] = accumulate(c[j::k])
+    else:
+        for lo in range(k, n, k):
+            c[lo:lo + k] = map(add, c[lo:lo + k], c[lo - k:lo])
 
 
 def _check_bound(bound: int) -> None:
@@ -159,11 +169,15 @@ class TableMethod:
     earlier blocks, and the decision at index m reads only c_0..c_m.
     """
 
-    __slots__ = ("max_entries", "weights", "degrees", "capped", "length",
-                 "_stages")
+    __slots__ = ("max_entries", "max_weights", "max_degrees", "weights",
+                 "degrees", "capped", "length", "_stages")
 
-    def __init__(self, max_entries: int | None = None) -> None:
+    def __init__(self, max_entries: int | None = None,
+                 max_weights: int | None = None,
+                 max_degrees: int | None = None) -> None:
         self.max_entries = max_entries
+        self.max_weights = max_weights
+        self.max_degrees = max_degrees
         self.weights: list[int] = []
         self.degrees: list[int] = []
         self.capped = False
@@ -172,11 +186,12 @@ class TableMethod:
         self._stages: list[list] = []
 
     def feed(self, block: Sequence[int]) -> bool:
-        """Take the next coefficients; False once the entry cap stops the scan.
+        """Take the next coefficients; False once an entry cap stops the scan.
 
         The first block starts with the constant coefficient, which must
         be 1.  An index whose value would take the entries past
-        max_entries stops the scan before any strip.
+        max_entries, or the weights past max_weights, or the degrees past
+        max_degrees, stops the scan before any strip.
         """
         lo = self.length
         if lo == 0 and block and block[0] != 1:
@@ -190,11 +205,15 @@ class TableMethod:
             if not v:
                 continue
             m, count, is_weight = lo + t, abs(v), v > 0
-            if (self.max_entries is not None and count > self.max_entries
-                    - len(self.weights) - len(self.degrees)):
+            side, side_cap = ((self.weights, self.max_weights) if is_weight
+                              else (self.degrees, self.max_degrees))
+            if ((self.max_entries is not None and count > self.max_entries
+                 - len(self.weights) - len(self.degrees))
+                    or (side_cap is not None
+                        and count > side_cap - len(side))):
                 self.capped = True
                 return False
-            (self.weights if is_weight else self.degrees).extend([m] * count)
+            side.extend([m] * count)
             for _ in range(count):
                 stage = [m, is_weight, [1] + [0] * (m - 1)]
                 self._stages.append(stage)
@@ -221,8 +240,7 @@ def _through(stage: list, c: list[int]) -> list[int]:
     if is_weight:
         out = list(map(sub, ext[m:], ext))
     else:
-        for i in range(m, len(ext)):
-            ext[i] += ext[i - m]
+        div_into(ext, m)
         out = ext[m:]
     stage[2] = ext[-m:]
     return out
@@ -280,7 +298,20 @@ def max_weight_ok(a_max: int, r_max: int, degrees: tuple[int, ...]) -> bool:
 # Coefficients in the first block of basket_series_blocks; each later
 # block doubles the coefficients given so far.  Most formal baskets are
 # decided within the first block.
-_FIRST_BLOCK = 16
+_FIRST_BLOCK = 8
+
+
+def series_numerator_degree(fb: FormalBasket, alpha: int) -> int:
+    """Degree bound on the numerator of a formal basket's series.
+
+    chi_m is a cubic in m plus, for each point of index r, a term
+    periodic mod r (Buckley, Reid and Zhou, arXiv:1208.0457).  So the
+    series of basket_series_blocks is N(t) / ((1 - t)^4 prod(1 - t^r))
+    over the distinct indices r > 1, and deg N is at most 3 + sum(r)
+    plus one for each coefficient not read off chi_m: c_0 for amplitude
+    -1, c_0 and c_1 for +1.
+    """
+    return 4 + sum({q.r for q in fb.basket if q.r > 1}) + (alpha == 1)
 
 
 def basket_series_blocks(fb: FormalBasket, alpha: int,

@@ -25,6 +25,18 @@ from wcikit import (
 )
 
 
+def mul_into_oracle(c, k):
+    """Multiply c by (1 - t^k) in place, one coefficient at a time, top down."""
+    for m in range(len(c) - 1, k - 1, -1):
+        c[m] -= c[m - k]
+
+
+def div_into_oracle(c, k):
+    """Divide c by (1 - t^k) in place, one coefficient at a time, bottom up."""
+    for m in range(k, len(c)):
+        c[m] += c[m - k]
+
+
 def poincare_oracle(weights, degrees, bound):
     """Series coefficients by counting exponent vectors, one at a time.
 
@@ -233,13 +245,15 @@ def c2_load_oracle(basket) -> Fraction:
     return sum((q.r - Fraction(1, q.r) for q in basket), Fraction(0))
 
 
-def table_method_oracle(c: list[int], max_entries: int | None
+def table_method_oracle(c: list[int], max_entries: int | None,
+                        max_weights: int | None = None,
+                        max_degrees: int | None = None
                         ) -> tuple[list[int], list[int], bool]:
     """The table method run in place on the whole coefficient list c.
 
     Strips each entry from every later coefficient at once.  Returns the
-    weights and degrees read off c and whether max_entries stopped the
-    scan.
+    weights and degrees read off c and whether a cap (on all entries, on
+    weights or on degrees) stopped the scan.
     """
     bound = len(c) - 1
     weights: list[int] = []
@@ -255,6 +269,11 @@ def table_method_oracle(c: list[int], max_entries: int | None
             budget = max_entries - len(weights) - len(degrees)
             if count > budget:
                 return weights, degrees, True
+        side_cap = max_weights if cm > 0 else max_degrees
+        if side_cap is not None:
+            have = len(weights) if cm > 0 else len(degrees)
+            if have + count > side_cap:
+                return weights, degrees, True
         if cm > 0:
             weights.extend([m] * count)
             for _ in range(count):
@@ -269,10 +288,12 @@ def table_method_oracle(c: list[int], max_entries: int | None
     return weights, degrees, False
 
 
-def recover_oracle(coeffs, max_entries=None):
+def recover_oracle(coeffs, max_entries=None, max_weights=None,
+                   max_degrees=None):
     """(weights, degrees, residual_clean, capped) from the in-place loop."""
     c = list(coeffs)
-    weights, degrees, capped = table_method_oracle(c, max_entries)
+    weights, degrees, capped = table_method_oracle(c, max_entries,
+                                                   max_weights, max_degrees)
     top = max(weights + degrees, default=0)
     clean = not capped and not any(c[1:]) and 2 * top <= len(c) - 1
     return tuple(weights), tuple(degrees), clean, capped

@@ -94,10 +94,10 @@ def test_ample_canonical_statistics(gt_report):
     # every tuple and basket in its bucket, keys in first-seen order
     report, _ = gt_report
     ok = list(report.statistics.items()) == [
-        ("tuples", 146880), ("baskets", 114826), ("unrealized", 114704),
-        ("negative_sections", 57170), ("empty_sigma5_range", 4233),
-        ("negative_unpacked_counts", 84223), ("pluri_growth", 335),
-        ("realized", 122), ("volume", 1)]
+        ("tuples", 146880), ("baskets", 42870), ("unrealized", 42748),
+        ("negative_sections", 10892), ("empty_sigma5_range", 2656),
+        ("isolated_gcd_counts", 91667), ("negative_unpacked_counts", 40623),
+        ("pluri_growth", 286), ("realized", 122), ("volume", 1)]
     verdict("amplitude +1 sweep counts every tuple and basket in its "
             "bucket", ok)
 
@@ -120,6 +120,18 @@ def test_certified_fano_list(fano_report):
           and all(r.series_bound > 300 for r in certified.records)
           and not certified.exhaustiveness_violations)
     verdict("amplitude -1 list under certified series bounds equals the "
+            "default-bound list", ok)
+
+
+def test_certified_ample_canonical_list(gt_report):
+    report, _ = gt_report
+    certified = classify(RunConfig(alpha=1, bound=None))
+    ok = ([r.to_dict() | {"series_bound": 0} for r in certified.records]
+          == [r.to_dict() | {"series_bound": 0} for r in report.records]
+          and len(certified.records) == 122
+          and all(r.series_bound > 300 for r in certified.records)
+          and not certified.exhaustiveness_violations)
+    verdict("amplitude +1 list under certified series bounds equals the "
             "default-bound list", ok)
 
 

@@ -11,7 +11,9 @@ from oracles import (
     gt_r_multisets_oracle,
     iter_tuples_oracle,
     low_series_oracle,
+    mul_into_oracle,
     poincare_oracle,
+    random_basket,
     recover_oracle,
     table_method_oracle,
 )
@@ -23,6 +25,7 @@ from wcikit import (
     InvalidCandidate,
     Orbifold,
     RunConfig,
+    canonical,
     candidate_formal_baskets,
     classify,
     classify_cy,
@@ -45,12 +48,18 @@ from wcikit.classify import (
     _C2_SCALE,
     _compositions,
     _fano_r_multisets,
+    _gcd_counts_cut,
     _gt_r_multisets,
     _quadruples,
     _tuple_baskets,
     _volume_cap,
 )
-from wcikit.series import TableMethod, basket_series_blocks
+from wcikit.baskets import RRKernel
+from wcikit.series import (
+    TableMethod,
+    basket_series_blocks,
+    series_numerator_degree,
+)
 
 classify_module = sys.modules["wcikit.classify"]
 baskets_module = sys.modules["wcikit.baskets"]
@@ -287,10 +296,18 @@ def reference_realize(fb, alpha, bound):
     return ClassificationRecord(cand, fb, screen, True, (), bound)
 
 
+def unscreened_baskets(tuples, alpha):
+    """(tuple, basket) pairs of the tuples, gcd-cut ones not skipped."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify_module, "_gcd_counts_cut", lambda t, alpha: False)
+        return [(t, fb) for t in tuples
+                for fb in candidate_formal_baskets(t, alpha)]
+
+
 @pytest.fixture(scope="module")
 def fano_baskets():
-    return [fb for t in enumerate_tuples(-1)
-            for fb in candidate_formal_baskets(t, -1)]
+    # every basket of the -1 sweep, those of gcd-cut tuples included
+    return [fb for _, fb in unscreened_baskets(enumerate_tuples(-1), -1)]
 
 
 def _cap_index(fb, alpha, bound):
@@ -320,29 +337,32 @@ class TestPrefixExactness:
 
     def test_every_fano_basket_with_a_short_first_block(self, fano_baskets,
                                                         monkeypatch):
-        # with c_0..c_10 in the first block, 730 of the baskets pass it
-        # and hit the entry cap in a later block
+        # with c_0..c_5 in the first block, every one of the 1,442 baskets
+        # realize() rejects on its 7-weight or 3-degree cap passes it and
+        # hits the cap in a later block
         def passes_first_block(fb):
             try:
-                head = list(series_from_basket(fb, -1, 10).coeffs)
+                head = list(series_from_basket(fb, -1, 5).coeffs)
             except BasketInconsistency:
                 return False
-            return min(head) >= 0 and not table_method_oracle(head, 15)[2]
+            return min(head) >= 0 and not table_method_oracle(
+                head, None, 7, 3)[2]
 
         late = [fb for fb in fano_baskets if passes_first_block(fb)
                 and table_method_oracle(
-                    list(series_from_basket(fb, -1, 300).coeffs), 15)[2]]
-        assert len(late) == 730
-        monkeypatch.setattr(series_module, "_FIRST_BLOCK", 11)
+                    list(series_from_basket(fb, -1, 300).coeffs),
+                    None, 7, 3)[2]]
+        assert len(late) == 1442
+        monkeypatch.setattr(series_module, "_FIRST_BLOCK", 6)
         assert self._check_all(fano_baskets) == 181
 
     def test_cap_hit_at_a_block_boundary(self, monkeypatch):
-        # the cap is first hit at index 31: the last index of the second
+        # the cap is first hit at index 31: the last index of the third
         # block by default, the first of the second block when the first
         # holds 31 coefficients, inside the first block from 32 on
         fb = FormalBasket(parse_basket("1x(2,5); 1x(5,12)"), 1, -1)
         assert _cap_index(fb, -1, 40) == 31
-        for first in (1, 2, 16, 31, 32):
+        for first in (1, 2, 8, 16, 31, 32):
             monkeypatch.setattr(series_module, "_FIRST_BLOCK", first)
             table = TableMethod(15)
             fed = 0
@@ -354,23 +374,161 @@ class TestPrefixExactness:
             assert realize(fb, -1, 300) is None
         assert reference_realize(fb, -1, 300) is None
 
+    def test_clean_before_the_identity_degree(self, monkeypatch):
+        # c_0..c_5 read as the single weight 1, clean at length 6 and
+        # past 4 + sum(a), but the identity degree 4 + (2+3+5+8) + 1 = 23
+        # is not reached; the family shows up only further on
+        fb = FormalBasket(parse_basket("2x(1,2); 2x(1,3); 1x(1,5); 1x(1,8)"),
+                          1, -1)
+        monkeypatch.setattr(series_module, "_FIRST_BLOCK", 6)
+        table = TableMethod(max_weights=7, max_degrees=3)
+        assert table.feed(next(basket_series_blocks(fb, -1, 300)))
+        rec = table.presentation()
+        assert (rec.weights, rec.degrees, rec.residual_clean) == ((1,), (), True)
+        assert 4 + 1 <= table.length - 1 < (series_numerator_degree(fb, -1)
+                                            + sum(rec.weights))
+        got = realize(fb, -1, 300)
+        assert got == reference_realize(fb, -1, 300)
+        assert got.candidate.text() == "1,6,8,9,10,15 / 18,30"
+
+    @pytest.mark.parametrize("basket,chi,chi2,alpha,degree", [
+        # 4 + (2+3+5+8) + max(sum(a), sum(d)) for 1,6,8,9,10,15 / 18,30
+        ("2x(1,2); 2x(1,3); 1x(1,5); 1x(1,8)", 1, -1, -1, 71),
+        # 4 + 2 + max(sum(a) + 1, sum(d)) for 1,1,1,1,1,2 / 3,5
+        ("1x(1,2)", -4, 16, 1, 14)], ids=["fano", "ample-canonical"])
+    def test_reads_to_the_first_block_past_the_identity_degree(
+            self, monkeypatch, basket, chi, chi2, alpha, degree):
+        fb = FormalBasket(parse_basket(basket), chi, chi2)
+        fed = []
+
+        def counted(*args):
+            for block in basket_series_blocks(*args):
+                fed.append(len(block))
+                yield block
+
+        monkeypatch.setattr(classify_module, "basket_series_blocks", counted)
+        for first, read in [(degree, 2 * degree), (degree + 1, degree + 1)]:
+            monkeypatch.setattr(series_module, "_FIRST_BLOCK", first)
+            fed.clear()
+            assert realize(fb, alpha, 300) == reference_realize(fb, alpha, 300)
+            assert sum(fed) == read, first
+
+
+class TestSeriesIdentity:
+    """A basket series is N / ((1 - t)^4 prod(1 - t^r)), deg N as stated."""
+
+    @staticmethod
+    def _numerator(fb, alpha, n):
+        # 12 * scale * c_m for m < n, from RRKernel.chi_m, which (unlike
+        # chi_ints) does not need chi_m integral; then times the
+        # denominator, one factor at a time
+        kern = RRKernel(fb.basket)
+        vol, unit = kern.k3(fb.chi, fb.chi2), 12 * kern.scale
+        if alpha == 1:
+            c = [unit, unit * (1 - fb.chi)] + [
+                kern.chi_m(m, fb.chi, vol) for m in range(2, n)]
+        else:
+            c = [unit] + [-kern.chi_m(m + 1, fb.chi, vol)
+                          for m in range(1, n)]
+        for r in [1, 1, 1, 1, *{q.r for q in fb.basket}]:
+            mul_into_oracle(c, r)
+        return c
+
+    def _degree(self, fb, alpha):
+        """deg N, checked to be below series_numerator_degree over a window."""
+        bound = series_numerator_degree(fb, alpha)
+        c = self._numerator(fb, alpha, 2 * bound + 8)
+        assert not any(c[bound + 1:]), (fb, alpha)
+        return max(m for m, cm in enumerate(c) if cm)
+
+    def test_every_fano_basket(self, fano_baskets):
+        for fb in fano_baskets:
+            self._degree(fb, -1)
+
+    def test_ample_canonical_tuple_baskets(self):
+        tuples = random.Random(61).sample(enumerate_tuples(1), 2000)
+        fbs = [fb for _, fb in unscreened_baskets(tuples, 1)]
+        assert len(fbs) > 500
+        for fb in fbs:
+            self._degree(fb, 1)
+
+    def test_random_baskets_attain_the_bound(self):
+        rng = random.Random(67)
+        attained = {-1: 0, 1: 0}
+        for _ in range(300):
+            fb = FormalBasket(canonical(random_basket(rng)),
+                              rng.randint(-10, 10), rng.randint(-10, 40))
+            for alpha in (-1, 1):
+                attained[alpha] += (self._degree(fb, alpha)
+                                    == series_numerator_degree(fb, alpha))
+        # so neither bound can be lowered
+        assert attained[-1] > 0 and attained[1] > 0
+
+
+class TestGcdScreen:
+    """The tuple-level isolated_gcd_counts cut loses no record."""
+
+    def test_matches_direct_counts(self):
+        for alpha, codim_max in ((-1, 3), (1, 5)):
+            tuples = enumerate_tuples(alpha)
+            if alpha == 1:
+                tuples = random.Random(71).sample(tuples, 5000)
+            for t in tuples:
+                ws, ds = t.weight_values(), t.degree_values()
+                want = False
+                for h in range(2, t.horizon + 1):
+                    w = sum(1 for a in ws if a % h == 0)
+                    d = sum(1 for dd in ds if dd % h == 0)
+                    if w > codim_max + 1 or d + codim_max - len(ds) < w - 1:
+                        want = True
+                assert _gcd_counts_cut(t, alpha) == want, t
+
+    def test_records_come_from_their_own_tuple(self, fano):
+        for rec in fano.records:
+            t = tuple_of_candidate(rec.candidate, 5)
+            assert not _gcd_counts_cut(t, -1)
+            assert all(p.startswith(f"tuple mu={t.mu} nu={t.nu} ")
+                       for p in rec.provenance), rec.provenance
+
+    def test_cut_fano_tuples_realize_nothing(self):
+        cut = [t for t in enumerate_tuples(-1) if _gcd_counts_cut(t, -1)]
+        assert len(cut) == 4033
+        pairs = unscreened_baskets(cut, -1)
+        assert len(pairs) == 36
+        assert [fb for _, fb in pairs if realize(fb, -1) is not None] == []
+
+    def test_cut_ample_canonical_sample_realizes_nothing(self):
+        cut = [t for t in enumerate_tuples(1) if _gcd_counts_cut(t, 1)]
+        assert len(cut) == 91667
+        pairs = unscreened_baskets(random.Random(73).sample(cut, 1500), 1)
+        assert len(pairs) > 500
+        assert [fb for _, fb in pairs if realize(fb, 1) is not None] == []
+
+    def test_heaviest_tuple_is_cut(self):
+        # 39,040 baskets unscreened; divisor 3 carries four weights 6
+        # and at most one degree past the four quartics
+        heavy = CountTuple((3, 2, 0, 0, 0, 4), (0, 0, 4, 0, 0))
+        assert _tuple_baskets(heavy, 1) == ([], [], "isolated_gcd_counts")
+
 
 class TestStreamedRecoveryOnBaskets:
     def test_every_fano_basket_series(self, fano_baskets):
         # the table method fed each basket's blocks against the in-place
-        # loop over the whole series at bound 300
+        # loop over the whole series at bound 300, under a 15-entry cap
+        # and under realize()'s 7-weight and 3-degree caps
         for fb in fano_baskets:
             try:
                 coeffs = series_from_basket(fb, -1, 300).coeffs
             except BasketInconsistency:
                 continue
-            table = TableMethod(15)
-            for block in basket_series_blocks(fb, -1, 300):
-                if not table.feed(block):
-                    break
-            got = table.presentation()
-            assert (got.weights, got.degrees, got.residual_clean,
-                    got.capped) == recover_oracle(coeffs, 15), fb
+            for caps in ((15, None, None), (None, 7, 3)):
+                table = TableMethod(*caps)
+                for block in basket_series_blocks(fb, -1, 300):
+                    if not table.feed(block):
+                        break
+                got = table.presentation()
+                assert (got.weights, got.degrees, got.residual_clean,
+                        got.capped) == recover_oracle(coeffs, *caps), fb
 
 
 class TestClosureCache:
@@ -394,13 +552,13 @@ class TestClosureCache:
         monkeypatch.setattr(classify_module, "ClosureCache", Recorded)
         monkeypatch.setattr(baskets_module, "_build_closure", counted_build)
         first = classify(RunConfig(alpha=-1)).to_json()
-        # the 1,087 descendants calls of the run share 699 distinct roots
-        assert len(roots) == len(set(roots)) == 699
+        # the 1,053 descendants calls of the run share 698 distinct roots
+        assert len(roots) == len(set(roots)) == 698
         gc.collect()
         assert len(caches) == 1 and caches[0]() is None
         roots.clear()
         assert classify(RunConfig(alpha=-1)).to_json() == first
-        assert len(roots) == 699
+        assert len(roots) == 698
 
 
 class TestHelpers:
@@ -469,9 +627,10 @@ class TestDriver:
     def test_statistics_shape(self, fano):
         # every tuple and basket in its bucket, keys in first-seen order
         assert list(fano.statistics.items()) == [
-            ("tuples", 7056), ("baskets", 1644), ("negative_sections", 2360),
-            ("unrealized", 1463), ("empty_sigma5_range", 453),
-            ("negative_unpacked_counts", 4044), ("realized", 181)]
+            ("tuples", 7056), ("baskets", 1608), ("negative_sections", 525),
+            ("unrealized", 1427), ("isolated_gcd_counts", 4033),
+            ("empty_sigma5_range", 314), ("negative_unpacked_counts", 1993),
+            ("realized", 181)]
 
     def test_report_round_trips_to_json(self, fano):
         import json

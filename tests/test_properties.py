@@ -1,0 +1,95 @@
+"""Seeded property tests: text round trips, the table method, recovery.
+
+hypothesis draws the cases from a fixed seed (derandomize), so every
+run sees the same examples; the module skips when hypothesis is absent.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from oracles import recover_oracle  # noqa: E402
+from wcikit import (  # noqa: E402
+    TableMethod,
+    TruncatedSeries,
+    normalize,
+    parse_candidate,
+    parse_series,
+    poincare_series,
+    recover_weights_degrees,
+)
+
+SEEDED = settings(derandomize=True, database=None, deadline=None,
+                  max_examples=300)
+
+
+@st.composite
+def candidates(draw):
+    degrees = draw(st.lists(st.integers(1, 60), min_size=1, max_size=5))
+    weights = draw(st.lists(st.integers(1, 30), min_size=len(degrees) + 2,
+                            max_size=len(degrees) + 8))
+    return normalize(weights, degrees)
+
+
+@st.composite
+def presentations(draw):
+    """Sorted weights and degrees sharing no value."""
+    weights = sorted(draw(st.lists(st.integers(1, 12), min_size=1,
+                                   max_size=9)))
+    pool = [d for d in range(2, 37) if d not in weights]
+    degrees = sorted(draw(st.lists(st.sampled_from(pool), max_size=5)))
+    return weights, degrees
+
+
+@SEEDED
+@given(candidates())
+def test_candidate_text_round_trip(cand):
+    assert parse_candidate(cand.text()) == cand
+    spaced = cand.text().replace(",", " , ").replace("/", " / ")
+    assert parse_candidate(spaced) == cand
+
+
+@SEEDED
+@given(st.lists(st.integers(-10 ** 12, 10 ** 12), min_size=1, max_size=40))
+def test_series_text_round_trip(coeffs):
+    s = TruncatedSeries(tuple(coeffs))
+    assert parse_series(s.text()) == s
+
+
+@SEEDED
+@given(presentations(), st.data())
+def test_split_cap_table_method_matches_oracle(pres, data):
+    weights, degrees = pres
+    top = max(weights + degrees)
+    bound = data.draw(st.integers(1, 2 * top + 4))
+    coeffs = list(poincare_series(weights, degrees, bound).coeffs)
+    max_entries = data.draw(st.none() | st.integers(0, 16))
+    if data.draw(st.booleans()):
+        # no longer a presentation's series: keep the scan finite
+        k = data.draw(st.integers(1, bound))
+        coeffs[k] += data.draw(st.sampled_from([-2, -1, 1, 3]))
+        max_entries = data.draw(st.integers(0, 16))
+    caps = (max_entries, data.draw(st.none() | st.integers(0, 9)),
+            data.draw(st.none() | st.integers(0, 5)))
+    table = TableMethod(*caps)
+    i = 0
+    while i < len(coeffs):
+        step = data.draw(st.integers(1, 12))
+        if not table.feed(coeffs[i:i + step]):
+            break
+        i += step
+    got = table.presentation()
+    assert (got.weights, got.degrees, got.residual_clean,
+            got.capped) == recover_oracle(coeffs, *caps)
+
+
+@SEEDED
+@given(presentations())
+def test_poincare_series_recovery_round_trip(pres):
+    weights, degrees = pres
+    s = poincare_series(weights, degrees, 2 * max(weights + degrees))
+    rec = recover_weights_degrees(s)
+    assert rec.residual_clean
+    assert (list(rec.weights), list(rec.degrees)) == (weights, degrees)

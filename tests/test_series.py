@@ -5,6 +5,8 @@ import pytest
 
 from oracles import (
     chi_m_oracle,
+    div_into_oracle,
+    mul_into_oracle,
     poincare_oracle,
     random_presentation,
     recover_oracle,
@@ -25,7 +27,24 @@ from wcikit import (
     series_from_basket,
     series_from_candidate,
 )
-from wcikit.series import MAX_SERIES_BOUND
+from wcikit.series import MAX_SERIES_BOUND, div_into, mul_into
+
+
+class TestKernels:
+    """The slice forms of mul_into and div_into against the plain loops."""
+
+    @pytest.mark.parametrize("kernel,oracle", [(mul_into, mul_into_oracle),
+                                               (div_into, div_into_oracle)],
+                             ids=["mul", "div"])
+    def test_every_factor_of_seeded_lists(self, kernel, oracle):
+        rng = random.Random(53)
+        for n in [*range(0, 40), 63, 64, 65, 200]:
+            c = [rng.randint(-99, 99) for _ in range(n)]
+            for k in range(1, n + 2):
+                got, want = list(c), list(c)
+                kernel(got, k)
+                oracle(want, k)
+                assert got == want, (n, k)
 
 
 class TestTruncatedSeries:
@@ -208,6 +227,26 @@ class TestStreamedRecovery:
             assert (got.weights, got.degrees, got.residual_clean,
                     got.capped) == want
 
+    def test_split_caps_match_oracle(self):
+        rng = random.Random(59)
+        for _ in range(400):
+            weights, degrees = random_presentation(rng)
+            coeffs = list(poincare_series(weights, degrees,
+                                          2 * max(weights + degrees)).coeffs)
+            caps = (rng.choice([None, 10, 15]), rng.choice([None, 3, 5, 7]),
+                    rng.choice([None, 1, 2, 3]))
+            want = recover_oracle(coeffs, *caps)
+            table = TableMethod(*caps)
+            i = 0
+            while i < len(coeffs):
+                step = rng.randint(1, 12)
+                if not table.feed(coeffs[i:i + step]):
+                    break
+                i += step
+            got = table.presentation()
+            assert (got.weights, got.degrees, got.residual_clean,
+                    got.capped) == want, caps
+
     def test_cap_stops_before_any_strip(self):
         table = TableMethod(100)
         assert not table.feed([1, 100_000_000, 0])
@@ -218,7 +257,7 @@ class TestStreamedRecovery:
     def test_blocks_double(self):
         fb = FormalBasket((Orbifold(1, 2),), 1, -4)
         blocks = list(basket_series_blocks(fb, -1, 100))
-        assert [len(b) for b in blocks] == [16, 16, 32, 37]
+        assert [len(b) for b in blocks] == [8, 8, 16, 32, 37]
         flat = [c for b in blocks for c in b]
         assert flat == [1] + [-chi_m_oracle(fb, m + 1) for m in range(1, 101)]
 
