@@ -322,9 +322,10 @@ def pluri_growth_filter(p: Mapping[int, int], pg: int) -> bool:
 
 
 # Named prunes for descendants(), evaluated on a state's integer data:
-# "c2" cuts sum(r - 1/r) > 24, the amplitude -1 bound on c_2 . (-K);
-# "volume" cuts K^3 <= 0 for the chi and chi_2 of the call.  Both only
-# grow more true under packing.
+# "c2" cuts sum(r - 1/r) > 24, the amplitude -1 bound on c_2 . (-K),
+# and keeps only the hits with K^3 < 0; "volume" cuts K^3 <= 0 for the
+# chi and chi_2 of the call.  Both cuts only grow more true under
+# packing.
 NAMED_PRUNES = ("c2", "volume")
 
 
@@ -347,8 +348,8 @@ def _points(packed: int, unit: int, width: int) -> tuple[tuple[int, int], ...]:
 
 
 # States a ClosureCache holds, at roughly 100 bytes each.  The amplitude
-# -1 sweep meets 4,437 states in 698 closures and keeps them all; the +1
-# sweep builds 16,700 closures of 122,563 states, too many to keep.
+# -1 sweep meets 1,903 states in 698 closures and keeps them all; the +1
+# sweep builds 14,198 closures of 60,616 states, too many to keep.
 _CACHE_STATES = 20_000
 
 
@@ -375,15 +376,26 @@ class ClosureCache(OrderedDict):
 def _build_closure(root: tuple[int, ...], unit: int, width: int,
                    ms: tuple[int, ...], prune: str | None,
                    volume_floor: int) -> tuple:
-    """Breadth-first closure of a root under packing, with canonical dedup.
+    """Breadth-first closure of a root under prime packing, with canonical dedup.
 
-    Returns (sigs, states): each state packed into one int, and per
-    state and listed m, in an array, the signature
-    sigma_m = 12 l(m) - 2(2m-1)m(m-1) l(2).  While it runs, a state is a
-    sorted tuple of point codes carrying its c_2 load and l(2), scaled by
-    twice the lcm of every index up to the root's total index (which
-    covers every merged point), then sigma_m for m in ms.  Packing p and
-    q into s adds data(s) - data(p) - data(q).
+    Two points merge only when they are Farey neighbours,
+    |b_p r_q - b_q r_p| = 1 (is_prime_packing).  Such a pair lies in
+    one interval [1/(k+1), 1/k], where canonical unpacking is additive,
+    and every point is reached from its own unpacking by such merges
+    (a Stern-Brocot mediant path).  So from a root of points (1, r)
+    the closure is exactly the set of baskets whose initial_basket is
+    the root; the prunes cut the same baskets as over all merges, since
+    both grow more true along any packing path.
+
+    Returns (sigs, states, l2s, scale): each state packed into one int;
+    per state and listed m, in an array, the signature
+    sigma_m = 12 l(m) - 2(2m-1)m(m-1) l(2); and, for the "c2" prune
+    only, scale * l(2) per state as ints (scale passes 2^63 on large
+    roots), else None.  While it runs, a state is a sorted tuple of
+    point codes carrying its c_2 load and l(2), scaled by twice the lcm
+    of every index up to the root's total index (which covers every
+    merged point), then sigma_m for m in ms.  Packing p and q into s
+    adds data(s) - data(p) - data(q).
     """
     scale = 2 * lcm(1, *range(1, sum(c // unit for c in root) + 1))
     zero = (0,) * (len(ms) + 2)
@@ -408,6 +420,17 @@ def _build_closure(root: tuple[int, ...], unit: int, width: int,
                          - (2 * m - 1) * m * (m - 1) * s2) // r)
         return ((r * r - 1) * (scale // r), s2 * (scale // (2 * r)), *sigs)
 
+    def move(p: int, q: int) -> tuple | None:
+        """(code of the merged point, change of data), None unless prime."""
+        (rp, bp), (rq, bq) = divmod(p, unit), divmod(q, unit)
+        if abs(bp * rq - bq * rp) != 1:
+            return None
+        ds = point_data(p + q)
+        if ds is None:
+            return None
+        return p + q, tuple(x - y - z for x, y, z in
+                            zip(ds, point_data(p), point_data(q)))
+
     # A named prune cuts the states whose data[at] exceeds limit.
     at, limit = {"c2": (0, 24 * scale),
                  "volume": (1, volume_floor * scale - 1)}.get(prune, (0, inf))
@@ -419,7 +442,6 @@ def _build_closure(root: tuple[int, ...], unit: int, width: int,
     if root_data[at] <= limit:
         states[root] = root_data
     pruned: set[tuple[int, ...]] = set()
-    # (p, q) -> (code of the merged point, change of data), or None
     moves: dict[tuple[int, int], tuple | None] = {}
     frontier = list(states)
     while frontier:
@@ -436,21 +458,18 @@ def _build_closure(root: tuple[int, ...], unit: int, width: int,
                     if j > i + 1 and q == state[j - 1]:
                         continue
                     if (p, q) not in moves:
-                        ds = point_data(p + q)
-                        moves[p, q] = None if ds is None else (
-                            p + q, tuple(x - y - z for x, y, z in
-                                         zip(ds, point_data(p), point_data(q))))
-                    move = moves[p, q]
-                    if move is None:
+                        moves[p, q] = move(p, q)
+                    pq = moves[p, q]
+                    if pq is None:
                         continue
                     rest = list(state)
                     del rest[j]
                     del rest[i]
-                    insort(rest, move[0])
+                    insort(rest, pq[0])
                     child = tuple(rest)
                     if child in states or child in pruned:
                         continue
-                    cdata = tuple(map(add, data, move[1]))
+                    cdata = tuple(map(add, data, pq[1]))
                     if cdata[at] > limit:
                         pruned.add(child)
                         continue
@@ -458,20 +477,25 @@ def _build_closure(root: tuple[int, ...], unit: int, width: int,
                     nxt.append(child)
         frontier = nxt
     sigs = array("q", [x for data in states.values() for x in data[2:]])
-    return sigs, tuple(_pack(state, width) for state in states)
+    l2s = (tuple(data[1] for data in states.values()) if prune == "c2"
+           else None)
+    return sigs, tuple(_pack(state, width) for state in states), l2s, scale
 
 
 def descendants(b0: Basket, chi: int, chi2: int,
                 targets: Mapping[int, int],
                 prune: str | None = None,
                 cache: ClosureCache | None = None) -> list[FormalBasket]:
-    """All baskets dominated by b0 whose chi_m hit the targets.
+    """The baskets of b0's fiber whose chi_m hit the targets.
 
-    Breadth-first closure of b0 under pack() with canonical dedup; a
-    basket survives iff chi_m(basket, chi, chi2) equals targets[m] for
-    every listed m.  prune, one of NAMED_PRUNES, skips the baskets it
-    cuts and all their descendants; both prunes are monotone under
-    packing (once true they stay true on every further pack).
+    Breadth-first closure of b0 under prime packing with canonical
+    dedup: for b0 of points (1, r), every basket whose initial_basket
+    is b0 (see _build_closure).  A basket survives iff
+    chi_m(basket, chi, chi2) equals targets[m] for every listed m.
+    prune, one of NAMED_PRUNES, skips the baskets it cuts and all their
+    descendants; both prunes are monotone under packing (once true they
+    stay true on every further pack).  The "c2" prune also drops the
+    hits with K^3 >= 0.
 
     cache keeps each closure for later calls on the same root.  Its key
     holds all a closure depends on: the root, the target indices, the
@@ -494,16 +518,19 @@ def descendants(b0: Basket, chi: int, chi2: int,
         closure = _build_closure(root, unit, width, ms, prune, floor)
         if cache is not None:
             cache.put(key, closure)
-    sigs, states = closure
+    sigs, states, l2s, scale = closure
     # With K^3 = 2(chi_2 + 3 chi - l(2)), chi_m = t reads
     # sigma_m = 12 l(m) - 2(2m-1)m(m-1) l(2)
-    #         = 12 t + (2m-1)(12 chi - 2m(m-1)(chi_2 + 3 chi)).
+    #         = 12 t + (2m-1)(12 chi - 2m(m-1)(chi_2 + 3 chi)),
+    # and K^3 < 0 reads l(2) > chi_2 + 3 chi.
     want = tuple(12 * targets[m]
                  + (2 * m - 1) * (12 * chi - 2 * m * (m - 1) * floor)
                  for m in ms)
     w = len(ms)
+    l2_floor = floor * scale
     hits = sorted(_points(state, unit, width)
                   for k, state in enumerate(states)
-                  if tuple(sigs[k * w:(k + 1) * w]) == want)
+                  if tuple(sigs[k * w:(k + 1) * w]) == want
+                  and (l2s is None or l2s[k] > l2_floor))
     return [FormalBasket(tuple(Orbifold(b, r) for b, r in points), chi, chi2)
             for points in hits]

@@ -50,6 +50,7 @@ from .series import (
     TruncatedSeries,
     basket_series_blocks,
     div_into,
+    divisor_matching,
     max_weight_ok,
     mul_into,
     recovery_bound,
@@ -336,7 +337,7 @@ def _tuple_baskets(t: CountTuple, alpha: int,
     chi, chi2 = data.chi, data.chis[2]
     targets = {m: data.chis[m] for m in (3, 4, 5, 6)}
     violations: list[str] = []
-    found: dict[FormalBasket, str] = {}
+    found: list[tuple[FormalBasket, str]] = []
 
     if alpha == 1:
         bpp = canonical([Orbifold(1, 2)] * counts.n12
@@ -382,19 +383,18 @@ def _tuple_baskets(t: CountTuple, alpha: int,
                 case = "ambient-capped" if ambient_capped else "volume-capped"
             prune = "volume"
         for rs in multisets:
+            # Each basket lies in the fiber of one root, its initial
+            # basket, so no two roots find the same basket.  The prunes
+            # keep c_2 <= 24 and K^3 < 0 for -1, K^3 > 0 for +1.
             b0 = canonical(base + [Orbifold(1, r) for r in rs])
-            for fb in descendants(b0, chi, chi2, targets, prune=prune,
-                                  cache=closures):
-                # Every closure state passed its prune: c_2 <= 24 for -1
-                # and K^3 > 0 for +1; -1 still needs K^3 < 0.
-                if alpha == -1 and RRKernel(fb.basket).k3(chi, chi2) >= 0:
-                    continue
-                found.setdefault(fb, case)
-    return sorted(found.items(), key=lambda kv: kv[0].basket), violations, None
+            found.extend((fb, case) for fb in descendants(
+                b0, chi, chi2, targets, prune=prune, cache=closures))
+    found.sort(key=lambda hit: [(q.b, q.r) for q in hit[0].basket])
+    return found, violations, None
 
 
 def candidate_formal_baskets(t: CountTuple, alpha: int) -> list[FormalBasket]:
-    """All formal baskets a tuple admits, deduplicated and sorted."""
+    """All formal baskets a tuple admits, sorted."""
     fbs, _, _ = _tuple_baskets(t, alpha)
     return [fb for fb, _ in fbs]
 
@@ -425,8 +425,24 @@ class ClassificationRecord:
         }
 
 
-def realize(fb: FormalBasket, alpha: int,
-            bound: int | None = None) -> ClassificationRecord | None:
+def _table(alpha: int) -> TableMethod:
+    return TableMethod(max_weights=_MU_CAP[alpha], max_degrees=_NU_CAP[alpha])
+
+
+def tuple_prefix(t: CountTuple, alpha: int) -> TableMethod:
+    """A table that has read c_0..c_h, the series every basket of t shares.
+
+    A basket of t has chi_2 of t, and descendants() matched its chi_3
+    to chi_6 to t's; so its c_0..c_h are t's low series, and the table
+    reads off exactly t's counted weights and degrees.
+    """
+    table = _table(alpha)
+    table.feed(t.low_series().coeffs)
+    return table
+
+
+def realize(fb: FormalBasket, alpha: int, bound: int | None = None,
+            prefix: TableMethod | None = None) -> ClassificationRecord | None:
     """Try to present a formal basket as a candidate family.
 
     Reads a presentation off the basket series, and keeps the result
@@ -436,6 +452,9 @@ def realize(fb: FormalBasket, alpha: int,
     is built and scanned in blocks, so a basket stops at the first block
     with a non-integral or negative coefficient or an entry cap hit.
     A bound below the basket's recovery bound ends the series there.
+    prefix, a table from tuple_prefix for the basket's own tuple, has
+    read the start of the series already; realize continues from a copy
+    of it, unless the bound ends the series inside it.
 
     Reading also stops after a block of length L whose clean, nonempty
     presentation (a; d) meets L - 1 >= max(deg N + sum(a), 4 + sum(r)
@@ -443,27 +462,36 @@ def realize(fb: FormalBasket, alpha: int,
     series and prod(1 - t^d) / prod(1 - t^a) then agree mod t^L, and
     the numerator of their difference has degree below L, so they are
     equal: the rest of the read would add no entry and meet no
-    non-integral coefficient, and a negative one past L shows in the
-    candidate's own series.
+    non-integral coefficient.  Past L no coefficient is negative when
+    the degrees match distinct weights dividing them
+    (divisor_matching); otherwise the candidate's own series is built
+    to the bound to show it.
     """
     full = recovery_bound(fb, alpha)
     bound = full if bound is None else min(bound, full)
-    table = TableMethod(max_weights=_MU_CAP[alpha],
-                        max_degrees=_NU_CAP[alpha])
+    if prefix is not None and prefix.length <= bound + 1:
+        table = prefix.copy()
+    else:
+        table = _table(alpha)
     num = series_numerator_degree(fb, alpha)
     den = num - (alpha == 1)  # deg of (1 - t)^4 prod(1 - t^r)
-    target: list[int] = []
+    blocks = basket_series_blocks(fb, alpha, bound, table.length)
+    end = None  # the identity length of the last clean presentation
     try:
-        for block in basket_series_blocks(fb, alpha, bound):
+        while True:
+            block = blocks.send(end)
             if min(block) < 0:
                 return None  # section counts are never negative
             if not table.feed(block):
                 return None
-            target.extend(block)
             rec = table.presentation()
-            if rec.residual_clean and rec.weights and len(target) > max(
-                    num + sum(rec.weights), den + sum(rec.degrees)):
-                break
+            end = None
+            if rec.residual_clean and rec.weights:
+                end = 1 + max(num + sum(rec.weights), den + sum(rec.degrees))
+                if table.length >= end:
+                    break
+    except StopIteration:
+        pass
     except BasketInconsistency:
         return None
     rec = table.presentation()
@@ -483,9 +511,11 @@ def realize(fb: FormalBasket, alpha: int,
     screen = necessary_screen(cand)
     if not screen.passed:
         return None
-    series = series_from_candidate(cand, bound).coeffs
-    fed = len(target)
-    if list(series[:fed]) != target or min(series[fed:], default=0) < 0:
+    if table.series() != table.coeffs:
+        return None
+    if not divisor_matching(cand.weights, cand.degrees) and min(
+            series_from_candidate(cand, bound).coeffs[table.length:],
+            default=0) < 0:
         return None
     return ClassificationRecord(cand, fb, screen, True, (), bound)
 
@@ -626,8 +656,9 @@ def _batch_worker(args: tuple[int, int | None, Iterable[CountTuple]]
         if pruned:
             stats[pruned] += 1
         stats["baskets"] += len(fbs)
+        prefix = tuple_prefix(t, alpha) if fbs else None
         for fb, case in fbs:
-            rec = realize(fb, alpha, bound)
+            rec = realize(fb, alpha, bound, prefix)
             if rec is None:
                 stats["unrealized"] += 1
                 continue

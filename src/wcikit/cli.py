@@ -4,7 +4,7 @@ Subcommands: check (screen one candidate), series (print its Poincare
 series), table (recover a presentation from a series file), classify
 (run a full driver), selftest (quick internal consistency run).  Exit
 codes: 0 success, 1 a check or run reported a failure, 2 unusable
-input.
+input or an --output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -41,10 +41,17 @@ from .series import (
 )
 
 
+class _OutputError(Exception):
+    """The --output path could not be written."""
+
+
 def _emit(text: str, path: str | None) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _OutputError(exc) from None
     else:
         sys.stdout.write(text)
 
@@ -315,7 +322,11 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "jobs", 1) < 1:
         print("error: --jobs must be positive", file=sys.stderr)
         return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _OutputError as exc:
+        print(f"error: cannot write --output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
 from operator import add, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Generator, Iterable, Sequence
 
 from .baskets import FormalBasket, RRKernel
 
@@ -130,18 +130,24 @@ def parse_series(text: str) -> TruncatedSeries:
     return TruncatedSeries(tuple(coeffs))
 
 
+def _times_poincare(c: list[int], weights: Iterable[int],
+                    degrees: Iterable[int]) -> list[int]:
+    """Multiply c in place by prod(1 - t^d) / prod(1 - t^a); returns c."""
+    for d in degrees:
+        mul_into(c, d)
+    for a in weights:
+        div_into(c, a)
+    return c
+
+
 def poincare_series(weights: list[int] | tuple[int, ...],
                     degrees: list[int] | tuple[int, ...],
                     bound: int) -> TruncatedSeries:
     """Series of prod(1 - t^d) / prod(1 - t^a) up to the bound."""
     _check_bound(bound)
     _check_factors(chain(weights, degrees))
-    c = [1] + [0] * bound
-    for d in degrees:
-        mul_into(c, d)
-    for a in weights:
-        div_into(c, a)
-    return TruncatedSeries(tuple(c))
+    return TruncatedSeries(tuple(_times_poincare([1] + [0] * bound,
+                                                 weights, degrees)))
 
 
 def series_from_candidate(c, bound: int) -> TruncatedSeries:
@@ -160,17 +166,20 @@ class RecoveredPresentation:
 class TableMethod:
     """The table method, run online over a series fed in blocks.
 
-    Each weight (degree) read off at index m becomes a stage that
-    multiplies (divides) the rest of the series by (1 - t^m).  A stage
-    keeps the last m values it reads back: its input for a weight, its
-    output for a degree.  When a stage starts at index m, the series it
-    acts on reads 1, 0, ..., 0 below m, since every earlier index was
-    already stripped to zero; so a block is stripped without revisiting
-    earlier blocks, and the decision at index m reads only c_0..c_m.
+    Keeps p, the series prod(1 - t^d) / prod(1 - t^a) of the weights a
+    and degrees d read so far, up to the last index fed.  The residual
+    at index m is c_m - p_m: a positive one reads that many weights m, a
+    negative one that many degrees m, and each entry multiplies p by
+    (1 - t^m)^-1 or (1 - t^m), which changes p only from index m on.  So
+    the decision at index m reads only c_0..c_m, and a block is read
+    without revisiting earlier ones; a new block rebuilds p from the
+    entries to its new length.  Copies share the series of the entries
+    read before the copy, per length, so each rebuilds only from its
+    own later entries.
     """
 
     __slots__ = ("max_entries", "max_weights", "max_degrees", "weights",
-                 "degrees", "capped", "length", "_stages")
+                 "degrees", "capped", "coeffs", "_p", "_base")
 
     def __init__(self, max_entries: int | None = None,
                  max_weights: int | None = None,
@@ -181,30 +190,60 @@ class TableMethod:
         self.weights: list[int] = []
         self.degrees: list[int] = []
         self.capped = False
-        self.length = 0
-        # [m, is_weight, the stage's last m values]
-        self._stages: list[list] = []
+        self.coeffs: list[int] = []  # every coefficient fed
+        self._p: list[int] = []
+        # (w, d, {n: p_0..p_{n-1} of the first w weights and d degrees})
+        self._base: tuple[int, int, dict[int, list[int]]] = (0, 0, {})
+
+    @property
+    def length(self) -> int:
+        return len(self.coeffs)
+
+    def copy(self) -> TableMethod:
+        """An independent table in the same state, to feed further."""
+        if self._base[:2] != (len(self.weights), len(self.degrees)):
+            self._base = (len(self.weights), len(self.degrees), {})
+        other = TableMethod(self.max_entries, self.max_weights,
+                            self.max_degrees)
+        other.weights = self.weights.copy()
+        other.degrees = self.degrees.copy()
+        other.capped = self.capped
+        other.coeffs = self.coeffs.copy()
+        other._p = self._p.copy()
+        other._base = self._base
+        return other
+
+    def series(self) -> list[int]:
+        """p_0..p_{length-1} of the entries read so far."""
+        return self._p.copy()
 
     def feed(self, block: Sequence[int]) -> bool:
         """Take the next coefficients; False once an entry cap stops the scan.
 
         The first block starts with the constant coefficient, which must
-        be 1.  An index whose value would take the entries past
+        be 1.  An index whose residual would take the entries past
         max_entries, or the weights past max_weights, or the degrees past
         max_degrees, stops the scan before any strip.
         """
+        if not block:
+            return True
         lo = self.length
-        if lo == 0 and block and block[0] != 1:
+        if lo == 0 and block[0] != 1:
             raise ValueError("series must have constant coefficient 1")
-        c = list(block)
-        for stage in self._stages:
-            c = _through(stage, c)
-        self.length = lo + len(c)
-        for t in range(1 if lo == 0 else 0, len(c)):
-            v = c[t]
+        c = self.coeffs
+        c.extend(block)
+        n_w, n_d, shared = self._base
+        if len(c) not in shared:
+            shared[len(c)] = _times_poincare([1] + [0] * (len(c) - 1),
+                                             self.weights[:n_w],
+                                             self.degrees[:n_d])
+        p = self._p = _times_poincare(shared[len(c)].copy(),
+                                      self.weights[n_w:], self.degrees[n_d:])
+        for m in range(max(lo, 1), len(c)):
+            v = c[m] - p[m]
             if not v:
                 continue
-            m, count, is_weight = lo + t, abs(v), v > 0
+            count, is_weight = abs(v), v > 0
             side, side_cap = ((self.weights, self.max_weights) if is_weight
                               else (self.degrees, self.max_degrees))
             if ((self.max_entries is not None and count > self.max_entries
@@ -214,10 +253,9 @@ class TableMethod:
                 self.capped = True
                 return False
             side.extend([m] * count)
+            strip = div_into if is_weight else mul_into
             for _ in range(count):
-                stage = [m, is_weight, [1] + [0] * (m - 1)]
-                self._stages.append(stage)
-                c[t:] = _through(stage, c[t:])
+                strip(p, m)
         return True
 
     def presentation(self) -> RecoveredPresentation:
@@ -231,19 +269,6 @@ class TableMethod:
         clean = not self.capped and 2 * top <= self.length - 1
         return RecoveredPresentation(tuple(self.weights), tuple(self.degrees),
                                      clean, self.capped)
-
-
-def _through(stage: list, c: list[int]) -> list[int]:
-    """Pass the next coefficients c through a stage, keeping its tail."""
-    m, is_weight, tail = stage
-    ext = tail + c
-    if is_weight:
-        out = list(map(sub, ext[m:], ext))
-    else:
-        div_into(ext, m)
-        out = ext[m:]
-    stage[2] = ext[-m:]
-    return out
 
 
 def recover_weights_degrees(series: TruncatedSeries,
@@ -295,6 +320,28 @@ def max_weight_ok(a_max: int, r_max: int, degrees: tuple[int, ...]) -> bool:
     return a_max <= r_max or any(d % a_max == 0 for d in degrees)
 
 
+def divisor_matching(weights: Sequence[int], degrees: Sequence[int]) -> bool:
+    """True when each degree can take a distinct weight that divides it.
+
+    Such a matching writes prod(1 - t^d) / prod(1 - t^a) as a product of
+    (1 - t^d) / (1 - t^a) = 1 + t^a + ... + t^(d-a) and 1 / (1 - t^a),
+    so no coefficient of the series is negative.  Augmenting paths
+    (Kuhn's algorithm) find a matching whenever one exists.
+    """
+    owner: dict[int, int] = {}  # weight position -> degree position
+
+    def place(i: int, seen: set[int]) -> bool:
+        for j, a in enumerate(weights):
+            if j not in seen and degrees[i] % a == 0:
+                seen.add(j)
+                if j not in owner or place(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(place(i, set()) for i in range(len(degrees)))
+
+
 # Coefficients in the first block of basket_series_blocks; each later
 # block doubles the coefficients given so far.  Most formal baskets are
 # decided within the first block.
@@ -314,13 +361,17 @@ def series_numerator_degree(fb: FormalBasket, alpha: int) -> int:
     return 4 + sum({q.r for q in fb.basket if q.r > 1}) + (alpha == 1)
 
 
-def basket_series_blocks(fb: FormalBasket, alpha: int,
-                         bound: int) -> Iterator[list[int]]:
-    """Expected section counts c_0..c_bound of a formal basket, in blocks.
+def basket_series_blocks(fb: FormalBasket, alpha: int, bound: int,
+                         start: int = 0
+                         ) -> Generator[list[int], int | None, None]:
+    """Expected section counts c_start..c_bound of a formal basket, in blocks.
 
     Amplitude +1 reads chi_m directly; amplitude -1 reads -chi_{m+1} by
     duality.  Raises BasketInconsistency on reaching a block with a
-    non-integral chi_m.
+    non-integral chi_m.  Blocks end at _FIRST_BLOCK times a power of
+    two, whatever the start; an index sent to the generator ends the
+    next block there instead, when that is sooner, and the blocks after
+    it double from there.
     """
     if alpha not in (-1, 1):
         raise ValueError("basket series defined for amplitude -1 or +1")
@@ -328,12 +379,17 @@ def basket_series_blocks(fb: FormalBasket, alpha: int,
     vol = kern.k3(fb.chi, fb.chi2)
     sign, shift = (1, 0) if alpha == 1 else (-1, 1)
     head = [1, 1 - fb.chi] if alpha == 1 else [1]  # not read off chi_m
-    lo, hi = 0, min(_FIRST_BLOCK, bound + 1)
+    hi = _FIRST_BLOCK
+    while hi <= start:
+        hi *= 2
+    lo, hi = start, min(hi, bound + 1)
     while lo < hi:
         chis = kern.chi_ints(fb.chi, vol, max(lo, len(head)) + shift,
                              hi + shift)
-        yield head[lo:hi] + [sign * c for c in chis]
+        end = yield head[lo:hi] + [sign * c for c in chis]
         lo, hi = hi, min(2 * hi, bound + 1)
+        if end is not None:
+            hi = min(hi, max(end, lo + 1))
 
 
 def series_from_basket(fb: FormalBasket, alpha: int, bound: int) -> TruncatedSeries:

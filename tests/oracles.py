@@ -19,6 +19,7 @@ from wcikit import (
     TruncatedSeries,
     canonical,
     canonical_unpacking,
+    initial_basket,
     is_prime_packing,
     merge_orbifolds,
     pack,
@@ -238,6 +239,19 @@ def descendants_oracle(b0, chi, chi2, targets, cut=None) -> list[FormalBasket]:
     return sorted((fb for fb in hits
                    if all(chi_m_oracle(fb, m) == v for m, v in targets.items())),
                   key=lambda fb: fb.basket)
+
+
+def fiber_oracle(b0, chi, chi2, targets, cut=None) -> list[FormalBasket]:
+    """descendants_oracle kept to the baskets whose initial_basket is b0.
+
+    b0 is itself an initial basket (every point (1, r)).  The cut drops
+    a basket of the fiber only when every path to it meets one, which
+    for a cut monotone under packing means when it holds on the basket.
+    """
+    root = canonical(b0)
+    return [fb for fb in descendants_oracle(b0, chi, chi2, {}, cut)
+            if initial_basket(fb.basket) == root
+            and all(chi_m_oracle(fb, m) == v for m, v in targets.items())]
 
 
 def c2_load_oracle(basket) -> Fraction:

@@ -59,13 +59,6 @@ def fano_report():
     return classify(RunConfig(alpha=-1))
 
 
-@pytest.fixture(scope="module")
-def gt_report():
-    start = time.monotonic()
-    report = classify(RunConfig(alpha=1))
-    return report, time.monotonic() - start
-
-
 def test_amplitude_zero_classification():
     start = time.monotonic()
     records = classify(RunConfig(alpha=0)).records

@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd, lcm
 
 import pytest
@@ -9,6 +10,7 @@ from oracles import (
     c2_load_oracle,
     chi_m_oracle,
     descendants_oracle,
+    fiber_oracle,
     five_merge_counts,
     k3_oracle,
     prime_packing_reachable,
@@ -122,6 +124,11 @@ class TestCorrectionTerm:
                     assert sig.denominator == 1 and sig % 12 == 0, (q, m)
 
 
+def _random_root(rng, max_r=12, max_size=6):
+    """A random initial basket: the canonical unpacking of a random one."""
+    return initial_basket(canonical(random_basket(rng, max_r, max_size)))
+
+
 def _random_formal_basket(rng, max_r=40, max_size=5):
     return FormalBasket(canonical(random_basket(rng, max_r, max_size)),
                         rng.randint(-10, 40), rng.randint(-10, 40))
@@ -181,15 +188,15 @@ class TestIntegerKernel:
     def test_descendants_targets_match_oracle(self):
         rng = random.Random(89)
         for _ in range(60):
-            b0 = canonical(random_basket(rng, max_r=12, max_size=6))
+            b0 = _random_root(rng, max_r=12, max_size=4)
             chi, chi2 = rng.randint(-10, 40), rng.randint(-10, 40)
-            closure = descendants_oracle(b0, chi, chi2, {})
+            closure = fiber_oracle(b0, chi, chi2, {})
             assert descendants(b0, chi, chi2, {}) == closure
             # targets read off one member, so at least that member hits
             src = rng.choice(closure)
             targets = {m: chi_m_oracle(src, m) for m in (3, 4, 5, 6)}
             got = descendants(b0, chi, chi2, targets)
-            assert got == descendants_oracle(b0, chi, chi2, targets)
+            assert got == fiber_oracle(b0, chi, chi2, targets)
             assert src in got
 
 
@@ -338,8 +345,8 @@ class TestCurvatureFilters:
     def test_c2_bound(self):
         # the "c2" prune keeps sum(r - 1/r) <= 24 and cuts the rest
         half = (Orbifold(1, 2),)
-        assert descendants(half, 1, 0, {}, prune="c2") == \
-            [FormalBasket(half, 1, 0)]
+        assert descendants(half, 1, -5, {}, prune="c2") == \
+            [FormalBasket(half, 1, -5)]
         big = tuple(Orbifold(1, 24) for _ in range(2))
         assert descendants(big, 1, 0, {}, prune="c2") == []
 
@@ -419,16 +426,19 @@ class TestDescendants:
 
     def test_named_prunes_match_callables(self):
         # sum(r - 1/r) = 24 and K^3 = 0 exactly sit on the boundaries:
-        # the first is kept, the second cut
+        # the first is kept, the second cut by "volume" and dropped from
+        # the hits of "c2"
         sixteen = canonical([Orbifold(1, 2)] * 16)
         assert descendants(sixteen, 1, 0, {}, prune="c2") == \
             [FormalBasket(sixteen, 1, 0)]
         four = canonical([Orbifold(1, 2)] * 4)
         assert descendants(four, 1, -2, {}, prune="volume") == []
+        assert descendants(four, 1, -2, {}, prune="c2") == []
+        assert descendants(four, 1, -2, {}) == [FormalBasket(four, 1, -2)]
         rng = random.Random(97)
         cut = {"c2": 0, "volume": 0}
         for _ in range(80):
-            b0 = canonical(random_basket(rng, max_r=12, max_size=7))
+            b0 = _random_root(rng, max_r=12, max_size=4)
             # chi_2 + 3 chi, the volume prune's floor, near l(2)
             chi = rng.randint(-3, 3)
             chi2 = rng.randint(0, 4) - 3 * chi
@@ -439,7 +449,10 @@ class TestDescendants:
             }
             for name, fn in callables.items():
                 got = descendants(b0, chi, chi2, {}, prune=name)
-                assert got == descendants_oracle(b0, chi, chi2, {}, cut=fn)
+                want = fiber_oracle(b0, chi, chi2, {}, cut=fn)
+                if name == "c2":
+                    want = [fb for fb in want if k3_oracle(fb) < 0]
+                assert got == want
                 cut[name] += len(got) < len(full)
         assert min(cut.values()) > 10
 
@@ -475,3 +488,115 @@ class TestDescendants:
         for cache in (None, ClosureCache()):
             with pytest.raises(ValueError):
                 descendants(b0, 1, 0, {}, prune=lambda b: False, cache=cache)
+
+
+def _points_upto(r_max):
+    return [Orbifold(b, r) for r in range(2, r_max + 1)
+            for b in range(1, r // 2 + 1) if gcd(b, r) == 1]
+
+
+@pytest.fixture(scope="module", params=[-1, 1], ids=["fano", "ample-canonical"])
+def sweep_calls(request):
+    """Every descendants() call of the -1 sweep, or of a seeded +1 sample.
+
+    Each entry is (tuple, root, chi, chi_2, targets, prune, hits), the
+    hits as the sweep got them, through its closure cache.
+    """
+    from wcikit import enumerate_tuples
+    classify_module = sys.modules["wcikit.classify"]
+    alpha = request.param
+    tuples = enumerate_tuples(alpha)
+    if alpha == 1:
+        tuples = random.Random(5).sample(tuples, 3000)
+    calls = []
+    current = []
+
+    def recorded(b0, chi, chi2, targets, prune=None, cache=None):
+        hits = descendants(b0, chi, chi2, targets, prune=prune, cache=cache)
+        calls.append((current[0], b0, chi, chi2, dict(targets), prune, hits))
+        return hits
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify_module, "descendants", recorded)
+        for t in tuples:
+            current[:] = [t]
+            classify_module._tuple_baskets(t, alpha, ClosureCache())
+    return alpha, calls
+
+
+class TestFibers:
+    """Prime packing keeps each closure inside its root's fiber."""
+
+    def test_prime_merges_keep_the_unpacking(self):
+        merges = 0
+        for p, q in combinations_with_replacement(_points_upto(60), 2):
+            merged = merge_orbifolds(p, q)
+            if merged is None or not is_prime_packing(p, q):
+                continue
+            merges += 1
+            assert canonical(canonical_unpacking(p) + canonical_unpacking(q)) \
+                == canonical_unpacking(merged), (p, q)
+        assert merges == 1042
+
+    def test_every_point_is_a_prime_merge(self):
+        # b >= 2 makes (b, r) the mediant of two Farey neighbours
+        points = _points_upto(60)
+        known = {(p.b, p.r) for p in points}
+        split = 0
+        for q in points:
+            if q.b < 2:
+                continue
+            halves = [(p, Orbifold(q.b - p.b, q.r - p.r)) for p in points
+                      if (q.b - p.b, q.r - p.r) in known]
+            assert any(is_prime_packing(p, s) and merge_orbifolds(p, s) == q
+                       for p, s in halves), q
+            split += 1
+        assert split == 492
+
+    def test_matches_fiber_oracle_on_sweep_roots(self, sweep_calls):
+        alpha, calls = sweep_calls
+        checked = 0
+        for _, b0, chi, chi2, targets, prune, hits in calls:
+            assert initial_basket(b0) == b0
+            if len(b0) > 12:
+                continue  # the all-merge oracle grows too fast
+            if prune == "c2":
+                cut = lambda b: c2_load_oracle(b) > 24  # noqa: E731
+            else:
+                cut = lambda b: k3_oracle(  # noqa: E731
+                    FormalBasket(b, chi, chi2)) <= 0
+            want = fiber_oracle(b0, chi, chi2, targets, cut=cut)
+            if prune == "c2":
+                want = [fb for fb in want if k3_oracle(fb) < 0]
+            assert hits == want, b0
+            checked += len(hits)
+        # every -1 basket; most of the +1 sample's
+        assert checked == (1608 if alpha == -1 else 852)
+
+    def test_no_basket_comes_from_two_roots(self, sweep_calls):
+        alpha, calls = sweep_calls
+        by_tuple = {}
+        for t, b0, *_, hits in calls:
+            for fb in hits:
+                assert initial_basket(fb.basket) == b0
+                by_tuple.setdefault(t, []).append(fb)
+        for t, fbs in by_tuple.items():
+            assert len(set(fbs)) == len(fbs), t
+        assert sum(map(len, by_tuple.values())) == (
+            1608 if alpha == -1 else 927)
+
+    def test_other_roots_stay_in_their_fiber(self):
+        # a root with points b >= 2 may miss baskets of its fiber that
+        # only a non-prime merge reaches, but never leaves the fiber
+        rng = random.Random(103)
+        for _ in range(60):
+            b0 = canonical(random_basket(rng, max_r=12, max_size=5))
+            got = descendants(b0, 1, 0, {})
+            every = descendants_oracle(b0, 1, 0, {})
+            assert set(got) <= set(every)
+            assert all(initial_basket(fb.basket) == initial_basket(b0)
+                       for fb in got)
+        # (3,11) + (4,13) = (7,24) has determinant -5
+        b0 = canonical([Orbifold(3, 11), Orbifold(4, 13)])
+        assert initial_basket((Orbifold(7, 24),)) == initial_basket(b0)
+        assert descendants(b0, 1, 0, {}) == [FormalBasket(b0, 1, 0)]

@@ -29,6 +29,7 @@ from wcikit import (
     candidate_formal_baskets,
     classify,
     classify_cy,
+    divisor_matching,
     enumerate_tuples,
     iter_tuples,
     max_weight_ok,
@@ -43,6 +44,7 @@ from wcikit import (
     series_from_candidate,
     tuple_chis,
     tuple_of_candidate,
+    tuple_prefix,
 )
 from wcikit.classify import (
     _C2_SCALE,
@@ -305,9 +307,21 @@ def unscreened_baskets(tuples, alpha):
 
 
 @pytest.fixture(scope="module")
-def fano_baskets():
+def fano_pairs():
     # every basket of the -1 sweep, those of gcd-cut tuples included
-    return [fb for _, fb in unscreened_baskets(enumerate_tuples(-1), -1)]
+    return unscreened_baskets(enumerate_tuples(-1), -1)
+
+
+@pytest.fixture(scope="module")
+def fano_baskets(fano_pairs):
+    return [fb for _, fb in fano_pairs]
+
+
+@pytest.fixture(scope="module")
+def ample_pairs():
+    # the baskets of a seeded sample of +1 tuples, gcd-cut ones included
+    return unscreened_baskets(
+        random.Random(61).sample(enumerate_tuples(1), 2000), 1)
 
 
 def _cap_index(fb, alpha, bound):
@@ -398,20 +412,115 @@ class TestPrefixExactness:
         ("1x(1,2)", -4, 16, 1, 14)], ids=["fano", "ample-canonical"])
     def test_reads_to_the_first_block_past_the_identity_degree(
             self, monkeypatch, basket, chi, chi2, alpha, degree):
+        # a first block one short of the identity degree is clean, so the
+        # second ends at the identity length, index degree; a first block
+        # that reaches the identity degree is enough on its own
         fb = FormalBasket(parse_basket(basket), chi, chi2)
         fed = []
 
         def counted(*args):
-            for block in basket_series_blocks(*args):
+            blocks = basket_series_blocks(*args)
+            end = None
+            while True:
+                try:
+                    block = blocks.send(end)
+                except StopIteration:
+                    return
                 fed.append(len(block))
-                yield block
+                end = yield block
 
         monkeypatch.setattr(classify_module, "basket_series_blocks", counted)
-        for first, read in [(degree, 2 * degree), (degree + 1, degree + 1)]:
+        for first, read in [(degree, [degree, 1]), (degree + 1, [degree + 1]),
+                            (degree + 2, [degree + 2])]:
             monkeypatch.setattr(series_module, "_FIRST_BLOCK", first)
             fed.clear()
             assert realize(fb, alpha, 300) == reference_realize(fb, alpha, 300)
-            assert sum(fed) == read, first
+            assert fed == read, first
+
+
+class TestTuplePrefix:
+    """Every basket of a tuple reads the tuple's low series first."""
+
+    def test_baskets_start_with_their_tuple(self, fano_pairs, ample_pairs):
+        for alpha, pairs in ((-1, fano_pairs), (1, ample_pairs)):
+            for t, fb in pairs:
+                assert series_from_basket(fb, alpha, t.horizon).coeffs == \
+                    t.low_series().coeffs, (t, fb)
+        assert len(fano_pairs) == 1644
+
+    def test_prefix_table_reads_the_tuple(self, fano_pairs):
+        for t, _ in fano_pairs:
+            table = tuple_prefix(t, -1)
+            rec = table.presentation()
+            assert table.length == t.horizon + 1
+            assert list(rec.weights) == t.weight_values()
+            assert list(rec.degrees) == t.degree_values()
+            assert table.series() == list(t.low_series().coeffs)
+
+    def test_realize_from_the_prefix(self, fano_pairs, monkeypatch):
+        # from the prefix, from scratch and by the plain full-bound path;
+        # a bound below the horizon reads no more than it holds
+        starts = []
+
+        def recorded(fb, alpha, bound, start=0):
+            starts.append((bound, start))
+            return basket_series_blocks(fb, alpha, bound, start)
+
+        monkeypatch.setattr(classify_module, "basket_series_blocks", recorded)
+        realized = {}
+        for t, fb in fano_pairs:
+            prefix = tuple_prefix(t, -1)
+            for bound in (*range(1, 9), 300, None):
+                starts.clear()
+                got = realize(fb, -1, bound, prefix)
+                assert got == realize(fb, -1, bound), (fb, bound)
+                cut = recovery_bound(fb, -1) if bound is None else bound
+                assert all(start <= cut + 1 for _, start in starts)
+                if cut < t.horizon:
+                    assert [start for _, start in starts[:1]] == [0]
+                if bound is not None:
+                    assert got == reference_realize(fb, -1, bound), (fb, bound)
+                realized[bound] = realized.get(bound, 0) + (got is not None)
+        assert realized[300] == realized[None] == 181
+        assert [realized[b] for b in range(1, 9)] == [0, 0, 0, 1, 1, 3, 3, 7]
+
+
+class TestRecordCertificate:
+    """A divisor matching stands in for each record's own series."""
+
+    def test_matching_records_have_no_negative_coefficient(self, fano,
+                                                           gt_report):
+        unmatched = []
+        for report in (fano, gt_report[0]):
+            for rec in report.records:
+                cand = rec.candidate
+                if not divisor_matching(cand.weights, cand.degrees):
+                    unmatched.append(cand.text())
+                    continue
+                bound = recovery_bound(rec.formal_basket, report.alpha)
+                assert min(series_from_candidate(cand, bound).coeffs) >= 0
+        assert unmatched == ["2,3,4,5,5,6,7 / 10,11,12"]
+
+    def test_only_the_unmatched_record_builds_its_series(self, gt_report,
+                                                         monkeypatch):
+        built = []
+
+        def counted(cand, bound):
+            built.append((cand.text(), bound))
+            return series_from_candidate(cand, bound)
+
+        monkeypatch.setattr(classify_module, "series_from_candidate", counted)
+        for rec in gt_report[0].records:
+            fb = rec.formal_basket
+            for bound in (300, None):
+                built.clear()
+                got = realize(fb, 1, bound)
+                assert got.candidate == rec.candidate
+                if rec.candidate.text() == "2,3,4,5,5,6,7 / 10,11,12":
+                    assert built == [(rec.candidate.text(), got.series_bound)]
+                    assert got.series_bound == (300 if bound else 86116)
+                else:
+                    assert built == []
 
 
 class TestSeriesIdentity:
@@ -445,11 +554,9 @@ class TestSeriesIdentity:
         for fb in fano_baskets:
             self._degree(fb, -1)
 
-    def test_ample_canonical_tuple_baskets(self):
-        tuples = random.Random(61).sample(enumerate_tuples(1), 2000)
-        fbs = [fb for _, fb in unscreened_baskets(tuples, 1)]
-        assert len(fbs) > 500
-        for fb in fbs:
+    def test_ample_canonical_tuple_baskets(self, ample_pairs):
+        assert len(ample_pairs) > 500
+        for _, fb in ample_pairs:
             self._degree(fb, 1)
 
     def test_random_baskets_attain_the_bound(self):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import time
@@ -228,6 +229,52 @@ class TestClassify:
                            "--format", "csv", "--output", str(target))
         assert code == 0 and out == ""
         assert target.read_text().splitlines()[0] == "no,degrees,weights"
+
+
+class TestOutputPath:
+    """An --output path that cannot be written exits 2 with a message."""
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "1,1,1,1,1 / 5"),
+        ("series", "1,1,1,1,1 / 5"),
+        ("table", "SERIES"),
+        ("classify", "--alpha", "0"),
+        ("selftest",),
+    ], ids=["check", "series", "table", "classify", "selftest"])
+    def test_missing_directory(self, capsys, tmp_path, argv):
+        src = tmp_path / "series.txt"
+        src.write_text(poincare_series((1, 1, 1, 1, 1), (5,), 10).text())
+        target = tmp_path / "missing" / "out"
+        argv = [str(src) if a == "SERIES" else a for a in argv]
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--output" in err
+        assert str(target) in err and "Traceback" not in err
+        assert not target.exists()
+
+
+# sha256 of `wci classify --alpha A --format json`; a change to any
+# record, statistic or violation has to update these in the open.
+DIGESTS = {
+    0: "22c1ee11b85f3eb2cd37dfc862e12c38e4894b8c48df126e29a12811e20394e7",
+    -1: "111b87c575badcfc82faf8e704aabadd2072a0a76ff78b83bf72fad0bbd72399",
+    1: "eb25d4f40311ef48bad4487e7db4fac8d41dbfb0425975cbc169318d759c8c1a",
+}
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("alpha", [0, -1])
+    def test_classify_json(self, capsys, alpha):
+        code, out, _ = run(capsys, "classify", "--alpha", str(alpha),
+                           "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[alpha]
+
+    def test_ample_canonical_json(self, gt_report):
+        # the shared default +1 run, encoded as classify --format json
+        # writes it
+        out = gt_report[0].to_json() + "\n"
+        assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[1]
 
 
 class TestSelftest:

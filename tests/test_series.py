@@ -18,6 +18,7 @@ from wcikit import (
     TableMethod,
     TruncatedSeries,
     basket_series_blocks,
+    divisor_matching,
     max_weight_ok,
     parse_candidate,
     parse_series,
@@ -260,6 +261,85 @@ class TestStreamedRecovery:
         assert [len(b) for b in blocks] == [8, 8, 16, 32, 37]
         flat = [c for b in blocks for c in b]
         assert flat == [1] + [-chi_m_oracle(fb, m + 1) for m in range(1, 101)]
+
+    @pytest.mark.parametrize("start,lengths", [
+        (6, [2, 8, 16, 32, 37]), (7, [1, 8, 16, 32, 37]), (8, [8, 16, 32, 37]),
+        (40, [24, 37]), (100, [1]), (101, [])])
+    def test_blocks_from_a_start_keep_their_ends(self, start, lengths):
+        fb = FormalBasket((Orbifold(1, 2),), 1, -4)
+        blocks = list(basket_series_blocks(fb, -1, 100, start))
+        assert [len(b) for b in blocks] == lengths
+        flat = [c for b in blocks for c in b]
+        assert flat == list(series_from_basket(fb, -1, 100).coeffs[start:])
+
+    def test_copy_continues_alone(self):
+        # a copy fed one way leaves the original to be fed another way
+        rng = random.Random(61)
+        for _ in range(200):
+            weights, degrees = random_presentation(rng)
+            coeffs = list(poincare_series(weights, degrees,
+                                          2 * max(weights + degrees)).coeffs)
+            other = coeffs.copy()
+            k = rng.randrange(1, len(coeffs))
+            other[k] += rng.choice([-1, 1])
+            cut = rng.randrange(1, k + 1)
+            table = TableMethod(15)
+            table.feed(coeffs[:cut])
+            copy = table.copy()
+            copy.feed(other[cut:])
+            table.feed(coeffs[cut:])
+            for t, c in ((table, coeffs), (copy, other)):
+                got = t.presentation()
+                assert (got.weights, got.degrees, got.residual_clean,
+                        got.capped) == recover_oracle(c, 15)
+            assert table.coeffs == coeffs and copy.coeffs == other
+
+    def test_series_is_that_of_the_entries(self):
+        # p, the series of the entries read, matches every coefficient
+        # fed unless a cap stopped the scan
+        rng = random.Random(67)
+        for _ in range(200):
+            weights, degrees = random_presentation(rng)
+            coeffs = list(poincare_series(weights, degrees,
+                                          rng.randint(1, 40)).coeffs)
+            table = TableMethod(max_weights=rng.choice([None, 4]))
+            fed = table.feed(coeffs)
+            rec = table.presentation()
+            assert table.series() == list(poincare_series(
+                rec.weights, rec.degrees, len(coeffs) - 1).coeffs)
+            assert fed == (table.series() == coeffs) == (not rec.capped)
+
+
+class TestCertificate:
+    """A divisor matching proves a presentation's series nonnegative."""
+
+    def test_no_matching_and_a_negative_coefficient(self):
+        assert not divisor_matching((2, 2, 2), (3,))
+        assert poincare_series((2, 2, 2), (3,), 3).coeffs[3] == -1
+
+    @pytest.mark.parametrize("weights,degrees,matched", [
+        ((1, 2, 3, 3, 4, 5), (8, 9), True),
+        ((2,), (4, 4), False),  # one weight cannot serve two degrees
+        ((2, 2), (4, 4), True),
+        ((2, 3), (6, 6), True),
+        # the 3 takes the 1, so the 4 and the 8 share the 2 and the 4
+        ((1, 2, 4), (4, 8, 3), True),
+        ((1, 2, 5), (4, 8, 3), False),
+        ((1, 1), (), True)])
+    def test_matchings(self, weights, degrees, matched):
+        assert divisor_matching(weights, degrees) == matched
+
+    def test_matching_implies_no_negative_coefficient(self):
+        rng = random.Random(71)
+        seen = {True: 0, False: 0}
+        for _ in range(600):
+            weights, degrees = random_presentation(rng)
+            matched = divisor_matching(weights, degrees)
+            coeffs = poincare_series(weights, degrees, 1000).coeffs
+            if matched:
+                assert min(coeffs) >= 0, (weights, degrees)
+            seen[matched and min(coeffs) >= 0] += 1
+        assert min(seen.values()) > 50
 
 
 class TestRecoveryBound:
