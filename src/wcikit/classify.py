@@ -64,9 +64,6 @@ _HORIZON = {-1: 5, 1: 6}
 # cap both the tuples and the entries realize() reads off a series.
 _MU_CAP = {-1: 7, 1: 9}
 _NU_CAP = {-1: 3, 1: 5}
-# Series bound of a default run; a bound of None in RunConfig asks for
-# each basket's certified recovery bound instead.
-DESK_BOUND = 300
 # Tuple chunks per worker process in a multi-job run.
 _CHUNKS_PER_JOB = 16
 
@@ -404,7 +401,6 @@ class ClassificationRecord:
     candidate: Candidate
     formal_basket: FormalBasket | None
     screen: ScreenReport
-    series_verified: bool
     provenance: tuple[str, ...]
     series_bound: int
 
@@ -418,7 +414,6 @@ class ClassificationRecord:
             "alpha": self.candidate.amplitude,
             "formal_basket": (None if self.formal_basket is None
                               else self.formal_basket.to_dict()),
-            "series_verified": self.series_verified,
             "series_bound": self.series_bound,
             "provenance": list(self.provenance),
             "screen": self.screen.to_dict(),
@@ -441,20 +436,19 @@ def tuple_prefix(t: CountTuple, alpha: int) -> TableMethod:
     return table
 
 
-def realize(fb: FormalBasket, alpha: int, bound: int | None = None,
+def realize(fb: FormalBasket, alpha: int,
             prefix: TableMethod | None = None) -> ClassificationRecord | None:
     """Try to present a formal basket as a candidate family.
 
     Reads a presentation off the basket series, and keeps the result
     only if it is a dimension 3 candidate of the right amplitude whose
-    own series reproduces the basket series exactly.  Absence of a
-    return value means no realization at this series bound.  The series
-    is built and scanned in blocks, so a basket stops at the first block
-    with a non-integral or negative coefficient or an entry cap hit.
-    A bound below the basket's recovery bound ends the series there.
-    prefix, a table from tuple_prefix for the basket's own tuple, has
-    read the start of the series already; realize continues from a copy
-    of it, unless the bound ends the series inside it.
+    own series reproduces the basket series exactly.  The series runs to
+    the basket's certified recovery bound, so absence of a return value
+    means that no presentation realizes the basket.  The series is built
+    and scanned in blocks, so a basket stops at the first block with a
+    non-integral or negative coefficient or an entry cap hit.  prefix, a
+    table from tuple_prefix for the basket's own tuple, has read the
+    start of the series already; realize continues from a copy of it.
 
     Reading also stops after a block of length L whose clean, nonempty
     presentation (a; d) meets L - 1 >= max(deg N + sum(a), 4 + sum(r)
@@ -467,12 +461,8 @@ def realize(fb: FormalBasket, alpha: int, bound: int | None = None,
     (divisor_matching); otherwise the candidate's own series is built
     to the bound to show it.
     """
-    full = recovery_bound(fb, alpha)
-    bound = full if bound is None else min(bound, full)
-    if prefix is not None and prefix.length <= bound + 1:
-        table = prefix.copy()
-    else:
-        table = _table(alpha)
+    bound = recovery_bound(fb, alpha)
+    table = _table(alpha) if prefix is None else prefix.copy()
     num = series_numerator_degree(fb, alpha)
     den = num - (alpha == 1)  # deg of (1 - t)^4 prod(1 - t^r)
     blocks = basket_series_blocks(fb, alpha, bound, table.length)
@@ -517,21 +507,18 @@ def realize(fb: FormalBasket, alpha: int, bound: int | None = None,
             series_from_candidate(cand, bound).coeffs[table.length:],
             default=0) < 0:
         return None
-    return ClassificationRecord(cand, fb, screen, True, (), bound)
+    return ClassificationRecord(cand, fb, screen, (), bound)
 
 
 @dataclass(frozen=True, slots=True)
 class RunConfig:
     alpha: int
-    bound: int | None = DESK_BOUND
     codim: tuple[int, ...] | None = None
     jobs: int = 1
 
     def to_dict(self) -> dict:
         return {
             "alpha": self.alpha,
-            "m_override": self.bound,
-            "full": self.bound is None,
             "codim": list(self.codim) if self.codim else None,
             "jobs": self.jobs,
         }
@@ -619,7 +606,7 @@ def classify_cy() -> list[ClassificationRecord]:
                     screen = necessary_screen(cand)
                     if screen.passed:
                         found[key] = ClassificationRecord(
-                            cand, None, screen, True,
+                            cand, None, screen,
                             ("amplitude-zero enumeration",), 0)
     return sorted(found.values(),
                   key=lambda r: (r.candidate.codim, r.candidate.degrees,
@@ -642,9 +629,9 @@ def _merge(merged: dict[tuple, ClassificationRecord],
         merged[key] = replace(old, provenance=prov)
 
 
-def _batch_worker(args: tuple[int, int | None, Iterable[CountTuple]]
+def _batch_worker(args: tuple[int, Iterable[CountTuple]]
                   ) -> tuple[dict, list[str], Counter]:
-    alpha, bound, batch = args
+    alpha, batch = args
     records: dict[tuple, ClassificationRecord] = {}
     violations: list[str] = []
     stats: Counter = Counter()
@@ -658,7 +645,7 @@ def _batch_worker(args: tuple[int, int | None, Iterable[CountTuple]]
         stats["baskets"] += len(fbs)
         prefix = tuple_prefix(t, alpha) if fbs else None
         for fb, case in fbs:
-            rec = realize(fb, alpha, bound, prefix)
+            rec = realize(fb, alpha, prefix)
             if rec is None:
                 stats["unrealized"] += 1
                 continue
@@ -669,7 +656,7 @@ def _batch_worker(args: tuple[int, int | None, Iterable[CountTuple]]
 
 
 def _drive(config: RunConfig) -> RunReport:
-    alpha, bound = config.alpha, config.bound
+    alpha = config.alpha
     # The pool starts a process per submitted batch while none is idle,
     # so more jobs than cores would only start more processes.
     workers = min(config.jobs, os.cpu_count() or 1)
@@ -679,7 +666,7 @@ def _drive(config: RunConfig) -> RunReport:
         # the merge below sees the same order as a single job.
         tuples = enumerate_tuples(alpha)
         size = max(1, -(-len(tuples) // (workers * _CHUNKS_PER_JOB)))
-        batches = [(alpha, bound, tuples[i:i + size])
+        batches = [(alpha, tuples[i:i + size])
                    for i in range(0, len(tuples), size)]
         del tuples
         with ProcessPoolExecutor(
@@ -687,7 +674,7 @@ def _drive(config: RunConfig) -> RunReport:
                 mp_context=multiprocessing.get_context("spawn")) as pool:
             results = list(pool.map(_batch_worker, batches))
     else:
-        results = [_batch_worker((alpha, bound, iter_tuples(alpha)))]
+        results = [_batch_worker((alpha, iter_tuples(alpha)))]
 
     stats: Counter = Counter()
     violations: list[str] = []

@@ -28,8 +28,7 @@ from .baskets import (
     k3,
 )
 from .candidate import CandidateParseError, necessary_screen, parse_candidate
-from .classify import (DESK_BOUND, ClassificationRecord, RunConfig, classify,
-                       realize)
+from .classify import ClassificationRecord, RunConfig, classify, realize
 from .series import (
     MAX_SERIES_BOUND,
     MAX_TABLE_ENTRIES,
@@ -150,12 +149,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         if any(c < 1 for c in codim):
             print("error: codimensions must be positive", file=sys.stderr)
             return 2
-    if args.bound < 1:
-        print("error: --bound must be positive", file=sys.stderr)
-        return 2
-    config = RunConfig(alpha=args.alpha,
-                       bound=None if args.full else args.bound,
-                       codim=codim, jobs=args.jobs)
+    config = RunConfig(alpha=args.alpha, codim=codim, jobs=args.jobs)
     report = classify(config)
     if args.format == "json":
         out = report.to_json() + "\n"
@@ -194,12 +188,12 @@ def _selftest_checks(seed: int):
     got = series_from_basket(fb, 1, 6)
     yield "smooth intersection plurigenera", got.coeffs == s.coeffs
 
-    rec = realize(FormalBasket((Orbifold(1, 2),), -3, 11), 1, DESK_BOUND)
+    rec = realize(FormalBasket((Orbifold(1, 2),), -3, 11), 1)
     yield "realize genus-2 cone family", (
         rec is not None
         and rec.candidate.weights == (1, 1, 1, 1, 2)
         and rec.candidate.degrees == (7,))
-    rec = realize(FormalBasket((Orbifold(1, 2),), 1, -4), -1, DESK_BOUND)
+    rec = realize(FormalBasket((Orbifold(1, 2),), 1, -4), -1)
     yield "realize degree-5 del Pezzo cousin", (
         rec is not None
         and rec.candidate.weights == (1, 1, 1, 1, 2)
@@ -297,15 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="run a classification driver")
     p.add_argument("--alpha", type=int, choices=(-1, 0, 1), required=True)
-    p.add_argument("--bound", type=int, default=DESK_BOUND,
-                   help="series bound, at least 1 (default %(default)s)")
     p.add_argument("--codim", default=None, help="comma list, e.g. 4,5")
     p.add_argument("--format", choices=("text", "json", "csv"),
                    default="text")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes, at most the number of cores")
-    p.add_argument("--full", action="store_true",
-                   help="use the certified series bounds (slow)")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_classify)
 

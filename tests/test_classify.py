@@ -2,6 +2,7 @@ import gc
 import random
 import sys
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -248,7 +249,7 @@ class TestRealize:
         rec = realize(FormalBasket((), 1, -5), -1)
         assert rec is not None
         assert rec.candidate.text() == "1,1,1,1,1 / 4"
-        assert rec.series_verified and rec.screen.passed
+        assert rec.screen.passed
 
     def test_sept(self):
         rec = realize(FormalBasket((Orbifold(1, 2),), -3, 11), 1)
@@ -260,16 +261,16 @@ class TestRealize:
         assert rec is not None
         assert rec.candidate.text() == "1,1,1,1,2 / 5"
 
-    def test_short_bound_is_rejected(self):
-        # entries cannot be certified when the series stops this early
-        assert realize(FormalBasket((), 1, -5), -1, bound=3) is None
-
     def test_unrealizable(self):
         assert realize(FormalBasket((), 1, 0), -1) is None
 
 
 def reference_realize(fb, alpha, bound):
-    """realize() without the prefix: the full-bound series, then its checks."""
+    """realize() without the prefix: the whole series to bound, then its checks.
+
+    Its record's series_bound is the bound it read to, not the certified
+    one realize() reports; compare the two through unbound().
+    """
     try:
         target = series_from_basket(fb, alpha, bound)
     except BasketInconsistency:
@@ -295,7 +296,12 @@ def reference_realize(fb, alpha, bound):
         return None
     if series_from_candidate(cand, bound).coeffs != target.coeffs:
         return None
-    return ClassificationRecord(cand, fb, screen, True, (), bound)
+    return ClassificationRecord(cand, fb, screen, (), bound)
+
+
+def unbound(rec):
+    """A record with its series_bound masked, or None."""
+    return None if rec is None else replace(rec, series_bound=0)
 
 
 def unscreened_baskets(tuples, alpha):
@@ -334,14 +340,14 @@ def _cap_index(fb, alpha, bound):
 
 
 class TestPrefixExactness:
-    """realize() equals the plain full-bound path, whatever the blocks."""
+    """realize() equals the plain whole-series path, whatever the blocks."""
 
     def _check_all(self, baskets):
         realized = 0
         for fb in baskets:
             bound = min(300, recovery_bound(fb, -1))
-            got = realize(fb, -1, 300)
-            assert got == reference_realize(fb, -1, bound), fb
+            got = realize(fb, -1)
+            assert unbound(got) == unbound(reference_realize(fb, -1, bound)), fb
             realized += got is not None
         return realized
 
@@ -385,7 +391,7 @@ class TestPrefixExactness:
                 if not table.feed(block):
                     break
             assert table.capped and fed - len(block) <= 31 < fed, first
-            assert realize(fb, -1, 300) is None
+            assert realize(fb, -1) is None
         assert reference_realize(fb, -1, 300) is None
 
     def test_clean_before_the_identity_degree(self, monkeypatch):
@@ -401,8 +407,8 @@ class TestPrefixExactness:
         assert (rec.weights, rec.degrees, rec.residual_clean) == ((1,), (), True)
         assert 4 + 1 <= table.length - 1 < (series_numerator_degree(fb, -1)
                                             + sum(rec.weights))
-        got = realize(fb, -1, 300)
-        assert got == reference_realize(fb, -1, 300)
+        got = realize(fb, -1)
+        assert unbound(got) == unbound(reference_realize(fb, -1, 300))
         assert got.candidate.text() == "1,6,8,9,10,15 / 18,30"
 
     @pytest.mark.parametrize("basket,chi,chi2,alpha,degree", [
@@ -434,7 +440,8 @@ class TestPrefixExactness:
                             (degree + 2, [degree + 2])]:
             monkeypatch.setattr(series_module, "_FIRST_BLOCK", first)
             fed.clear()
-            assert realize(fb, alpha, 300) == reference_realize(fb, alpha, 300)
+            assert unbound(realize(fb, alpha)) == \
+                unbound(reference_realize(fb, alpha, 300))
             assert fed == read, first
 
 
@@ -458,8 +465,9 @@ class TestTuplePrefix:
             assert table.series() == list(t.low_series().coeffs)
 
     def test_realize_from_the_prefix(self, fano_pairs, monkeypatch):
-        # from the prefix, from scratch and by the plain full-bound path;
-        # a bound below the horizon reads no more than it holds
+        # from the prefix, from scratch and by the plain whole-series
+        # path; both reads run to the certified bound, the prefix one
+        # from past the horizon
         starts = []
 
         def recorded(fb, alpha, bound, start=0):
@@ -467,22 +475,16 @@ class TestTuplePrefix:
             return basket_series_blocks(fb, alpha, bound, start)
 
         monkeypatch.setattr(classify_module, "basket_series_blocks", recorded)
-        realized = {}
+        realized = 0
         for t, fb in fano_pairs:
-            prefix = tuple_prefix(t, -1)
-            for bound in (*range(1, 9), 300, None):
-                starts.clear()
-                got = realize(fb, -1, bound, prefix)
-                assert got == realize(fb, -1, bound), (fb, bound)
-                cut = recovery_bound(fb, -1) if bound is None else bound
-                assert all(start <= cut + 1 for _, start in starts)
-                if cut < t.horizon:
-                    assert [start for _, start in starts[:1]] == [0]
-                if bound is not None:
-                    assert got == reference_realize(fb, -1, bound), (fb, bound)
-                realized[bound] = realized.get(bound, 0) + (got is not None)
-        assert realized[300] == realized[None] == 181
-        assert [realized[b] for b in range(1, 9)] == [0, 0, 0, 1, 1, 3, 3, 7]
+            starts.clear()
+            got = realize(fb, -1, tuple_prefix(t, -1))
+            assert got == realize(fb, -1), fb
+            bound = recovery_bound(fb, -1)
+            assert starts == [(bound, t.horizon + 1), (bound, 0)]
+            assert unbound(got) == unbound(reference_realize(fb, -1, 300)), fb
+            realized += got is not None
+        assert realized == 181
 
 
 class TestRecordCertificate:
@@ -511,16 +513,14 @@ class TestRecordCertificate:
 
         monkeypatch.setattr(classify_module, "series_from_candidate", counted)
         for rec in gt_report[0].records:
-            fb = rec.formal_basket
-            for bound in (300, None):
-                built.clear()
-                got = realize(fb, 1, bound)
-                assert got.candidate == rec.candidate
-                if rec.candidate.text() == "2,3,4,5,5,6,7 / 10,11,12":
-                    assert built == [(rec.candidate.text(), got.series_bound)]
-                    assert got.series_bound == (300 if bound else 86116)
-                else:
-                    assert built == []
+            built.clear()
+            got = realize(rec.formal_basket, 1)
+            assert got.candidate == rec.candidate
+            if rec.candidate.text() == "2,3,4,5,5,6,7 / 10,11,12":
+                assert built == [(rec.candidate.text(), 86116)]
+                assert got.series_bound == 86116
+            else:
+                assert built == []
 
 
 class TestSeriesIdentity:
@@ -711,7 +711,7 @@ class TestDriver:
         for rec in fano.records:
             assert rec.candidate.amplitude == -1
             assert rec.candidate.dim == 3
-            assert rec.series_verified and rec.screen.passed
+            assert rec.screen.passed
             assert rec.formal_basket is not None
             assert rec.provenance
 
