@@ -16,7 +16,6 @@ import json
 import re
 from array import array
 from bisect import insort
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -347,32 +346,6 @@ def _points(packed: int, unit: int, width: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-# States a ClosureCache holds, at roughly 100 bytes each.  The amplitude
-# -1 sweep meets 1,903 states in 698 closures and keeps them all; the +1
-# sweep builds 14,198 closures of 60,616 states, too many to keep.
-_CACHE_STATES = 20_000
-
-
-class ClosureCache(OrderedDict):
-    """Packing closures shared by the descendants() calls of one run.
-
-    Maps a key (see descendants) to a closure, which depends on nothing
-    else, so a later call on the same root redoes only the target check.
-    The caller creates the cache and drops it with the run.  put() keeps
-    at most _CACHE_STATES states, dropping the oldest closures first.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.states = 0
-
-    def put(self, key: tuple, closure: tuple) -> None:
-        self[key] = closure
-        self.states += len(closure[1])
-        while self.states > _CACHE_STATES and len(self) > 1:
-            self.states -= len(self.popitem(last=False)[1][1])
-
-
 def _build_closure(root: tuple[int, ...], unit: int, width: int,
                    ms: tuple[int, ...], prune: str | None,
                    volume_floor: int) -> tuple:
@@ -485,7 +458,7 @@ def _build_closure(root: tuple[int, ...], unit: int, width: int,
 def descendants(b0: Basket, chi: int, chi2: int,
                 targets: Mapping[int, int],
                 prune: str | None = None,
-                cache: ClosureCache | None = None) -> list[FormalBasket]:
+                cache: dict | None = None) -> list[FormalBasket]:
     """The baskets of b0's fiber whose chi_m hit the targets.
 
     Breadth-first closure of b0 under prime packing with canonical
@@ -497,9 +470,10 @@ def descendants(b0: Basket, chi: int, chi2: int,
     stay true on every further pack).  The "c2" prune also drops the
     hits with K^3 >= 0.
 
-    cache keeps each closure for later calls on the same root.  Its key
-    holds all a closure depends on: the root, the target indices, the
-    prune and, for the "volume" prune, chi_2 + 3 chi.
+    cache, a dict the caller keeps for one run, keeps each closure for
+    later calls on the same root, which redo only the target check.
+    Its key holds all a closure depends on: the root, the target
+    indices, the prune and, for the "volume" prune, chi_2 + 3 chi.
     """
     if prune is not None and prune not in NAMED_PRUNES:
         raise ValueError(f"unknown prune {prune!r}")
@@ -517,7 +491,7 @@ def descendants(b0: Basket, chi: int, chi2: int,
     if closure is None:
         closure = _build_closure(root, unit, width, ms, prune, floor)
         if cache is not None:
-            cache.put(key, closure)
+            cache[key] = closure
     sigs, states, l2s, scale = closure
     # With K^3 = 2(chi_2 + 3 chi - l(2)), chi_m = t reads
     # sigma_m = 12 l(m) - 2(2m-1)m(m-1) l(2)

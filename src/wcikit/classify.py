@@ -28,7 +28,6 @@ from typing import Iterable, Iterator
 
 from .baskets import (
     BasketInconsistency,
-    ClosureCache,
     FormalBasket,
     Orbifold,
     RRKernel,
@@ -241,52 +240,29 @@ _C2_LOAD = tuple(r * _C2_SCALE - _C2_SCALE // r if r else 0
                  for r in range(25))
 
 
-def _fano_r_multisets(s: int, budget: int) -> Iterator[tuple[int, ...]]:
-    """Nondecreasing index multisets r >= 5 within the curvature budget.
+def _r_multisets(s: int, costs: dict[int, int],
+                 budget: int) -> Iterator[tuple[int, ...]]:
+    """Nondecreasing s-multisets of the indices in costs within budget.
 
-    budget is the c_2 load left, scaled by _C2_SCALE.
+    costs maps each index, in increasing order, to its cost, which must
+    grow with the index; a multiset's total cost stays at most budget.
     """
-    acc: list[int] = []
-
-    def rec(start: int, left: int, load: int) -> Iterator[tuple[int, ...]]:
-        if left == 0:
-            yield tuple(acc)
-            return
-        for r in range(start, 25):
-            if load + left * _C2_LOAD[r] > budget:
-                break
-            acc.append(r)
-            yield from rec(r, left - 1, load + _C2_LOAD[r])
-            acc.pop()
-
-    yield from rec(5, s, 0)
-
-
-def _gt_r_multisets(s: int, cap: int, headroom: int,
-                    scale: int) -> Iterator[tuple[int, ...]]:
-    """Nondecreasing index multisets r in [5, cap] keeping the volume positive.
-
-    headroom / scale is K^3 of the basket with every high index point
-    set to (1,4); each point (1,r) spends 1/4 - 1/r of it and the total
-    spend must stay strictly below headroom.
-    """
-    unit = lcm(4, scale, *range(5, cap + 1))
-    headroom *= unit // scale
-    spend = {r: unit // 4 - unit // r for r in range(5, cap + 1)}
+    items = tuple(costs.items())
     acc: list[int] = []
 
     def rec(start: int, left: int, spent: int) -> Iterator[tuple[int, ...]]:
         if left == 0:
             yield tuple(acc)
             return
-        for r in range(start, cap + 1):
-            if spent + left * spend[r] >= headroom:
+        for i in range(start, len(items)):
+            r, cost = items[i]
+            if spent + left * cost > budget:
                 break
             acc.append(r)
-            yield from rec(r, left - 1, spent + spend[r])
+            yield from rec(i, left - 1, spent + cost)
             acc.pop()
 
-    yield from rec(5, s, 0)
+    yield from rec(0, s, 0)
 
 
 def _volume_cap(s: int, headroom: int, scale: int) -> int | None:
@@ -301,7 +277,7 @@ def _volume_cap(s: int, headroom: int, scale: int) -> int | None:
 
 
 def _tuple_baskets(t: CountTuple, alpha: int,
-                   closures: ClosureCache | None = None
+                   closures: dict | None = None
                    ) -> tuple[list[tuple[FormalBasket, str]], list[str],
                               str | None]:
     """Formal baskets consistent with one tuple, with case labels.
@@ -310,8 +286,9 @@ def _tuple_baskets(t: CountTuple, alpha: int,
     the tuple or None).  Case
     labels: 'sigma5-zero' needs no high index points, 'ambient-capped'
     bounds their index by the largest possible weight, 'volume-capped'
-    by positivity of the unpacked volume.  closures, when given, shares
-    packing closures with the other tuples of a run.
+    by positivity of the unpacked volume.  closures, when given, is a
+    dict kept for one run that shares packing closures with its other
+    tuples.
     """
     if _gcd_counts_cut(t, alpha):
         return [], [], "isolated_gcd_counts"
@@ -354,7 +331,8 @@ def _tuple_baskets(t: CountTuple, alpha: int,
                 - (counts.n14_plus - s) * _C2_LOAD[4]
             if budget < 0:
                 continue
-            multisets = _fano_r_multisets(s, budget)
+            multisets = _r_multisets(
+                s, {r: _C2_LOAD[r] for r in range(5, 25)}, budget)
             case = "c2-capped" if s else "sigma5-zero"
             prune = "c2"
         else:
@@ -376,7 +354,14 @@ def _tuple_baskets(t: CountTuple, alpha: int,
                 cap = min(caps)
                 if cap < 5:
                     continue
-                multisets = _gt_r_multisets(s, cap, headroom, scale)
+                # headroom / scale is K^3 with every high index point
+                # set to (1,4); each point (1,r) spends 1/4 - 1/r of it,
+                # and the total spend stays strictly below headroom, so
+                # in units of 1 / unit it is at most one unit less.
+                unit = lcm(4, scale, *range(5, cap + 1))
+                multisets = _r_multisets(
+                    s, {r: unit // 4 - unit // r for r in range(5, cap + 1)},
+                    headroom * (unit // scale) - 1)
                 case = "ambient-capped" if ambient_capped else "volume-capped"
             prune = "volume"
         for rs in multisets:
@@ -635,7 +620,7 @@ def _batch_worker(args: tuple[int, Iterable[CountTuple]]
     records: dict[tuple, ClassificationRecord] = {}
     violations: list[str] = []
     stats: Counter = Counter()
-    closures = ClosureCache()
+    closures: dict = {}
     for t in batch:
         stats["tuples"] += 1
         fbs, viols, pruned = _tuple_baskets(t, alpha, closures)

@@ -19,7 +19,6 @@ from oracles import (
 )
 from wcikit import (
     BasketInconsistency,
-    ClosureCache,
     FormalBasket,
     Orbifold,
     c2_load,
@@ -456,15 +455,11 @@ class TestDescendants:
                 cut[name] += len(got) < len(full)
         assert min(cut.values()) > 10
 
-    @pytest.mark.parametrize("states", [20_000, 5])
-    def test_cache_matches_uncached(self, states, monkeypatch):
-        # the default size, and one small enough to evict
-        monkeypatch.setattr(sys.modules["wcikit.baskets"], "_CACHE_STATES",
-                            states)
+    def test_cache_matches_uncached(self):
         rng = random.Random(101)
         roots = [canonical(random_basket(rng, max_r=12, max_size=7))
                  for _ in range(12)]
-        cache = ClosureCache()
+        cache = {}
         for _ in range(200):
             b0 = rng.choice(roots)
             chi = rng.randint(-3, 3)
@@ -485,7 +480,7 @@ class TestDescendants:
         with pytest.raises(ValueError):
             descendants(b0, 1, 0, {}, prune="k3")
         # callables are not prunes, with or without a cache
-        for cache in (None, ClosureCache()):
+        for cache in (None, {}):
             with pytest.raises(ValueError):
                 descendants(b0, 1, 0, {}, prune=lambda b: False, cache=cache)
 
@@ -500,7 +495,7 @@ def sweep_calls(request):
     """Every descendants() call of the -1 sweep, or of a seeded +1 sample.
 
     Each entry is (tuple, root, chi, chi_2, targets, prune, hits), the
-    hits as the sweep got them, through its closure cache.
+    hits as the sweep got them, through a closure dict per tuple.
     """
     from wcikit import enumerate_tuples
     classify_module = sys.modules["wcikit.classify"]
@@ -520,7 +515,7 @@ def sweep_calls(request):
         mp.setattr(classify_module, "descendants", recorded)
         for t in tuples:
             current[:] = [t]
-            classify_module._tuple_baskets(t, alpha, ClosureCache())
+            classify_module._tuple_baskets(t, alpha, {})
     return alpha, calls
 
 

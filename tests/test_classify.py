@@ -1,9 +1,8 @@
-import gc
 import random
 import sys
-import weakref
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -48,12 +47,12 @@ from wcikit import (
     tuple_prefix,
 )
 from wcikit.classify import (
+    _C2_LOAD,
     _C2_SCALE,
     _compositions,
-    _fano_r_multisets,
     _gcd_counts_cut,
-    _gt_r_multisets,
     _quadruples,
+    _r_multisets,
     _tuple_baskets,
     _volume_cap,
 )
@@ -170,44 +169,68 @@ def front_end_calls(request):
     and the multiset enumerations only.
     """
     alpha = request.param
-    calls = {"fano": set(), "gt": set(), "cap": set()}
+    calls = {"multisets": set(), "cap": set()}
+    last_cap = [None]  # a +1 multiset call follows its sigma5's cap call
 
-    def recorded(name, fn):
-        def wrapper(*args):
-            calls[name].add(args)
-            return fn(*args)
-        return wrapper
+    def recorded_multisets(s, costs, budget):
+        calls["multisets"].add((s, tuple(costs.items()), budget, last_cap[0]))
+        return _r_multisets(s, costs, budget)
+
+    def recorded_cap(*args):
+        calls["cap"].add(args)
+        last_cap[0] = args
+        return _volume_cap(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classify_module, "descendants", lambda *a, **k: [])
-        mp.setattr(classify_module, "_fano_r_multisets",
-                   recorded("fano", _fano_r_multisets))
-        mp.setattr(classify_module, "_gt_r_multisets",
-                   recorded("gt", _gt_r_multisets))
-        mp.setattr(classify_module, "_volume_cap",
-                   recorded("cap", _volume_cap))
+        mp.setattr(classify_module, "_r_multisets", recorded_multisets)
+        mp.setattr(classify_module, "_volume_cap", recorded_cap)
         for t in iter_tuples(alpha):
             _tuple_baskets(t, alpha)
     return alpha, calls
 
 
+_FANO_COSTS = {r: _C2_LOAD[r] for r in range(5, 25)}
+
+
+def _gt_args(cap, headroom):
+    """The +1 costs and budget of indices 5..cap below a Fraction headroom.
+
+    The same integer conversion as _tuple_baskets: spends 1/4 - 1/r in
+    units of 1 / unit, and a budget one unit below the headroom.
+    """
+    unit = lcm(4, headroom.denominator, *range(5, cap + 1))
+    costs = {r: unit // 4 - unit // r for r in range(5, cap + 1)}
+    return costs, headroom.numerator * (unit // headroom.denominator) - 1
+
+
+def _gt_oracle(s, costs, budget):
+    unit = 20 * costs[5]
+    return gt_r_multisets_oracle(s, max(costs), Fraction(budget + 1, unit))
+
+
 class TestMultisetBounds:
-    """The integer multiset enumerations against their Fraction forms."""
+    """The integer multiset enumeration against its Fraction forms."""
 
     def test_every_call_of_a_sweep(self, front_end_calls):
         alpha, calls = front_end_calls
         if alpha == -1:
-            assert len(calls["fano"]) > 100
-            assert not calls["gt"] and not calls["cap"]
+            assert len(calls["multisets"]) > 100 and not calls["cap"]
         else:
-            assert not calls["fano"]
-            assert len(calls["gt"]) > 50 and len(calls["cap"]) > 50
-        for s, budget in calls["fano"]:
-            assert list(_fano_r_multisets(s, budget)) == list(
-                fano_r_multisets_oracle(s, Fraction(budget, _C2_SCALE)))
-        for s, cap, headroom, scale in calls["gt"]:
-            assert list(_gt_r_multisets(s, cap, headroom, scale)) == list(
-                gt_r_multisets_oracle(s, cap, Fraction(headroom, scale)))
+            assert len(calls["multisets"]) > 50 and len(calls["cap"]) > 50
+        for s, items, budget, cap_args in calls["multisets"]:
+            costs = dict(items)
+            got = list(_r_multisets(s, costs, budget))
+            if alpha == -1:
+                assert costs == _FANO_COSTS
+                assert got == list(fano_r_multisets_oracle(
+                    s, Fraction(budget, _C2_SCALE)))
+            else:
+                # the budget keeps the spend strictly below the headroom
+                _, headroom, scale = cap_args
+                assert Fraction(budget + 1, 20 * costs[5]) == Fraction(
+                    headroom, scale)
+                assert got == list(_gt_oracle(s, costs, budget))
         for s, headroom, scale in calls["cap"]:
             beta = Fraction(1, 4) - Fraction(headroom, scale) \
                 + Fraction(s - 1, 20)
@@ -219,19 +242,19 @@ class TestMultisetBounds:
         # a budget exactly one point's load admits that point, one less
         # does not; a headroom exactly one point's spend does not admit it
         five = 5 * _C2_SCALE - _C2_SCALE // 5
-        assert list(_fano_r_multisets(1, five)) == [(5,)]
-        assert list(_fano_r_multisets(1, five - 1)) == []
+        assert list(_r_multisets(1, _FANO_COSTS, five)) == [(5,)]
+        assert list(_r_multisets(1, _FANO_COSTS, five - 1)) == []
         spend = Fraction(1, 4) - Fraction(1, 6)
-        assert list(_gt_r_multisets(1, 6, spend.numerator,
-                                    spend.denominator)) == [(5,)]
+        assert list(_r_multisets(1, *_gt_args(6, spend))) == [(5,)]
         for s, budget in [(1, five), (2, 2 * five), (3, 24 * _C2_SCALE)]:
-            assert list(_fano_r_multisets(s, budget)) == list(
+            assert list(_r_multisets(s, _FANO_COSTS, budget)) == list(
                 fano_r_multisets_oracle(s, Fraction(budget, _C2_SCALE)))
         for s, cap, headroom in [(1, 6, spend), (2, 31, Fraction(7, 24)),
                                  (3, 19, Fraction(5, 8))]:
-            assert list(_gt_r_multisets(s, cap, headroom.numerator,
-                                        headroom.denominator)) == list(
-                gt_r_multisets_oracle(s, cap, headroom))
+            costs, budget = _gt_args(cap, headroom)
+            assert list(_r_multisets(s, costs, budget)) == list(
+                gt_r_multisets_oracle(s, cap, headroom)) == list(
+                _gt_oracle(s, costs, budget))
 
 
 class TestFormalBaskets:
@@ -640,29 +663,18 @@ class TestStreamedRecoveryOnBaskets:
 
 class TestClosureCache:
     def test_shared_within_a_run_and_dropped_after(self, monkeypatch):
-        caches = []
         roots = []
-
-        class Recorded(baskets_module.ClosureCache):
-            __slots__ = ()
-
-            def __init__(self):
-                super().__init__()
-                caches.append(weakref.ref(self))
-
         build = baskets_module._build_closure
 
         def counted_build(root, *args):
             roots.append(root)
             return build(root, *args)
 
-        monkeypatch.setattr(classify_module, "ClosureCache", Recorded)
         monkeypatch.setattr(baskets_module, "_build_closure", counted_build)
         first = classify(RunConfig(alpha=-1)).to_json()
         # the 1,053 descendants calls of the run share 698 distinct roots
         assert len(roots) == len(set(roots)) == 698
-        gc.collect()
-        assert len(caches) == 1 and caches[0]() is None
+        # a second run finds none of them kept, so it builds all again
         roots.clear()
         assert classify(RunConfig(alpha=-1)).to_json() == first
         assert len(roots) == 698

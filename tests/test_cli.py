@@ -1,12 +1,16 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
 import pytest
 
-from wcikit import poincare_series
+import wcikit
+from wcikit import cli, poincare_series
 from wcikit.cli import main
 
 
@@ -120,6 +124,13 @@ class TestTable:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "table", str(tmp_path / "absent.txt"))
         assert code == 2 and err.startswith("error:")
+
+    def test_file_not_utf8(self, capsys, tmp_path):
+        src = tmp_path / "series.txt"
+        src.write_bytes(b"\xff\xfe0 1\n")
+        code, out, err = run(capsys, "table", str(src))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_entry_cap_fails_fast(self, capsys, monkeypatch):
         # one coefficient of 10^8 would record 10^8 weights
@@ -265,6 +276,30 @@ class TestSelftest:
         lines = out.splitlines()
         assert lines[-1] == "pass"
         assert all(line.startswith("ok") for line in lines[:-1])
+        assert lines[:2] == ["ok   amplitude +0 list",
+                             "ok   amplitude -1 list"]
+
+    def test_wrong_digest_fails(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._LIST_DIGESTS, -1, "0" * 64)
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        lines = out.splitlines()
+        assert "FAIL amplitude -1 list" in lines
+        assert "ok   amplitude +0 list" in lines
+        assert lines[-1] == "fail"
+
+    def test_digests_are_the_pinned_ones(self):
+        assert cli._LIST_DIGESTS == {a: DIGESTS[a] for a in (0, -1)}
+
+    def test_import_leaves_hashlib_unloaded(self):
+        # hashlib loads OpenSSL; only selftest needs it
+        src = os.path.dirname(os.path.dirname(wcikit.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, wcikit.cli; "
+                "print('hashlib' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "False\n"
 
 
 class TestParser:
@@ -277,6 +312,12 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["classify", "--alpha", "2"])
         assert exc.value.code == 2
+
+    def test_selftest_has_no_seed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--seed", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [("--bound", "300"), ("--full",)],
                              ids=["bound", "full"])
