@@ -12,7 +12,6 @@ the candidates sharing its low-degree chi data.
 
 from __future__ import annotations
 
-import json
 import re
 from array import array
 from bisect import insort
@@ -106,9 +105,6 @@ class FormalBasket:
             "k3": f"{vol.numerator}/{vol.denominator}",
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 # One entry per point type (b, r) met, each of r + 1 integers.
 @lru_cache(maxsize=None)
@@ -168,18 +164,13 @@ class RRKernel:
         """scale * K^3, where K^3 = 2(chi_2 + 3 chi - l(2))."""
         return 2 * ((chi2 + 3 * chi) * self.scale - self.l(2))
 
-    def chi_m(self, m: int, chi: int, vol: int) -> int:
-        """12 * scale * chi_m, given vol = scale * K^3."""
-        return ((2 * m - 1) * m * (m - 1) * vol
-                - 12 * self.scale * (2 * m - 1) * chi + 12 * self.l(m))
-
     def chi_ints(self, chi: int, vol: int, lo: int, hi: int) -> list[int]:
         """chi_m for lo <= m < hi as integers, given vol = scale * K^3.
 
         Non-integral chi_m means no variety carries this data; that
         raises BasketInconsistency.
         """
-        # chi_m and l inlined: this loop runs once per series coefficient.
+        # l inlined: this loop runs once per series coefficient.
         denom = 12 * self.scale
         groups = self._groups
         out = []
@@ -201,35 +192,6 @@ def k3(fb: FormalBasket) -> Fraction:
     """Canonical degree K^3 determined by chi, chi_2 and the basket."""
     kern = RRKernel(fb.basket)
     return Fraction(kern.k3(fb.chi, fb.chi2), kern.scale)
-
-
-def chi_m(fb: FormalBasket, m: int) -> Fraction:
-    """chi of the m-th pluricanonical sheaf, m >= 1; integral on real baskets."""
-    if m < 1:
-        raise ValueError("chi_m defined for m >= 1")
-    kern = RRKernel(fb.basket)
-    vol = kern.k3(fb.chi, fb.chi2)
-    return Fraction(kern.chi_m(m, fb.chi, vol), 12 * kern.scale)
-
-
-def merge_orbifolds(p: Orbifold, q: Orbifold) -> Orbifold | None:
-    """Componentwise sum, or None when the sum leaves the normalized range."""
-    b, r = p.b + q.b, p.r + q.r
-    if b < 1 or 2 * b > r or gcd(b, r) != 1:
-        return None
-    return Orbifold(b, r)
-
-
-def pack(basket: Basket, i: int, j: int) -> Basket | None:
-    """Merge the points at positions i and j; None when the merge is invalid."""
-    if i == j:
-        raise ValueError("pack needs two distinct positions")
-    merged = merge_orbifolds(basket[i], basket[j])
-    if merged is None:
-        return None
-    rest = [q for k, q in enumerate(basket) if k not in (i, j)]
-    rest.append(merged)
-    return canonical(rest)
 
 
 def is_prime_packing(p: Orbifold, q: Orbifold) -> bool:
@@ -281,15 +243,6 @@ def initial_counts_from_chis(chi: int, chis: Mapping[int, int]) -> InitialCounts
     return InitialCounts(n12, n13, n14_plus, sigma)
 
 
-def count_five_packings(chi: int, chis: Mapping[int, int], sigma5: int) -> int:
-    """Number of index-five merges in the canonical sequence, given sigma5.
-
-    sigma5 is the number of unpacked points with r >= 5; chis needs
-    m = 3, 5, 6.
-    """
-    return 2 * chi - chis[3] + 2 * chis[5] - chis[6] - sigma5
-
-
 def high_index_count_bounds(chi: int, chis: Mapping[int, int]) -> tuple[int, int]:
     """Inclusive bounds on sigma5 forced by nonnegative packing counts.
 
@@ -304,12 +257,6 @@ def high_index_count_bounds(chi: int, chis: Mapping[int, int]) -> tuple[int, int
     hi = min(chi - 3 * c2 + c3 + 2 * c4 - c5,
              2 * chi - c3 + 2 * c5 - c6)
     return lo, hi
-
-
-def c2_load(basket: Basket) -> Fraction:
-    """sum(r - 1/r) over the basket; grows under packing."""
-    kern = RRKernel(basket)
-    return Fraction(kern.c2, kern.scale)
 
 
 def pluri_growth_filter(p: Mapping[int, int], pg: int) -> bool:
@@ -463,8 +410,8 @@ def descendants(b0: Basket, chi: int, chi2: int,
 
     Breadth-first closure of b0 under prime packing with canonical
     dedup: for b0 of points (1, r), every basket whose initial_basket
-    is b0 (see _build_closure).  A basket survives iff
-    chi_m(basket, chi, chi2) equals targets[m] for every listed m.
+    is b0 (see _build_closure).  A basket survives iff its chi_m, for
+    this chi and chi_2, equals targets[m] for every listed m.
     prune, one of NAMED_PRUNES, skips the baskets it cuts and all their
     descendants; both prunes are monotone under packing (once true they
     stay true on every further pack).  The "c2" prune also drops the

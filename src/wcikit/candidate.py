@@ -104,22 +104,13 @@ def parse_candidate(text: str) -> Candidate:
         raise CandidateParseError(str(exc)) from None
 
 
-@dataclass(frozen=True, slots=True)
-class DeltaVector:
-    """Degree excesses d_j - a_{j+dim} of a normalized candidate."""
+def deltas(c: Candidate) -> tuple[int, ...]:
+    """Degree excesses d_j - a_{j+dim} of a normalized candidate.
 
-    values: tuple[int, ...]
-    total: int
-
-
-def deltas(c: Candidate) -> DeltaVector:
-    """Pair the j-th degree with the (j+dim)-th weight and take differences.
-
-    The total always equals a_0 + ... + a_dim + amplitude.
+    Their sum always equals a_0 + ... + a_dim + amplitude.
     """
     dim = c.dim
-    values = tuple(d - a for d, a in zip(c.degrees, c.weights[dim + 1:]))
-    return DeltaVector(values, sum(values))
+    return tuple(d - a for d, a in zip(c.degrees, c.weights[dim + 1:]))
 
 
 def is_linear_cone(c: Candidate) -> bool:
@@ -142,7 +133,7 @@ def check_wps_wellformed(c: Candidate) -> bool:
 
 def check_degree_weight_order(c: Candidate) -> bool:
     """True iff every paired degree strictly exceeds its weight (delta_j >= 1)."""
-    return all(v >= 1 for v in deltas(c).values)
+    return all(v >= 1 for v in deltas(c))
 
 
 def check_codim_bound(c: Candidate) -> bool:
@@ -179,7 +170,7 @@ def check_weight_degree_divisibility(c: Candidate) -> list[CheckResult]:
 
     dim, cc = c.dim, c.codim
     if cc >= dim + 1:
-        dv = deltas(c).values
+        dv = deltas(c)
         bad_pair = None
         for j in range(dim + 1):
             if dv[cc - 1 - j] < c.weights[dim - j]:
@@ -283,8 +274,7 @@ def degree_ratio_screen(c: Candidate) -> tuple[bool, Fraction]:
     alpha = c.amplitude
     if alpha < 0:
         raise InvalidCandidate("ratio screen needs amplitude >= 0")
-    dv = deltas(c)
-    if any(v < 1 for v in dv.values):
+    if any(v < 1 for v in deltas(c)):
         raise InvalidCandidate("ratio screen needs all deltas >= 1")
     dim, cc = c.dim, c.codim
     cap = cc + alpha + dim + 1
@@ -338,7 +328,7 @@ def necessary_screen(c: Candidate) -> ScreenReport:
     order_ok = check_degree_weight_order(c)
     checks.append(CheckResult(
         "degrees_dominate", order_ok,
-        None if order_ok else f"deltas {deltas(c).values}"))
+        None if order_ok else f"deltas {deltas(c)}"))
     checks.append(CheckResult("codim_bound", check_codim_bound(c)))
     checks.extend(check_weight_degree_divisibility(c))
     if c.dim == 3:

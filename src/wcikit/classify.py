@@ -203,10 +203,6 @@ def _used(counts: tuple[int, ...]) -> int:
     return sum(1 << i for i, n in enumerate(counts) if n)
 
 
-def enumerate_tuples(alpha: int) -> list[CountTuple]:
-    return list(iter_tuples(alpha))
-
-
 @dataclass(frozen=True, slots=True)
 class ChiData:
     """chi and chi_m (m = 2..6) implied by a count tuple, plus the raw series."""
@@ -373,12 +369,6 @@ def _tuple_baskets(t: CountTuple, alpha: int,
                 b0, chi, chi2, targets, prune=prune, cache=closures))
     found.sort(key=lambda hit: [(q.b, q.r) for q in hit[0].basket])
     return found, violations, None
-
-
-def candidate_formal_baskets(t: CountTuple, alpha: int) -> list[FormalBasket]:
-    """All formal baskets a tuple admits, sorted."""
-    fbs, _, _ = _tuple_baskets(t, alpha)
-    return [fb for fb, _ in fbs]
 
 
 @dataclass(frozen=True, slots=True)
@@ -649,7 +639,7 @@ def _drive(config: RunConfig) -> RunReport:
         # Many contiguous chunks, handed out as workers free up, balance
         # the few expensive tuples; map() returns them in tuple order, so
         # the merge below sees the same order as a single job.
-        tuples = enumerate_tuples(alpha)
+        tuples = list(iter_tuples(alpha))
         size = max(1, -(-len(tuples) // (workers * _CHUNKS_PER_JOB)))
         batches = [(alpha, tuples[i:i + size])
                    for i in range(0, len(tuples), size)]

@@ -83,15 +83,20 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    if args.file and args.file != "-":
-        try:
-            with open(args.file, encoding="utf-8") as fh:
+    source = args.file if args.file and args.file != "-" else None
+    try:
+        if source is None:
+            raw = sys.stdin.read()
+        else:
+            with open(source, encoding="utf-8") as fh:
                 raw = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        raw = sys.stdin.read()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: {source or '<stdin>'}: not UTF-8 text ({exc})",
+              file=sys.stderr)
+        return 2
     try:
         series = parse_series(raw)
         rec = recover_weights_degrees(series, max_entries=MAX_TABLE_ENTRIES)

@@ -1,11 +1,10 @@
 """Truncated integer power series for graded ring enumeration.
 
 The generating function of a candidate's coordinate ring is
-prod(1 - t^d) / prod(1 - t^a), expanded as an integer series.  These
-series are exact up to a stated bound, support multiplication and
-division by single factors (1 - t^k), and can be run backwards: the
-recovery routine reads weights and degrees off a series one coefficient
-at a time.
+prod(1 - t^d) / prod(1 - t^a), expanded as an integer series exact up
+to a stated bound, one factor (1 - t^k) at a time on a coefficient list
+(mul_into, div_into).  The expansion runs backwards too: the table
+method reads weights and degrees off a series one coefficient at a time.
 """
 
 from __future__ import annotations
@@ -86,23 +85,6 @@ class TruncatedSeries:
     def one(bound: int) -> TruncatedSeries:
         _check_bound(bound)
         return TruncatedSeries((1,) + (0,) * bound)
-
-    def mul_factor(self, k: int) -> TruncatedSeries:
-        """Multiply by (1 - t^k)."""
-        _check_factors((k,))
-        c = list(self.coeffs)
-        mul_into(c, k)
-        return TruncatedSeries(tuple(c))
-
-    def div_factor(self, k: int) -> TruncatedSeries:
-        """Divide by (1 - t^k); exact inverse of mul_factor(k)."""
-        _check_factors((k,))
-        c = list(self.coeffs)
-        div_into(c, k)
-        return TruncatedSeries(tuple(c))
-
-    def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
 
     def text(self) -> str:
         return "\n".join(f"{m} {cm}" for m, cm in enumerate(self.coeffs))
@@ -275,15 +257,15 @@ def recover_weights_degrees(series: TruncatedSeries,
                             max_entries: int | None = None) -> RecoveredPresentation:
     """Read a presentation off a series (the table method).
 
-    Scan for the smallest index m with a nonzero coefficient: a positive
-    value records that many weights m (strip each with a mul_factor), a
-    negative value records degrees (strip with div_factor).  When weights
-    and degrees share no value and every entry is at most half the bound,
-    the recovery is the unique presentation of the series; residual_clean
-    reports exactly that certified situation.  A series truncated too
-    short for its entries comes back with residual_clean false.
-    max_entries aborts recoveries that keep producing entries; capped
-    reports that abort.
+    Feeds the whole series to one TableMethod: at each index m, the
+    residual c_m - p_m against the series p of the entries read so far
+    records that many weights m when positive, degrees m when negative.
+    When weights and degrees share no value and every entry is at most
+    half the bound, the recovery is the unique presentation of the
+    series; residual_clean reports exactly that certified situation.  A
+    series truncated too short for its entries comes back with
+    residual_clean false.  max_entries aborts recoveries that keep
+    producing entries; capped reports that abort.
     """
     if series[0] != 1:
         raise ValueError("series must have constant coefficient 1")

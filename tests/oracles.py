@@ -9,6 +9,7 @@ seeded random data.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
 
@@ -21,8 +22,6 @@ from wcikit import (
     canonical_unpacking,
     initial_basket,
     is_prime_packing,
-    merge_orbifolds,
-    pack,
 )
 
 
@@ -68,13 +67,13 @@ def poincare_oracle(weights, degrees, bound):
 
 
 def low_series_oracle(t) -> TruncatedSeries:
-    """A count tuple's series by one TruncatedSeries factor at a time."""
-    s = TruncatedSeries.one(t.horizon)
+    """A count tuple's series by the plain loops, one factor at a time."""
+    c = [1] + [0] * t.horizon
     for d in t.degree_values():
-        s = s.mul_factor(d)
+        mul_into_oracle(c, d)
     for a in t.weight_values():
-        s = s.div_factor(a)
-    return s
+        div_into_oracle(c, a)
+    return TruncatedSeries(tuple(c))
 
 
 def iter_tuples_oracle(alpha):
@@ -184,6 +183,7 @@ def wellformed_oracle(weights) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def rr_correction(q: Orbifold, m: int) -> Fraction:
     """Riemann-Roch local term: sum_{j<m} jb(r - jb)/(2r) with jb taken mod r."""
     if q.r == 1:
@@ -201,6 +201,7 @@ def local_correction(fb: FormalBasket, m: int) -> Fraction:
     return sum((rr_correction(q, m) for q in fb.basket), Fraction(0))
 
 
+@lru_cache(maxsize=None)
 def k3_oracle(fb: FormalBasket) -> Fraction:
     """K^3 = 2(chi_2 + 3 chi - l(2)) in rational arithmetic."""
     return 2 * (fb.chi2 + 3 * fb.chi - local_correction(fb, 2))
@@ -210,6 +211,35 @@ def chi_m_oracle(fb: FormalBasket, m: int) -> Fraction:
     """chi_m = (2m-1)m(m-1)/12 K^3 - (2m-1) chi + l(m), m >= 1."""
     poly = Fraction((2 * m - 1) * m * (m - 1), 12)
     return poly * k3_oracle(fb) - (2 * m - 1) * fb.chi + local_correction(fb, m)
+
+
+def merge_orbifolds(p: Orbifold, q: Orbifold) -> Orbifold | None:
+    """Componentwise sum, or None when the sum leaves the normalized range."""
+    b, r = p.b + q.b, p.r + q.r
+    if b < 1 or 2 * b > r or gcd(b, r) != 1:
+        return None
+    return Orbifold(b, r)
+
+
+def pack(basket, i: int, j: int):
+    """Merge the points at positions i and j; None when the merge is invalid."""
+    if i == j:
+        raise ValueError("pack needs two distinct positions")
+    merged = merge_orbifolds(basket[i], basket[j])
+    if merged is None:
+        return None
+    rest = [q for k, q in enumerate(basket) if k not in (i, j)]
+    rest.append(merged)
+    return canonical(rest)
+
+
+def count_five_packings(chi: int, chis, sigma5: int) -> int:
+    """Number of index-five merges in the canonical sequence, given sigma5.
+
+    sigma5 is the number of unpacked points with r >= 5; chis needs
+    m = 3, 5, 6.  The formula five_merge_counts checks merge by merge.
+    """
+    return 2 * chi - chis[3] + 2 * chis[5] - chis[6] - sigma5
 
 
 def descendants_oracle(b0, chi, chi2, targets, cut=None) -> list[FormalBasket]:

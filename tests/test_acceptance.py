@@ -14,6 +14,8 @@ import pytest
 
 from conftest import record_verdict
 from oracles import (
+    chi_m_oracle,
+    count_five_packings,
     five_merge_counts,
     prime_packing_reachable,
     random_basket,
@@ -24,9 +26,7 @@ from wcikit import (
     FormalBasket,
     RunConfig,
     canonical,
-    chi_m,
     classify,
-    count_five_packings,
     high_index_count_bounds,
     initial_basket,
     initial_counts_from_chis,
@@ -147,7 +147,7 @@ def test_basket_formula_consistency():
         basket = canonical(random_basket(rng, max_r=12, max_size=5))
         chi, chi2 = rng.randint(-10, 40), rng.randint(-10, 40)
         fb = FormalBasket(basket, chi, chi2)
-        chis = {m: chi_m(fb, m) for m in range(2, 7)}
+        chis = {m: chi_m_oracle(fb, m) for m in range(2, 7)}
         b0 = initial_basket(basket)
         counts = initial_counts_from_chis(chi, chis)
         sigma5 = sum(1 for q in b0 if q.r >= 5)

@@ -9,10 +9,13 @@ import pytest
 from oracles import (
     c2_load_oracle,
     chi_m_oracle,
+    count_five_packings,
     descendants_oracle,
     fiber_oracle,
     five_merge_counts,
     k3_oracle,
+    merge_orbifolds,
+    pack,
     prime_packing_reachable,
     random_basket,
     rr_correction,
@@ -21,20 +24,16 @@ from wcikit import (
     BasketInconsistency,
     FormalBasket,
     Orbifold,
-    c2_load,
     canonical,
     canonical_unpacking,
-    chi_m,
-    count_five_packings,
     descendants,
     format_basket,
     high_index_count_bounds,
     initial_basket,
     initial_counts_from_chis,
     is_prime_packing,
+    iter_tuples,
     k3,
-    merge_orbifolds,
-    pack,
     parse_basket,
     pluri_growth_filter,
 )
@@ -139,18 +138,41 @@ def _chi_ints(fb, lo, hi):
     return kern.chi_ints(fb.chi, kern.k3(fb.chi, fb.chi2), lo, hi)
 
 
+def _c2(basket):
+    """sum(r - 1/r) over the basket, from the integer kernel."""
+    kern = RRKernel(basket)
+    return Fraction(kern.c2, kern.scale)
+
+
 class TestIntegerKernel:
     """The integer kernel against the rational oracle on random baskets."""
 
     def test_k3_and_chi_m_match_oracle(self):
+        # chi_m is integral on every basket (see the closure signature
+        # test), so the guard of chi_ints shows only on a volume off by
+        # 1/scale, which no basket of these points has
         rng = random.Random(71)
+        raised = 0
         for _ in range(200):
             fb = _random_formal_basket(rng)
-            assert k3(fb) == k3_oracle(fb)
+            kern = RRKernel(fb.basket)
+            vol = kern.k3(fb.chi, fb.chi2)
+            assert Fraction(vol, kern.scale) == k3_oracle(fb) == k3(fb)
             period = max((q.r for q in fb.basket), default=1)
             for m in [1, 2, 3] + [rng.randint(4, 4 * period + 4)
                                   for _ in range(6)]:
-                assert chi_m(fb, m) == chi_m_oracle(fb, m), (fb, m)
+                assert kern.chi_ints(fb.chi, vol, m, m + 1) == \
+                    [chi_m_oracle(fb, m)], (fb, m)
+                # chi_m grows by (2m-1)m(m-1)/12 per unit of K^3
+                off = chi_m_oracle(fb, m) + Fraction(
+                    (2 * m - 1) * m * (m - 1), 12 * kern.scale)
+                if off.denominator == 1:
+                    assert kern.chi_ints(fb.chi, vol + 1, m, m + 1) == [off]
+                else:
+                    with pytest.raises(BasketInconsistency):
+                        kern.chi_ints(fb.chi, vol + 1, m, m + 1)
+                    raised += 1
+        assert raised > 100
 
     def test_chi_ints_match_oracle(self):
         rng = random.Random(73)
@@ -182,7 +204,7 @@ class TestIntegerKernel:
         rng = random.Random(79)
         for _ in range(300):
             basket = canonical(random_basket(rng, max_r=40, max_size=5))
-            assert c2_load(basket) == c2_load_oracle(basket)
+            assert _c2(basket) == c2_load_oracle(basket)
 
     def test_descendants_targets_match_oracle(self):
         rng = random.Random(89)
@@ -208,14 +230,14 @@ class TestVolumeAndChi:
 
     def test_chi_one_is_minus_chi(self):
         fb = FormalBasket((Orbifold(2, 7),), 4, -2)
-        assert chi_m(fb, 1) == -4
+        assert _chi_ints(fb, 1, 2) == [-4]
 
     def test_chi_two_returns_chi2(self):
         rng = random.Random(13)
         for _ in range(100):
             fb = FormalBasket(canonical(random_basket(rng)),
                               rng.randint(-10, 40), rng.randint(-10, 40))
-            assert chi_m(fb, 2) == fb.chi2
+            assert _chi_ints(fb, 2, 3) == [fb.chi2]
 
     def test_incremental_matches_formula(self):
         rng = random.Random(19)
@@ -224,15 +246,11 @@ class TestVolumeAndChi:
                               rng.randint(-10, 40), rng.randint(-10, 40))
             seq = _chi_ints(fb, 1, 10)
             for m in range(1, 10):
-                assert seq[m - 1] == chi_m(fb, m)
+                assert seq[m - 1] == chi_m_oracle(fb, m)
 
     def test_chi_example(self):
         fb = FormalBasket((Orbifold(1, 2),), 1, 0)
         assert _chi_ints(fb, 1, 4) == [-1, 0, 9]
-
-    def test_chi_m_guard(self):
-        with pytest.raises(ValueError):
-            chi_m(FormalBasket((), 1, 0), 0)
 
 
 class TestPacking:
@@ -292,7 +310,7 @@ class TestUnpacking:
 
 class TestCountFormulas:
     def _chis(self, fb):
-        return {m: chi_m(fb, m) for m in range(2, 7)}
+        return {m: chi_m_oracle(fb, m) for m in range(2, 7)}
 
     def test_counts_match_unpacking(self):
         rng = random.Random(43)
@@ -338,8 +356,8 @@ class TestCountFormulas:
 
 class TestCurvatureFilters:
     def test_c2_load_values(self):
-        assert c2_load((Orbifold(1, 2),)) == Fraction(3, 2)
-        assert c2_load(()) == 0
+        assert _c2((Orbifold(1, 2),)) == Fraction(3, 2)
+        assert _c2(()) == 0
 
     def test_c2_bound(self):
         # the "c2" prune keeps sum(r - 1/r) <= 24 and cuts the rest
@@ -360,7 +378,7 @@ class TestCurvatureFilters:
             packed = pack(basket, min(i, j), max(i, j))
             if packed is None:
                 continue
-            assert c2_load(packed) >= c2_load(basket)
+            assert _c2(packed) >= _c2(basket)
             done += 1
 
     def test_k3_antitone_under_packing(self):
@@ -393,7 +411,7 @@ class TestGrowthAndVolumeFilters:
 class TestDescendants:
     def test_golden_chain(self):
         src = FormalBasket((Orbifold(2, 5),), 1, 0)
-        targets = {m: chi_m(src, m) for m in (3, 4, 5, 6)}
+        targets = {m: chi_m_oracle(src, m) for m in (3, 4, 5, 6)}
         b0 = canonical([Orbifold(1, 2), Orbifold(1, 3)])
         out = descendants(b0, 1, 0, targets)
         assert [fb.basket for fb in out] == [(Orbifold(2, 5),)]
@@ -401,7 +419,7 @@ class TestDescendants:
     def test_includes_start_when_consistent(self):
         b0 = canonical([Orbifold(1, 2), Orbifold(1, 3)])
         src = FormalBasket(b0, 1, 0)
-        targets = {m: chi_m(src, m) for m in (3, 4, 5, 6)}
+        targets = {m: chi_m_oracle(src, m) for m in (3, 4, 5, 6)}
         out = descendants(b0, 1, 0, targets)
         assert any(fb.basket == b0 for fb in out)
 
@@ -497,10 +515,9 @@ def sweep_calls(request):
     Each entry is (tuple, root, chi, chi_2, targets, prune, hits), the
     hits as the sweep got them, through a closure dict per tuple.
     """
-    from wcikit import enumerate_tuples
     classify_module = sys.modules["wcikit.classify"]
     alpha = request.param
-    tuples = enumerate_tuples(alpha)
+    tuples = list(iter_tuples(alpha))
     if alpha == 1:
         tuples = random.Random(5).sample(tuples, 3000)
     calls = []

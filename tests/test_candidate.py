@@ -75,9 +75,8 @@ class TestParsing:
 class TestDeltas:
     def test_values_and_total(self):
         c = parse_candidate("1,1,2,2,3,3 / 6,6")
-        dv = deltas(c)
-        assert dv.values == (3, 3)
-        assert dv.total == sum(c.weights[:c.dim + 1]) + c.amplitude
+        assert deltas(c) == (3, 3)
+        assert sum(deltas(c)) == sum(c.weights[:c.dim + 1]) + c.amplitude
 
     def test_total_identity_random(self):
         rng = random.Random(11)
@@ -86,8 +85,7 @@ class TestDeltas:
             n_w = n_d + rng.randint(2, 5)
             c = normalize([rng.randint(1, 9) for _ in range(n_w)],
                           [rng.randint(1, 40) for _ in range(n_d)])
-            dv = deltas(c)
-            assert dv.total == sum(c.weights[:c.dim + 1]) + c.amplitude
+            assert sum(deltas(c)) == sum(c.weights[:c.dim + 1]) + c.amplitude
 
 
 class TestBasicChecks:

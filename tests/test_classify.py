@@ -7,6 +7,7 @@ from math import lcm
 import pytest
 
 from oracles import (
+    chi_m_oracle,
     fano_r_multisets_oracle,
     gt_r_multisets_oracle,
     iter_tuples_oracle,
@@ -26,11 +27,9 @@ from wcikit import (
     Orbifold,
     RunConfig,
     canonical,
-    candidate_formal_baskets,
     classify,
     classify_cy,
     divisor_matching,
-    enumerate_tuples,
     iter_tuples,
     max_weight_ok,
     necessary_screen,
@@ -104,7 +103,7 @@ class TestCountTuple:
 
     @pytest.mark.parametrize("alpha", [-1, 1])
     def test_low_series_of_every_tuple(self, alpha):
-        tuples = enumerate_tuples(alpha)
+        tuples = list(iter_tuples(alpha))
         for t in tuples:
             assert t.low_series() == low_series_oracle(t), t
         for t in random.Random(alpha + 500).sample(tuples, 200):
@@ -119,22 +118,22 @@ class TestCountTuple:
 
 class TestTupleEnumeration:
     def test_counts(self):
-        assert len(enumerate_tuples(-1)) == 7056
-        assert len(enumerate_tuples(1)) == 146880
+        assert len(list(iter_tuples(-1))) == 7056
+        assert len(list(iter_tuples(1))) == 146880
 
     def test_known_members(self):
-        assert X4_TUPLE in enumerate_tuples(-1)
-        assert X7_TUPLE in enumerate_tuples(1)
+        assert X4_TUPLE in iter_tuples(-1)
+        assert X7_TUPLE in iter_tuples(1)
 
     def test_linear_cone_values_excluded(self):
         # value 2 appearing as weight and degree at once never enumerates
         bad = CountTuple((1, 1, 0, 0, 0), (1, 0, 0, 0))
-        assert bad not in enumerate_tuples(-1)
+        assert bad not in iter_tuples(-1)
 
     def test_degree_prefix_rule(self):
         # five quadric degrees with no weights break the prefix inequality
         bad = CountTuple((0, 0, 0, 0, 0, 0), (5, 0, 0, 0, 0))
-        assert bad not in enumerate_tuples(1)
+        assert bad not in iter_tuples(1)
 
     def test_amplitude_guard(self):
         with pytest.raises(ValueError):
@@ -259,12 +258,12 @@ class TestMultisetBounds:
 
 class TestFormalBaskets:
     def test_sept_basket(self):
-        fbs = candidate_formal_baskets(X7_TUPLE, 1)
-        assert FormalBasket((Orbifold(1, 2),), -3, 11) in fbs
+        fbs, _, _ = _tuple_baskets(X7_TUPLE, 1)
+        assert (FormalBasket((Orbifold(1, 2),), -3, 11), "sigma5-zero") in fbs
 
     def test_quintic_cousin_basket(self):
-        fbs = candidate_formal_baskets(X5_TUPLE, -1)
-        assert FormalBasket((Orbifold(1, 2),), 1, -4) in fbs
+        fbs, _, _ = _tuple_baskets(X5_TUPLE, -1)
+        assert (FormalBasket((Orbifold(1, 2),), 1, -4), "sigma5-zero") in fbs
 
 
 class TestRealize:
@@ -332,13 +331,13 @@ def unscreened_baskets(tuples, alpha):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classify_module, "_gcd_counts_cut", lambda t, alpha: False)
         return [(t, fb) for t in tuples
-                for fb in candidate_formal_baskets(t, alpha)]
+                for fb, _ in _tuple_baskets(t, alpha)[0]]
 
 
 @pytest.fixture(scope="module")
 def fano_pairs():
     # every basket of the -1 sweep, those of gcd-cut tuples included
-    return unscreened_baskets(enumerate_tuples(-1), -1)
+    return unscreened_baskets(list(iter_tuples(-1)), -1)
 
 
 @pytest.fixture(scope="module")
@@ -350,7 +349,7 @@ def fano_baskets(fano_pairs):
 def ample_pairs():
     # the baskets of a seeded sample of +1 tuples, gcd-cut ones included
     return unscreened_baskets(
-        random.Random(61).sample(enumerate_tuples(1), 2000), 1)
+        random.Random(61).sample(list(iter_tuples(1)), 2000), 1)
 
 
 def _cap_index(fb, alpha, bound):
@@ -551,17 +550,18 @@ class TestSeriesIdentity:
 
     @staticmethod
     def _numerator(fb, alpha, n):
-        # 12 * scale * c_m for m < n, from RRKernel.chi_m, which (unlike
-        # chi_ints) does not need chi_m integral; then times the
-        # denominator, one factor at a time
-        kern = RRKernel(fb.basket)
-        vol, unit = kern.k3(fb.chi, fb.chi2), 12 * kern.scale
+        # 12 * scale * c_m for m < n, from the rational chi_m_oracle, so
+        # the identity does not lean on chi_ints, and integral however
+        # the chi_m fall; then times the denominator, one factor at a time
+        unit = 12 * RRKernel(fb.basket).scale
         if alpha == 1:
             c = [unit, unit * (1 - fb.chi)] + [
-                kern.chi_m(m, fb.chi, vol) for m in range(2, n)]
+                unit * chi_m_oracle(fb, m) for m in range(2, n)]
         else:
-            c = [unit] + [-kern.chi_m(m + 1, fb.chi, vol)
+            c = [unit] + [-unit * chi_m_oracle(fb, m + 1)
                           for m in range(1, n)]
+        assert all(cm.denominator == 1 for cm in c)
+        c = [int(cm) for cm in c]
         for r in [1, 1, 1, 1, *{q.r for q in fb.basket}]:
             mul_into_oracle(c, r)
         return c
@@ -600,7 +600,7 @@ class TestGcdScreen:
 
     def test_matches_direct_counts(self):
         for alpha, codim_max in ((-1, 3), (1, 5)):
-            tuples = enumerate_tuples(alpha)
+            tuples = list(iter_tuples(alpha))
             if alpha == 1:
                 tuples = random.Random(71).sample(tuples, 5000)
             for t in tuples:
@@ -621,14 +621,14 @@ class TestGcdScreen:
                        for p in rec.provenance), rec.provenance
 
     def test_cut_fano_tuples_realize_nothing(self):
-        cut = [t for t in enumerate_tuples(-1) if _gcd_counts_cut(t, -1)]
+        cut = [t for t in iter_tuples(-1) if _gcd_counts_cut(t, -1)]
         assert len(cut) == 4033
         pairs = unscreened_baskets(cut, -1)
         assert len(pairs) == 36
         assert [fb for _, fb in pairs if realize(fb, -1) is not None] == []
 
     def test_cut_ample_canonical_sample_realizes_nothing(self):
-        cut = [t for t in enumerate_tuples(1) if _gcd_counts_cut(t, 1)]
+        cut = [t for t in iter_tuples(1) if _gcd_counts_cut(t, 1)]
         assert len(cut) == 91667
         pairs = unscreened_baskets(random.Random(73).sample(cut, 1500), 1)
         assert len(pairs) > 500

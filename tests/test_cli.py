@@ -131,6 +131,15 @@ class TestTable:
         code, out, err = run(capsys, "table", str(src))
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+        assert str(src) in err and "not UTF-8" in err
+
+    def test_stdin_not_utf8(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(b"\xff\xfe0 1\n"), encoding="utf-8"))
+        code, out, err = run(capsys, "table")
+        assert code == 2 and out == ""
+        assert err.startswith("error: <stdin>: not UTF-8")
+        assert "Traceback" not in err
 
     def test_entry_cap_fails_fast(self, capsys, monkeypatch):
         # one coefficient of 10^8 would record 10^8 weights
