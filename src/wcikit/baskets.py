@@ -44,6 +44,8 @@ class Orbifold:
 
 
 Basket = tuple[Orbifold, ...]
+# A basket as the (b, r) of its points, sorted by (r, b).
+Points = tuple[tuple[int, int], ...]
 
 
 def canonical(points: Iterable[Orbifold]) -> Basket:
@@ -120,6 +122,24 @@ def _point_sums(b: int, r: int) -> tuple[int, tuple[int, ...]]:
         rho = (rho + b) % r
         prefix.append(prefix[-1] + rho * (r - rho))
     return r * (r * r - 1) // 6, tuple(prefix)
+
+
+def _point_sigmas(b: int, r: int, ms: Iterable[int]) -> tuple[int, ...]:
+    """sigma_m = 12 l(m) - 2(2m-1)m(m-1) l(2) of a point (b, r), r >= 2.
+
+    With S(m) = sum_{j<m} rho_j (r - rho_j), this is
+    (6 S(m) - (2m-1)m(m-1) S(2)) / r, an integer: rho_j = jb mod r puts
+    both terms at -(2m-1)m(m-1) b^2 mod r.  sigma_m adds up over the
+    points of a basket (Buckley, Reid and Zhou, arXiv:1208.0457).
+    """
+    period, prefix = _point_sums(b, r)
+    s2 = prefix[1]
+    sigs = []
+    for m in ms:
+        k, j = divmod(m - 1, r)
+        sigs.append((6 * (k * period + prefix[j])
+                     - (2 * m - 1) * m * (m - 1) * s2) // r)
+    return tuple(sigs)
 
 
 class RRKernel:
@@ -282,7 +302,7 @@ def _pack(codes: tuple[int, ...], width: int) -> int:
     return packed
 
 
-def _points(packed: int, unit: int, width: int) -> tuple[tuple[int, int], ...]:
+def _points(packed: int, unit: int, width: int) -> Points:
     """The (b, r) of each point of a packed state, sorted by (r, b)."""
     mask = (1 << width) - 1
     out = []
@@ -328,17 +348,9 @@ def _build_closure(root: tuple[int, ...], unit: int, width: int,
             return zero
         if b < 1 or 2 * b > r or gcd(b, r) != 1:
             return None
-        # With S(m) = sum_{j<m} rho_j (r - rho_j), a point's sigma_m is
-        # (6 S(m) - (2m-1)m(m-1) S(2)) / r, an integer: rho_j = jb mod r
-        # puts both terms at -(2m-1)m(m-1) b^2 mod r.
-        period, prefix = _point_sums(b, r)
-        s2 = prefix[1]
-        sigs = []
-        for m in ms:
-            k, j = divmod(m - 1, r)
-            sigs.append((6 * (k * period + prefix[j])
-                         - (2 * m - 1) * m * (m - 1) * s2) // r)
-        return ((r * r - 1) * (scale // r), s2 * (scale // (2 * r)), *sigs)
+        s2 = _point_sums(b, r)[1][1]
+        return ((r * r - 1) * (scale // r), s2 * (scale // (2 * r)),
+                *_point_sigmas(b, r, ms))
 
     def move(p: int, q: int) -> tuple | None:
         """(code of the merged point, change of data), None unless prime."""
@@ -421,7 +433,21 @@ def descendants(b0: Basket, chi: int, chi2: int,
     later calls on the same root, which redo only the target check.
     Its key holds all a closure depends on: the root, the target
     indices, the prune and, for the "volume" prune, chi_2 + 3 chi.
+    The hits come sorted by their points' (b, r); each becomes a
+    FormalBasket here.  The sweep reads the points of
+    _descendant_points instead, and builds a FormalBasket only for the
+    hits its entry caps leave.
     """
+    return [FormalBasket(tuple(Orbifold(b, r) for b, r in points), chi, chi2)
+            for points in _descendant_points(b0, chi, chi2, targets,
+                                             prune, cache)]
+
+
+def _descendant_points(b0: Basket, chi: int, chi2: int,
+                       targets: Mapping[int, int],
+                       prune: str | None = None,
+                       cache: dict | None = None) -> list[Points]:
+    """descendants() as the sorted (b, r) tuples of each hit's points."""
     if prune is not None and prune not in NAMED_PRUNES:
         raise ValueError(f"unknown prune {prune!r}")
     ms = tuple(sorted(targets))
@@ -449,9 +475,7 @@ def descendants(b0: Basket, chi: int, chi2: int,
                  for m in ms)
     w = len(ms)
     l2_floor = floor * scale
-    hits = sorted(_points(state, unit, width)
+    return sorted(_points(state, unit, width)
                   for k, state in enumerate(states)
                   if tuple(sigs[k * w:(k + 1) * w]) == want
                   and (l2s is None or l2s[k] > l2_floor))
-    return [FormalBasket(tuple(Orbifold(b, r) for b, r in points), chi, chi2)
-            for points in hits]

@@ -92,9 +92,13 @@ def parse_candidate(text: str) -> Candidate:
         items = [s.strip() for s in chunk.split(",")]
         if items == [""]:
             raise CandidateParseError(f"empty {side} list")
+        for s in items:
+            # int() alone also reads '1_0', '+4' and non-ASCII digits
+            if not (s.isascii() and s.isdigit()):
+                raise CandidateParseError(f"bad integer in {side}: {s!r}")
         try:
             values = [int(s) for s in items]
-        except ValueError as exc:
+        except ValueError as exc:  # more digits than int() converts
             raise CandidateParseError(f"bad integer in {side}: {exc}") from None
         return values
 

@@ -30,9 +30,11 @@ from .baskets import (
     BasketInconsistency,
     FormalBasket,
     Orbifold,
+    Points,
     RRKernel,
+    _descendant_points,
+    _point_sigmas,
     canonical,
-    descendants,
     high_index_count_bounds,
     initial_counts_from_chis,
     pluri_growth_filter,
@@ -274,12 +276,13 @@ def _volume_cap(s: int, headroom: int, scale: int) -> int | None:
 
 def _tuple_baskets(t: CountTuple, alpha: int,
                    closures: dict | None = None
-                   ) -> tuple[list[tuple[FormalBasket, str]], list[str],
+                   ) -> tuple[list[tuple[Points, str]], list[str],
                               str | None]:
     """Formal baskets consistent with one tuple, with case labels.
 
     Returns (baskets, exhaustiveness violations, the screen that pruned
-    the tuple or None).  Case
+    the tuple or None); each basket is the sorted (b, r) tuple of its
+    points, as _descendant_points gives it, sorted in turn.  Case
     labels: 'sigma5-zero' needs no high index points, 'ambient-capped'
     bounds their index by the largest possible weight, 'volume-capped'
     by positivity of the unpacked volume.  closures, when given, is a
@@ -307,7 +310,7 @@ def _tuple_baskets(t: CountTuple, alpha: int,
     chi, chi2 = data.chi, data.chis[2]
     targets = {m: data.chis[m] for m in (3, 4, 5, 6)}
     violations: list[str] = []
-    found: list[tuple[FormalBasket, str]] = []
+    found: list[tuple[Points, str]] = []
 
     if alpha == 1:
         bpp = canonical([Orbifold(1, 2)] * counts.n12
@@ -365,9 +368,9 @@ def _tuple_baskets(t: CountTuple, alpha: int,
             # basket, so no two roots find the same basket.  The prunes
             # keep c_2 <= 24 and K^3 < 0 for -1, K^3 > 0 for +1.
             b0 = canonical(base + [Orbifold(1, r) for r in rs])
-            found.extend((fb, case) for fb in descendants(
+            found.extend((points, case) for points in _descendant_points(
                 b0, chi, chi2, targets, prune=prune, cache=closures))
-    found.sort(key=lambda hit: [(q.b, q.r) for q in hit[0].basket])
+    found.sort(key=lambda hit: hit[0])
     return found, violations, None
 
 
@@ -404,11 +407,93 @@ def tuple_prefix(t: CountTuple, alpha: int) -> TableMethod:
 
     A basket of t has chi_2 of t, and descendants() matched its chi_3
     to chi_6 to t's; so its c_0..c_h are t's low series, and the table
-    reads off exactly t's counted weights and degrees.
+    reads off exactly t's counted weights and degrees.  The sweep feeds
+    copies of it on to c_15 (_survivors), once per distinct
+    c_{h+1}..c_7 and c_8..c_15 among t's baskets.
     """
     table = _table(alpha)
     table.feed(t.low_series().coeffs)
     return table
+
+
+# The ends of the first two blocks basket_series_blocks gives from a
+# tuple prefix: c_{h+1}..c_7, then c_8..c_15.
+_HEAD_END, _STAGED_END = 8, 16
+
+
+def _closure_coeffs(data: ChiData, alpha: int,
+                    hits: Iterable[Points],
+                    sigmas: dict) -> list[tuple[int, ...] | None]:
+    """c_{h+1}..c_15 of each hit of one tuple, read off its points.
+
+    data is the tuple's ChiData, whose low series ends at c_h; a hit is
+    the (b, r) of its basket's points.  With k = m for +1 (c_m = chi_m)
+    and k = m + 1 for -1 (c_m = -chi_{m+1}),
+    12 chi_k = 2(2k-1)k(k-1)(chi_2 + 3 chi) - 12(2k-1) chi + sigma_k,
+    where sigma_k adds up over the points (_point_sigmas).  A hit with
+    a value 12 does not divide gets None, as chi_ints raises on it.
+    sigmas, a dict kept for one run, holds each point's sigma_k.
+    """
+    chi, floor = data.chi, data.chis[2] + 3 * data.chi
+    shift = alpha == -1
+    ks = range(len(data.p) + shift, _STAGED_END + shift)
+    const = [2 * (2 * k - 1) * k * (k - 1) * floor - 12 * (2 * k - 1) * chi
+             for k in ks]
+    sign = 1 if alpha == 1 else -1
+    vecs = sigmas.setdefault((ks.start, ks.stop), {})
+    out: list[tuple[int, ...] | None] = []
+    for points in hits:
+        twelve = [sum(col) for col in zip(const, *[
+            vecs[p] if p in vecs else vecs.setdefault(p, _point_sigmas(*p, ks))
+            for p in points])]
+        out.append(None if any(x % 12 for x in twelve)
+                   else tuple(sign * (x // 12) for x in twelve))
+    return out
+
+
+def _read(table: TableMethod | None,
+          block: tuple[int, ...]) -> TableMethod | None:
+    """A copy of table that has read block, or None where realize() stops."""
+    if table is None or min(block, default=0) < 0:
+        return None
+    table = table.copy()
+    return table if table.feed(block) else None
+
+
+def _survivors(t: CountTuple, alpha: int,
+               hits: list[Points], sigmas: dict
+               ) -> list[tuple[FormalBasket, TableMethod] | None]:
+    """Per hit of t, its FormalBasket and a table that read c_0..c_15.
+
+    None for a hit whose c_{h+1}..c_7 or c_8..c_15, the first two
+    blocks realize(fb, alpha, tuple_prefix(t, alpha)) reads, hold a
+    non-integral or negative coefficient or hit an entry cap; both
+    blocks come from _closure_coeffs.  realize() rejects such a basket
+    too.  When its identity stop comes first, the series past it adds
+    no entry and is integral, and a negative coefficient there fails
+    its own series check.  The hits with the same c_{h+1}..c_7 read it
+    once, from a copy of tuple_prefix; the survivors with the same
+    c_{h+1}..c_15 read c_8..c_15 once, from a copy of that table.
+    realize() continues a survivor from index 16.
+    """
+    data = tuple_chis(t, alpha)
+    split = _HEAD_END - len(data.p)
+    prefix = tuple_prefix(t, alpha)
+    heads: dict[tuple[int, ...], TableMethod | None] = {}
+    reads: dict[tuple[int, ...], TableMethod | None] = {}
+    out: list[tuple[FormalBasket, TableMethod] | None] = []
+    for points, coeffs in zip(hits, _closure_coeffs(data, alpha, hits,
+                                                    sigmas)):
+        if coeffs is not None and coeffs not in reads:
+            head = coeffs[:split]
+            if head not in heads:
+                heads[head] = _read(prefix, head)
+            reads[coeffs] = _read(heads[head], coeffs[split:])
+        table = reads.get(coeffs)  # None also for a non-integral hit
+        out.append(None if table is None else (
+            FormalBasket(tuple(Orbifold(b, r) for b, r in points),
+                         data.chi, data.chis[2]), table))
+    return out
 
 
 def realize(fb: FormalBasket, alpha: int,
@@ -422,8 +507,10 @@ def realize(fb: FormalBasket, alpha: int,
     means that no presentation realizes the basket.  The series is built
     and scanned in blocks, so a basket stops at the first block with a
     non-integral or negative coefficient or an entry cap hit.  prefix, a
-    table from tuple_prefix for the basket's own tuple, has read the
-    start of the series already; realize continues from a copy of it.
+    table that has read the start of the basket's series already,
+    comes from tuple_prefix for the basket's own tuple, or from the
+    sweep (_survivors) when it has read on to c_15; realize continues
+    from a copy of it.
 
     Reading also stops after a block of length L whose clean, nonempty
     presentation (a; d) meets L - 1 >= max(deg N + sum(a), 4 + sum(r)
@@ -611,16 +698,21 @@ def _batch_worker(args: tuple[int, Iterable[CountTuple]]
     violations: list[str] = []
     stats: Counter = Counter()
     closures: dict = {}
+    sigmas: dict = {}
     for t in batch:
         stats["tuples"] += 1
-        fbs, viols, pruned = _tuple_baskets(t, alpha, closures)
+        hits, viols, pruned = _tuple_baskets(t, alpha, closures)
         violations.extend(viols)
         if pruned:
             stats[pruned] += 1
-        stats["baskets"] += len(fbs)
-        prefix = tuple_prefix(t, alpha) if fbs else None
-        for fb, case in fbs:
-            rec = realize(fb, alpha, prefix)
+        stats["baskets"] += len(hits)
+        if not hits:
+            continue
+        survivors = _survivors(t, alpha, [points for points, _ in hits],
+                               sigmas)
+        for (_, case), survivor in zip(hits, survivors):
+            rec = None if survivor is None else realize(
+                survivor[0], alpha, survivor[1])
             if rec is None:
                 stats["unrealized"] += 1
                 continue

@@ -37,7 +37,7 @@ from wcikit import (
     parse_basket,
     pluri_growth_filter,
 )
-from wcikit.baskets import RRKernel
+from wcikit.baskets import RRKernel, _point_sigmas
 
 
 class TestOrbifold:
@@ -106,8 +106,9 @@ class TestCorrectionTerm:
             assert rr_correction(q, m + r) - rr_correction(q, m) == period_sum
 
     def test_closure_signature_is_integral(self):
-        # descendants() carries sigma_m = 12 l(m) - 2(2m-1)m(m-1) l(2)
-        # per point as an integer.  It is even a multiple of 12, so every
+        # descendants() and the sweep's closure read carry
+        # sigma_m = 12 l(m) - 2(2m-1)m(m-1) l(2) per point as an integer
+        # (_point_sigmas).  It is even a multiple of 12, so every
         # chi_m of a basket is integral and RRKernel.chi_ints never raises
         # on valid points.
         for r in range(2, 61):
@@ -116,10 +117,12 @@ class TestCorrectionTerm:
                     continue
                 q = Orbifold(b, r)
                 l2 = rr_correction(q, 2)
+                sigs = _point_sigmas(b, r, range(1, 41))
                 for m in range(1, 41):
                     sig = 12 * rr_correction(q, m) \
                         - 2 * (2 * m - 1) * m * (m - 1) * l2
                     assert sig.denominator == 1 and sig % 12 == 0, (q, m)
+                    assert sigs[m - 1] == sig, (q, m)
 
 
 def _random_root(rng, max_r=12, max_size=6):
@@ -524,12 +527,13 @@ def sweep_calls(request):
     current = []
 
     def recorded(b0, chi, chi2, targets, prune=None, cache=None):
+        # the sweep reads the points of the baskets descendants() builds
         hits = descendants(b0, chi, chi2, targets, prune=prune, cache=cache)
         calls.append((current[0], b0, chi, chi2, dict(targets), prune, hits))
-        return hits
+        return [tuple((q.b, q.r) for q in fb.basket) for fb in hits]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classify_module, "descendants", recorded)
+        mp.setattr(classify_module, "_descendant_points", recorded)
         for t in tuples:
             current[:] = [t]
             classify_module._tuple_baskets(t, alpha, {})

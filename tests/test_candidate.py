@@ -52,6 +52,11 @@ class TestParsing:
         "1,1,0,1,1 / 4",      # zero weight
         "1,1,1,1,1 / -4",     # negative degree
         "1,1 / 4",            # dim < 1
+        "1_0,1,1,1,1 / 14",   # digit separator, int() reads 10
+        "+1,1,1,1,1 / 5",     # explicit sign
+        "1,1,1,1,1 / ４",     # fullwidth digit
+        "1,1,1,1,1 / ٥",      # Arabic-Indic digit
+        "1,1,1,1,1 / " + "5" * 5000,  # more digits than int() converts
     ])
     def test_parse_errors(self, text):
         with pytest.raises(CandidateParseError):

@@ -1,7 +1,9 @@
 import random
 import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 import pytest
@@ -36,6 +38,7 @@ from wcikit import (
     normalize,
     parse_basket,
     parse_candidate,
+    poincare_series,
     realize,
     recover_weights_degrees,
     recovery_bound,
@@ -48,10 +51,12 @@ from wcikit import (
 from wcikit.classify import (
     _C2_LOAD,
     _C2_SCALE,
+    _closure_coeffs,
     _compositions,
     _gcd_counts_cut,
     _quadruples,
     _r_multisets,
+    _survivors,
     _tuple_baskets,
     _volume_cap,
 )
@@ -164,7 +169,7 @@ class TestTupleChis:
 def front_end_calls(request):
     """Arguments of every multiset and index cap call in a tuple sweep.
 
-    descendants() is stubbed out, so the sweep runs the tuple screens
+    _descendant_points() is stubbed out, so the sweep runs the tuple screens
     and the multiset enumerations only.
     """
     alpha = request.param
@@ -181,7 +186,8 @@ def front_end_calls(request):
         return _volume_cap(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classify_module, "descendants", lambda *a, **k: [])
+        mp.setattr(classify_module, "_descendant_points",
+                   lambda *a, **k: [])
         mp.setattr(classify_module, "_r_multisets", recorded_multisets)
         mp.setattr(classify_module, "_volume_cap", recorded_cap)
         for t in iter_tuples(alpha):
@@ -256,14 +262,25 @@ class TestMultisetBounds:
                 _gt_oracle(s, costs, budget))
 
 
+def formal_basket(t, alpha, points):
+    """The FormalBasket of a hit of t, from its points and t's chi data."""
+    data = tuple_chis(t, alpha)
+    return FormalBasket(tuple(Orbifold(b, r) for b, r in points),
+                        data.chi, data.chis[2])
+
+
 class TestFormalBaskets:
     def test_sept_basket(self):
-        fbs, _, _ = _tuple_baskets(X7_TUPLE, 1)
-        assert (FormalBasket((Orbifold(1, 2),), -3, 11), "sigma5-zero") in fbs
+        hits, _, _ = _tuple_baskets(X7_TUPLE, 1)
+        assert (((1, 2),), "sigma5-zero") in hits
+        assert formal_basket(X7_TUPLE, 1, ((1, 2),)) == \
+            FormalBasket((Orbifold(1, 2),), -3, 11)
 
     def test_quintic_cousin_basket(self):
-        fbs, _, _ = _tuple_baskets(X5_TUPLE, -1)
-        assert (FormalBasket((Orbifold(1, 2),), 1, -4), "sigma5-zero") in fbs
+        hits, _, _ = _tuple_baskets(X5_TUPLE, -1)
+        assert (((1, 2),), "sigma5-zero") in hits
+        assert formal_basket(X5_TUPLE, -1, ((1, 2),)) == \
+            FormalBasket((Orbifold(1, 2),), 1, -4)
 
 
 class TestRealize:
@@ -330,8 +347,8 @@ def unscreened_baskets(tuples, alpha):
     """(tuple, basket) pairs of the tuples, gcd-cut ones not skipped."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classify_module, "_gcd_counts_cut", lambda t, alpha: False)
-        return [(t, fb) for t in tuples
-                for fb, _ in _tuple_baskets(t, alpha)[0]]
+        return [(t, formal_basket(t, alpha, points)) for t in tuples
+                for points, _ in _tuple_baskets(t, alpha)[0]]
 
 
 @pytest.fixture(scope="module")
@@ -467,6 +484,36 @@ class TestPrefixExactness:
             assert fed == read, first
 
 
+    @pytest.mark.parametrize("alpha", [-1, 1])
+    def test_degree_sum_sets_the_identity_length(self, monkeypatch, alpha):
+        # realize() reads a constructed series, (1 - t^4)^3 / (1 - t)^5,
+        # in the blocks of the basket's own.  Its presentation
+        # 1,1,1,1,1 / 4,4,4 is clean from length 9, and den + sum(d)
+        # = 4 + 12 exceeds num + sum(a) = 4 + [alpha = +1] + 5, so the
+        # read stops at length 17, one past the second block
+        fb = FormalBasket((), 1, 0)
+        assert series_numerator_degree(fb, alpha) == 4 + (alpha == 1)
+        series = poincare_series((1,) * 5, (4,) * 3, 40).coeffs
+        fed = []
+
+        def constructed(*args):
+            blocks = basket_series_blocks(*args)
+            lo, end = 0, None
+            while True:
+                try:
+                    block = blocks.send(end)
+                except StopIteration:
+                    return
+                fed.append(len(block))
+                end = yield list(series[lo:lo + len(block)])
+                lo += len(block)
+
+        monkeypatch.setattr(classify_module, "basket_series_blocks",
+                            constructed)
+        assert realize(fb, alpha) is None  # a curve, not a threefold
+        assert fed == [8, 8, 1]
+
+
 class TestTuplePrefix:
     """Every basket of a tuple reads the tuple's low series first."""
 
@@ -507,6 +554,85 @@ class TestTuplePrefix:
             assert unbound(got) == unbound(reference_realize(fb, -1, 300)), fb
             realized += got is not None
         assert realized == 181
+
+
+def _points(fb):
+    return tuple((q.b, q.r) for q in fb.basket)
+
+
+def _by_tuple(pairs):
+    """The baskets of each tuple, in order, from (tuple, basket) pairs."""
+    groups = {}
+    for t, fb in pairs:
+        groups.setdefault(t, []).append(fb)
+    return groups.items()
+
+
+class TestClosureRead:
+    """The sweep reads c_{h+1}..c_15 off a basket's points, not its series."""
+
+    def test_coefficients_match_the_series(self, fano_pairs, ample_pairs):
+        for alpha, pairs in ((-1, fano_pairs), (1, ample_pairs)):
+            sigmas = {}
+            checked = 0
+            for t, fbs in _by_tuple(pairs):
+                got = _closure_coeffs(tuple_chis(t, alpha), alpha,
+                                      [_points(fb) for fb in fbs], sigmas)
+                assert len(got) == len(fbs)
+                for fb, coeffs in zip(fbs, got):
+                    want = chain.from_iterable(
+                        basket_series_blocks(fb, alpha, 15, t.horizon + 1))
+                    assert coeffs == tuple(want), (t, fb)
+                    assert len(coeffs) == 15 - t.horizon
+                    checked += 1
+            assert checked == len(pairs)
+
+    def test_outcome_matches_realize_from_the_prefix(self, fano_pairs,
+                                                     ample_pairs):
+        # a cut basket is one realize() rejects; a survivor realizes from
+        # the staged table exactly as from the tuple prefix.  222 of the
+        # 1,644 -1 baskets survive, 9 of the 895 of the +1 sample
+        for alpha, pairs, kept in ((-1, fano_pairs, 222),
+                                   (1, ample_pairs, 9)):
+            survived = 0
+            for t, fbs in _by_tuple(pairs):
+                staged = _survivors(t, alpha, [_points(fb) for fb in fbs], {})
+                for fb, survivor in zip(fbs, staged, strict=True):
+                    want = realize(fb, alpha, tuple_prefix(t, alpha))
+                    if survivor is None:
+                        assert want is None, (t, fb)
+                        continue
+                    got_fb, table = survivor
+                    assert got_fb == fb and table.length == 16
+                    assert table.coeffs == list(
+                        series_from_basket(fb, alpha, 15).coeffs)
+                    assert realize(fb, alpha, table) == want, (t, fb)
+                    survived += 1
+            assert survived == kept
+
+    def test_fano_sweep_builds_and_realizes_only_the_survivors(
+            self, monkeypatch):
+        built = Counter()
+
+        def counted(name, f):
+            def wrapped(*args, **kwargs):
+                built[name] += 1
+                return f(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(classify_module, "realize",
+                            counted("realize", realize))
+        for module in (classify_module, baskets_module):
+            monkeypatch.setattr(module, "FormalBasket",
+                                counted("FormalBasket", FormalBasket))
+        report = classify(RunConfig(alpha=-1))
+        assert built == {"realize": 222, "FormalBasket": 222}
+        assert report.statistics == {
+            "tuples": 7056, "baskets": 1608, "negative_sections": 525,
+            "unrealized": 1427, "isolated_gcd_counts": 4033,
+            "empty_sigma5_range": 314, "negative_unpacked_counts": 1993,
+            "realized": 181}
+        assert len(report.records) == 181
 
 
 class TestRecordCertificate:
@@ -671,13 +797,24 @@ class TestClosureCache:
             return build(root, *args)
 
         monkeypatch.setattr(baskets_module, "_build_closure", counted_build)
+        points = []
+        sigmas = classify_module._point_sigmas
+
+        def counted_sigmas(b, r, ks):
+            points.append((b, r))
+            return sigmas(b, r, ks)
+
+        monkeypatch.setattr(classify_module, "_point_sigmas", counted_sigmas)
         first = classify(RunConfig(alpha=-1)).to_json()
-        # the 1,053 descendants calls of the run share 698 distinct roots
+        # the 1,053 descendants calls of the run share 698 distinct roots,
+        # and their hits 64 point types
         assert len(roots) == len(set(roots)) == 698
+        assert len(points) == len(set(points)) == 64
         # a second run finds none of them kept, so it builds all again
         roots.clear()
+        points.clear()
         assert classify(RunConfig(alpha=-1)).to_json() == first
-        assert len(roots) == 698
+        assert len(roots) == 698 and len(points) == 64
 
 
 class TestHelpers:
