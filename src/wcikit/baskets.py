@@ -4,10 +4,13 @@ An orbifold point (b, r) stands for a quotient singularity of index r
 whose local data only enters Riemann-Roch through b mod r; entries are
 normalized to 0 < b <= r/2 with gcd(b, r) = 1.  A formal basket carries a
 multiset of such points together with integers chi and chi_2, from which
-every chi_m and the degree K^3 follow.  Packing merges two points into
-one; it runs opposite to deformation, so a basket's canonical unpacking
-dominates it and the finitely many baskets between the two are exactly
-the candidates sharing its low-degree chi data.
+every chi_m and the degree K^3 follow.  Orbifold Riemann-Roch takes one
+integer form here: 12 chi_m is a term in chi and chi_2 (_chi_term) plus
+the signature sigma_m of each point (_point_sigmas), which adds up over
+the points (Buckley, Reid and Zhou, arXiv:1208.0457).  Packing merges
+two points into one; it runs opposite to deformation, so a basket's
+canonical unpacking dominates it and the finitely many baskets between
+the two are exactly the candidates sharing its low-degree chi data.
 """
 
 from __future__ import annotations
@@ -142,76 +145,36 @@ def _point_sigmas(b: int, r: int, ms: Iterable[int]) -> tuple[int, ...]:
     return tuple(sigs)
 
 
-class RRKernel:
-    """Integer orbifold Riemann-Roch data of one basket.
+def _chi_term(chi: int, chi2: int, k: int) -> int:
+    """The part of 12 chi_k that no point adds to.
 
-    Points are grouped by type and everything is scaled by
-    scale = lcm(2r) over the basket, so the local correction
-    l(m) = sum_points sum_{j<m} jb(r - jb)/(2r) (jb taken mod r) and
-    K^3 become integers.  With chi_m = (2m-1)m(m-1)/12 K^3 - (2m-1)chi
-    + l(m), 12 * scale * chi_m is an integer too.  The rational form is
-    that of Buckley, Reid and Zhou, "Ice cream and orbifold
-    Riemann-Roch" (arXiv:1208.0457).
+    Orbifold Riemann-Roch reads
+    12 chi_k = 2(2k-1)k(k-1)(chi_2 + 3 chi) - 12(2k-1) chi + sigma_k,
+    with sigma_k summed over the basket's points (_point_sigmas).
     """
+    return (2 * k - 1) * (2 * k * (k - 1) * (chi2 + 3 * chi) - 12 * chi)
 
-    __slots__ = ("scale", "c2", "_groups")
 
-    def __init__(self, basket: Basket) -> None:
-        counts: dict[tuple[int, int], int] = {}
-        for q in basket:
-            if q.r > 1:
-                key = (q.b, q.r)
-                counts[key] = counts.get(key, 0) + 1
-        scale = lcm(1, *(2 * r for _, r in counts))
-        self.scale = scale
-        # (count * scale/(2r), r, period sum, prefix sums) per point type
-        self._groups = [(n * (scale // (2 * r)), r, *_point_sums(b, r))
-                        for (b, r), n in counts.items()]
-        # scale * sum(r - 1/r) over the basket
-        self.c2 = sum(n * (r * r - 1) * (scale // r)
-                      for (_, r), n in counts.items())
+def _chis(terms: Iterable[int], columns: Iterable[Iterable[int]]) -> list[int]:
+    """chi_k from _chi_term's terms and sigma_k columns over the same k.
 
-    def l(self, m: int) -> int:
-        """scale * l(m) for m >= 1."""
-        n = m - 1
-        total = 0
-        for unit, r, period, prefix in self._groups:
-            k, j = divmod(n, r)
-            total += unit * (k * period + prefix[j])
-        return total
-
-    def k3(self, chi: int, chi2: int) -> int:
-        """scale * K^3, where K^3 = 2(chi_2 + 3 chi - l(2))."""
-        return 2 * ((chi2 + 3 * chi) * self.scale - self.l(2))
-
-    def chi_ints(self, chi: int, vol: int, lo: int, hi: int) -> list[int]:
-        """chi_m for lo <= m < hi as integers, given vol = scale * K^3.
-
-        Non-integral chi_m means no variety carries this data; that
-        raises BasketInconsistency.
-        """
-        # l inlined: this loop runs once per series coefficient.
-        denom = 12 * self.scale
-        groups = self._groups
-        out = []
-        for m in range(lo, hi):
-            n = m - 1
-            l_m = 0
-            for unit, r, period, prefix in groups:
-                k, j = divmod(n, r)
-                l_m += unit * (k * period + prefix[j])
-            q_, rem = divmod((2 * m - 1) * (m * n * vol - denom * chi)
-                             + 12 * l_m, denom)
-            if rem:
-                raise BasketInconsistency(f"chi_{m} not integral")
-            out.append(q_)
-        return out
+    Each column holds the sigma_k of one point, or of one point type
+    times its count.  A sum 12 does not divide means no variety carries
+    the data; that raises BasketInconsistency.
+    """
+    out = []
+    for twelve in map(sum, zip(terms, *columns)):
+        chi_k, rem = divmod(twelve, 12)
+        if rem:
+            raise BasketInconsistency("chi_k not integral")
+        out.append(chi_k)
+    return out
 
 
 def k3(fb: FormalBasket) -> Fraction:
-    """Canonical degree K^3 determined by chi, chi_2 and the basket."""
-    kern = RRKernel(fb.basket)
-    return Fraction(kern.k3(fb.chi, fb.chi2), kern.scale)
+    """Canonical degree K^3 = 2(chi_2 + 3 chi) - sum of b(r - b)/r."""
+    return 2 * (fb.chi2 + 3 * fb.chi) - sum(
+        (Fraction(q.b * (q.r - q.b), q.r) for q in fb.basket), Fraction(0))
 
 
 def is_prime_packing(p: Orbifold, q: Orbifold) -> bool:
@@ -466,13 +429,9 @@ def _descendant_points(b0: Basket, chi: int, chi2: int,
         if cache is not None:
             cache[key] = closure
     sigs, states, l2s, scale = closure
-    # With K^3 = 2(chi_2 + 3 chi - l(2)), chi_m = t reads
-    # sigma_m = 12 l(m) - 2(2m-1)m(m-1) l(2)
-    #         = 12 t + (2m-1)(12 chi - 2m(m-1)(chi_2 + 3 chi)),
-    # and K^3 < 0 reads l(2) > chi_2 + 3 chi.
-    want = tuple(12 * targets[m]
-                 + (2 * m - 1) * (12 * chi - 2 * m * (m - 1) * floor)
-                 for m in ms)
+    # chi_m = t reads sigma_m = 12 t - _chi_term(m); with
+    # K^3 = 2(chi_2 + 3 chi - l(2)), K^3 < 0 reads l(2) > chi_2 + 3 chi.
+    want = tuple(12 * targets[m] - _chi_term(chi, chi2, m) for m in ms)
     w = len(ms)
     l2_floor = floor * scale
     return sorted(_points(state, unit, width)

@@ -17,6 +17,12 @@ from fractions import Fraction
 from math import gcd, prod
 
 
+# Most weights and degrees, together, that parse_candidate accepts and
+# `wci table` reads off a series.  The screens are quadratic in the
+# entries, and a family in the lists has at most a few dozen.
+MAX_ENTRIES = 100
+
+
 class InvalidCandidate(ValueError):
     """Raised when weights or degrees cannot form a candidate."""
 
@@ -84,12 +90,14 @@ def normalize(weights: list[int] | tuple[int, ...],
 
 def parse_candidate(text: str) -> Candidate:
     """Parse 'a0,a1,...,an / d1,...,dc'; whitespace is ignored."""
-    parts = text.split("/")
+    parts = [[s.strip() for s in part.split(",")] for part in text.split("/")]
     if len(parts) != 2:
         raise CandidateParseError("expected one '/' between weights and degrees")
+    if len(parts[0]) + len(parts[1]) > MAX_ENTRIES:
+        raise CandidateParseError(
+            f"more than {MAX_ENTRIES} weights and degrees")
 
-    def ints(chunk: str, side: str) -> list[int]:
-        items = [s.strip() for s in chunk.split(",")]
+    def ints(items: list[str], side: str) -> list[int]:
         if items == [""]:
             raise CandidateParseError(f"empty {side} list")
         for s in items:

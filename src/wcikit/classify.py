@@ -31,12 +31,14 @@ from .baskets import (
     FormalBasket,
     Orbifold,
     Points,
-    RRKernel,
+    _chi_term,
+    _chis,
     _descendant_points,
     _point_sigmas,
     canonical,
     high_index_count_bounds,
     initial_counts_from_chis,
+    k3,
     pluri_growth_filter,
 )
 from .candidate import (
@@ -316,8 +318,8 @@ def _tuple_baskets(t: CountTuple, alpha: int,
         bpp = canonical([Orbifold(1, 2)] * counts.n12
                         + [Orbifold(1, 3)] * counts.n13
                         + [Orbifold(1, 4)] * counts.n14_plus)
-        kern = RRKernel(bpp)
-        headroom, scale = kern.k3(chi, chi2), kern.scale
+        vol = k3(FormalBasket(bpp, chi, chi2))
+        headroom, scale = vol.numerator, vol.denominator
         ambient_capped = sum(t.mu) >= 5 or any(t.nu)
 
     for s in range(lo, hi + 1):
@@ -428,26 +430,28 @@ def _closure_coeffs(data: ChiData, alpha: int,
 
     data is the tuple's ChiData, whose low series ends at c_h; a hit is
     the (b, r) of its basket's points.  With k = m for +1 (c_m = chi_m)
-    and k = m + 1 for -1 (c_m = -chi_{m+1}),
-    12 chi_k = 2(2k-1)k(k-1)(chi_2 + 3 chi) - 12(2k-1) chi + sigma_k,
-    where sigma_k adds up over the points (_point_sigmas).  A hit with
-    a value 12 does not divide gets None, as chi_ints raises on it.
-    sigmas, a dict kept for one run, holds each point's sigma_k.
+    and k = m + 1 for -1 (c_m = -chi_{m+1}), 12 chi_k is _chi_term
+    plus sigma_k, which adds up over the points (_point_sigmas).  A hit
+    whose chi_k are not integral gets None, as basket_series_blocks
+    raises on it.  sigmas, a dict kept for one run, holds each point's
+    sigma_k.
     """
-    chi, floor = data.chi, data.chis[2] + 3 * data.chi
     shift = alpha == -1
     ks = range(len(data.p) + shift, _STAGED_END + shift)
-    const = [2 * (2 * k - 1) * k * (k - 1) * floor - 12 * (2 * k - 1) * chi
-             for k in ks]
+    terms = [_chi_term(data.chi, data.chis[2], k) for k in ks]
     sign = 1 if alpha == 1 else -1
     vecs = sigmas.setdefault((ks.start, ks.stop), {})
     out: list[tuple[int, ...] | None] = []
     for points in hits:
-        twelve = [sum(col) for col in zip(const, *[
-            vecs[p] if p in vecs else vecs.setdefault(p, _point_sigmas(*p, ks))
-            for p in points])]
-        out.append(None if any(x % 12 for x in twelve)
-                   else tuple(sign * (x // 12) for x in twelve))
+        try:
+            chis = _chis(terms, [
+                vecs[p] if p in vecs
+                else vecs.setdefault(p, _point_sigmas(*p, ks))
+                for p in points])
+        except BasketInconsistency:
+            out.append(None)
+        else:
+            out.append(tuple(sign * c for c in chis))
     return out
 
 
@@ -502,15 +506,17 @@ def realize(fb: FormalBasket, alpha: int,
 
     Reads a presentation off the basket series, and keeps the result
     only if it is a dimension 3 candidate of the right amplitude whose
-    own series reproduces the basket series exactly.  The series runs to
-    the basket's certified recovery bound, so absence of a return value
-    means that no presentation realizes the basket.  The series is built
-    and scanned in blocks, so a basket stops at the first block with a
-    non-integral or negative coefficient or an entry cap hit.  prefix, a
-    table that has read the start of the basket's series already,
-    comes from tuple_prefix for the basket's own tuple, or from the
-    sweep (_survivors) when it has read on to c_15; realize continues
-    from a copy of it.
+    own series reproduces the basket series exactly.  The basket series
+    is the basket's chi_m in the one Riemann-Roch form of baskets.py,
+    _chi_term plus its points' signatures (basket_series_blocks).  It
+    runs to the basket's certified recovery bound, so absence of a
+    return value means that no presentation realizes the basket.  The
+    series is built and scanned in blocks, so a basket stops at the
+    first block with a non-integral or negative coefficient or an entry
+    cap hit.  prefix, a table that has read the start of the basket's
+    series already, comes from tuple_prefix for the basket's own tuple,
+    or from the sweep (_survivors) when it has read on to c_15; realize
+    continues from a copy of it.
 
     Reading also stops after a block of length L whose clean, nonempty
     presentation (a; d) meets L - 1 >= max(deg N + sum(a), 4 + sum(r)

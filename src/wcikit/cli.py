@@ -16,11 +16,15 @@ import json
 import sys
 
 from .baskets import FormalBasket, Orbifold, k3
-from .candidate import CandidateParseError, necessary_screen, parse_candidate
+from .candidate import (
+    MAX_ENTRIES,
+    CandidateParseError,
+    necessary_screen,
+    parse_candidate,
+)
 from .classify import ClassificationRecord, RunConfig, classify, realize
 from .series import (
     MAX_SERIES_BOUND,
-    MAX_TABLE_ENTRIES,
     parse_series,
     recover_weights_degrees,
     series_from_basket,
@@ -99,12 +103,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
         return 2
     try:
         series = parse_series(raw)
-        rec = recover_weights_degrees(series, max_entries=MAX_TABLE_ENTRIES)
+        rec = recover_weights_degrees(series, max_entries=MAX_ENTRIES)
     except ValueError as exc:  # a SeriesParseError, or c_0 other than 1
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if rec.capped:
-        print(f"error: the series needs more than {MAX_TABLE_ENTRIES} "
+        print(f"error: the series needs more than {MAX_ENTRIES} "
               f"weights and degrees", file=sys.stderr)
         return 2
     if args.format == "json":
@@ -230,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table",
                        help="recover weights and degrees from a series "
-                            f"(at most {MAX_TABLE_ENTRIES} of them)")
+                            f"(at most {MAX_ENTRIES} of them)")
     p.add_argument("file", nargs="?", default=None,
                    help="series file ('m c_m' lines); defaults to stdin")
     p.add_argument("--format", choices=("text", "json"), default="text")

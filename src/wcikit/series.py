@@ -3,29 +3,29 @@
 The generating function of a candidate's coordinate ring is
 prod(1 - t^d) / prod(1 - t^a), expanded as an integer series exact up
 to a stated bound, one factor (1 - t^k) at a time on a coefficient list
-(mul_into, div_into).  The expansion runs backwards too: the table
-method reads weights and degrees off a series one coefficient at a time.
+(mul_into, div_into).  A formal basket's series is its chi_m, read in
+blocks off the one Riemann-Roch form of baskets.py: the basket's point
+signatures summed per block.  The expansion runs backwards too: the
+table method reads weights and degrees off a series one coefficient at
+a time.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
 from operator import add, sub
 from typing import Generator, Iterable, Sequence
 
-from .baskets import FormalBasket, RRKernel
+from .baskets import FormalBasket, _chi_term, _chis, _point_sigmas
 
 
 # Largest series bound built on request: a bound allocates one integer
 # per coefficient, and the longest certified recovery bound the drivers
 # use is 86,116.
 MAX_SERIES_BOUND = 1_000_000
-# Most weights and degrees `wci table` reads off a series.  Each entry
-# costs one pass over the series, and a presentation in the lists has
-# at most a few dozen entries.
-MAX_TABLE_ENTRIES = 100
 
 
 class SeriesParseError(ValueError):
@@ -349,16 +349,16 @@ def basket_series_blocks(fb: FormalBasket, alpha: int, bound: int,
     """Expected section counts c_start..c_bound of a formal basket, in blocks.
 
     Amplitude +1 reads chi_m directly; amplitude -1 reads -chi_{m+1} by
-    duality.  Raises BasketInconsistency on reaching a block with a
-    non-integral chi_m.  Blocks end at _FIRST_BLOCK times a power of
+    duality.  Each block sums the sigma_m of the basket's point types,
+    times their counts, onto _chi_term; it raises BasketInconsistency
+    on a non-integral chi_m.  Blocks end at _FIRST_BLOCK times a power of
     two, whatever the start; an index sent to the generator ends the
     next block there instead, when that is sooner, and the blocks after
     it double from there.
     """
     if alpha not in (-1, 1):
         raise ValueError("basket series defined for amplitude -1 or +1")
-    kern = RRKernel(fb.basket)
-    vol = kern.k3(fb.chi, fb.chi2)
+    counts = Counter((q.b, q.r) for q in fb.basket if q.r > 1)
     sign, shift = (1, 0) if alpha == 1 else (-1, 1)
     head = [1, 1 - fb.chi] if alpha == 1 else [1]  # not read off chi_m
     hi = _FIRST_BLOCK
@@ -366,8 +366,10 @@ def basket_series_blocks(fb: FormalBasket, alpha: int, bound: int,
         hi *= 2
     lo, hi = start, min(hi, bound + 1)
     while lo < hi:
-        chis = kern.chi_ints(fb.chi, vol, max(lo, len(head)) + shift,
-                             hi + shift)
+        ks = range(max(lo, len(head)) + shift, hi + shift)
+        chis = _chis([_chi_term(fb.chi, fb.chi2, k) for k in ks],
+                     [[n * x for x in _point_sigmas(b, r, ks)]
+                      for (b, r), n in counts.items()])
         end = yield head[lo:hi] + [sign * c for c in chis]
         lo, hi = hi, min(2 * hi, bound + 1)
         if end is not None:

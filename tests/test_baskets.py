@@ -1,7 +1,7 @@
 import random
 import sys
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import gcd, lcm
 
 import pytest
@@ -24,6 +24,7 @@ from wcikit import (
     BasketInconsistency,
     FormalBasket,
     Orbifold,
+    basket_series_blocks,
     canonical,
     canonical_unpacking,
     descendants,
@@ -36,8 +37,11 @@ from wcikit import (
     k3,
     parse_basket,
     pluri_growth_filter,
+    realize,
+    series_from_basket,
 )
-from wcikit.baskets import RRKernel, _point_sigmas
+from wcikit.baskets import _chi_term, _chis, _point_sigmas
+from wcikit.classify import ChiData, _closure_coeffs
 
 
 class TestOrbifold:
@@ -109,8 +113,8 @@ class TestCorrectionTerm:
         # descendants() and the sweep's closure read carry
         # sigma_m = 12 l(m) - 2(2m-1)m(m-1) l(2) per point as an integer
         # (_point_sigmas).  It is even a multiple of 12, so every
-        # chi_m of a basket is integral and RRKernel.chi_ints never raises
-        # on valid points.
+        # chi_m of a basket is integral and _chis never raises on valid
+        # points.
         for r in range(2, 61):
             for b in range(1, r // 2 + 1):
                 if gcd(b, r) != 1:
@@ -135,57 +139,49 @@ def _random_formal_basket(rng, max_r=40, max_size=5):
                         rng.randint(-10, 40), rng.randint(-10, 40))
 
 
-def _chi_ints(fb, lo, hi):
-    """chi_m for lo <= m < hi from the integer kernel."""
-    kern = RRKernel(fb.basket)
-    return kern.chi_ints(fb.chi, kern.k3(fb.chi, fb.chi2), lo, hi)
+def _chi_range(fb, lo, hi):
+    """chi_m for lo <= m < hi in the signature form, one column per point."""
+    ks = range(lo, hi)
+    return _chis([_chi_term(fb.chi, fb.chi2, k) for k in ks],
+                 [_point_sigmas(q.b, q.r, ks) for q in fb.basket if q.r > 1])
 
 
-def _c2(basket):
-    """sum(r - 1/r) over the basket, from the integer kernel."""
-    kern = RRKernel(basket)
-    return Fraction(kern.c2, kern.scale)
+def _series_oracle(fb, alpha, bound):
+    """c_0..c_bound of a basket series from the rational chi_m_oracle."""
+    if alpha == 1:
+        return [1, 1 - fb.chi] + [chi_m_oracle(fb, m)
+                                  for m in range(2, bound + 1)]
+    return [1] + [-chi_m_oracle(fb, m + 1) for m in range(1, bound + 1)]
 
 
 class TestIntegerKernel:
-    """The integer kernel against the rational oracle on random baskets."""
+    """The integer signature form of Riemann-Roch against the oracle."""
 
     def test_k3_and_chi_m_match_oracle(self):
-        # chi_m is integral on every basket (see the closure signature
-        # test), so the guard of chi_ints shows only on a volume off by
-        # 1/scale, which no basket of these points has
         rng = random.Random(71)
-        raised = 0
         for _ in range(200):
             fb = _random_formal_basket(rng)
-            kern = RRKernel(fb.basket)
-            vol = kern.k3(fb.chi, fb.chi2)
-            assert Fraction(vol, kern.scale) == k3_oracle(fb) == k3(fb)
+            assert k3(fb) == k3_oracle(fb)
             period = max((q.r for q in fb.basket), default=1)
             for m in [1, 2, 3] + [rng.randint(4, 4 * period + 4)
                                   for _ in range(6)]:
-                assert kern.chi_ints(fb.chi, vol, m, m + 1) == \
-                    [chi_m_oracle(fb, m)], (fb, m)
-                # chi_m grows by (2m-1)m(m-1)/12 per unit of K^3
-                off = chi_m_oracle(fb, m) + Fraction(
-                    (2 * m - 1) * m * (m - 1), 12 * kern.scale)
-                if off.denominator == 1:
-                    assert kern.chi_ints(fb.chi, vol + 1, m, m + 1) == [off]
-                else:
-                    with pytest.raises(BasketInconsistency):
-                        kern.chi_ints(fb.chi, vol + 1, m, m + 1)
-                    raised += 1
-        assert raised > 100
+                assert _chi_range(fb, m, m + 1) == [chi_m_oracle(fb, m)], \
+                    (fb, m)
 
-    def test_chi_ints_match_oracle(self):
+    def test_chis_match_oracle(self):
+        # per point (the sweep's closure read) and per point type times
+        # its count (basket_series_blocks), over several periods
         rng = random.Random(73)
         for _ in range(200):
             fb = _random_formal_basket(rng)
             upto = 3 * max((q.r for q in fb.basket), default=1) + 3
             want = [chi_m_oracle(fb, m) for m in range(1, upto + 1)]
-            assert _chi_ints(fb, 1, upto + 1) == want
+            assert _chi_range(fb, 1, upto + 1) == want
+            for alpha in (-1, 1):
+                assert list(series_from_basket(fb, alpha, upto).coeffs) == \
+                    _series_oracle(fb, alpha, upto), (fb, alpha)
 
-    def test_chi_ints_from_inside_a_period(self):
+    def test_series_blocks_from_inside_a_period(self):
         # basket_series_blocks starts each later block wherever the last
         # ended, mostly inside a period of every point type
         rng = random.Random(83)
@@ -197,17 +193,38 @@ class TestIntegerKernel:
                 continue
             period = lcm(*(r for _, r in types))
             hi = rng.randint(2, min(period, 200)) + 2 * max(r for _, r in types)
-            whole = _chi_ints(fb, 1, hi)
+            alpha = rng.choice((-1, 1))
+            whole = _series_oracle(fb, alpha, hi)
             for lo in rng.sample(range(2, hi), 5):
                 if all(lo % r != 1 for _, r in types):
-                    assert _chi_ints(fb, lo, hi) == whole[lo - 1:], (fb, lo)
+                    got = list(chain.from_iterable(
+                        basket_series_blocks(fb, alpha, hi, lo)))
+                    assert got == whole[lo:], (fb, alpha, lo)
                     checked += 1
 
-    def test_c2_matches_oracle(self):
-        rng = random.Random(79)
-        for _ in range(300):
-            basket = canonical(random_basket(rng, max_r=40, max_size=5))
-            assert _c2(basket) == c2_load_oracle(basket)
+    def test_integrality_guard(self, monkeypatch):
+        # Both terms of 12 chi_m are multiples of 12 on valid points (see
+        # test_closure_signature_is_integral), so only a signature off
+        # by one reaches the one check, in _chis, on both its paths
+        with pytest.raises(BasketInconsistency):
+            _chis([12, 24], [[0, 1]])
+        fb = FormalBasket((Orbifold(1, 2), Orbifold(2, 5)), 1, 0)
+        hit = ((1, 2), (2, 5))
+        data = ChiData(1, {2: 0}, (1, 0, 0, 0, 0, 0), 0)
+        assert _closure_coeffs(data, -1, [hit], {})[0] is not None
+        assert next(basket_series_blocks(fb, -1, 20))
+
+        def off(b, r, ms):
+            return tuple(x + (r == 5) for x in _point_sigmas(b, r, ms))
+
+        for module in ("wcikit.series", "wcikit.classify"):
+            monkeypatch.setattr(sys.modules[module], "_point_sigmas", off)
+        with pytest.raises(BasketInconsistency):
+            next(basket_series_blocks(fb, -1, 20))
+        with pytest.raises(BasketInconsistency):
+            series_from_basket(fb, 1, 20)
+        assert _closure_coeffs(data, -1, [hit], {}) == [None]
+        assert realize(fb, -1) is None
 
     def test_descendants_targets_match_oracle(self):
         rng = random.Random(89)
@@ -233,27 +250,27 @@ class TestVolumeAndChi:
 
     def test_chi_one_is_minus_chi(self):
         fb = FormalBasket((Orbifold(2, 7),), 4, -2)
-        assert _chi_ints(fb, 1, 2) == [-4]
+        assert _chi_range(fb, 1, 2) == [-4]
 
     def test_chi_two_returns_chi2(self):
         rng = random.Random(13)
         for _ in range(100):
             fb = FormalBasket(canonical(random_basket(rng)),
                               rng.randint(-10, 40), rng.randint(-10, 40))
-            assert _chi_ints(fb, 2, 3) == [fb.chi2]
+            assert _chi_range(fb, 2, 3) == [fb.chi2]
 
     def test_incremental_matches_formula(self):
         rng = random.Random(19)
         for _ in range(150):
             fb = FormalBasket(canonical(random_basket(rng)),
                               rng.randint(-10, 40), rng.randint(-10, 40))
-            seq = _chi_ints(fb, 1, 10)
+            seq = _chi_range(fb, 1, 10)
             for m in range(1, 10):
                 assert seq[m - 1] == chi_m_oracle(fb, m)
 
     def test_chi_example(self):
         fb = FormalBasket((Orbifold(1, 2),), 1, 0)
-        assert _chi_ints(fb, 1, 4) == [-1, 0, 9]
+        assert _chi_range(fb, 1, 4) == [-1, 0, 9]
 
 
 class TestPacking:
@@ -359,8 +376,8 @@ class TestCountFormulas:
 
 class TestCurvatureFilters:
     def test_c2_load_values(self):
-        assert _c2((Orbifold(1, 2),)) == Fraction(3, 2)
-        assert _c2(()) == 0
+        assert c2_load_oracle((Orbifold(1, 2),)) == Fraction(3, 2)
+        assert c2_load_oracle(()) == 0
 
     def test_c2_bound(self):
         # the "c2" prune keeps sum(r - 1/r) <= 24 and cuts the rest
@@ -381,7 +398,7 @@ class TestCurvatureFilters:
             packed = pack(basket, min(i, j), max(i, j))
             if packed is None:
                 continue
-            assert _c2(packed) >= _c2(basket)
+            assert c2_load_oracle(packed) >= c2_load_oracle(basket)
             done += 1
 
     def test_k3_antitone_under_packing(self):

@@ -25,6 +25,7 @@ from wcikit import (
     normalize,
     parse_candidate,
 )
+from wcikit.candidate import MAX_ENTRIES
 from fractions import Fraction
 
 
@@ -61,6 +62,14 @@ class TestParsing:
     def test_parse_errors(self, text):
         with pytest.raises(CandidateParseError):
             parse_candidate(text)
+
+    def test_entry_cap(self):
+        # the screens are quadratic in the entries, so a long candidate
+        # is refused before any of them runs
+        ones = ",".join(["1"] * (MAX_ENTRIES - 1))
+        assert parse_candidate(ones + " / 2").codim == 1
+        with pytest.raises(CandidateParseError, match="more than 100 "):
+            parse_candidate(ones + ",1 / 2")
 
     def test_normalize_sorts(self):
         c = normalize([5, 1, 1, 2, 1], [10])

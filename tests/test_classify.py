@@ -60,7 +60,6 @@ from wcikit.classify import (
     _tuple_baskets,
     _volume_cap,
 )
-from wcikit.baskets import RRKernel
 from wcikit.series import (
     TableMethod,
     basket_series_blocks,
@@ -676,10 +675,11 @@ class TestSeriesIdentity:
 
     @staticmethod
     def _numerator(fb, alpha, n):
-        # 12 * scale * c_m for m < n, from the rational chi_m_oracle, so
-        # the identity does not lean on chi_ints, and integral however
-        # the chi_m fall; then times the denominator, one factor at a time
-        unit = 12 * RRKernel(fb.basket).scale
+        # 12 * lcm(2r) * c_m for m < n, from the rational chi_m_oracle,
+        # so the identity does not lean on the signature form, and
+        # integral however the chi_m fall (2r l(m) is an integer); then
+        # times the denominator, one factor at a time
+        unit = 12 * lcm(1, *(2 * q.r for q in fb.basket))
         if alpha == 1:
             c = [unit, unit * (1 - fb.chi)] + [
                 unit * chi_m_oracle(fb, m) for m in range(2, n)]

@@ -39,6 +39,20 @@ class TestCheck:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_entry_cap(self, capsys):
+        # the screens are quadratic in the entries: 8,000 would take
+        # seconds, so more than 100 exit 2 before any screen runs
+        ones = ",".join(["1"] * 99)
+        code, out, _ = run(capsys, "check", ones + " / 2")  # 100 entries
+        assert code == 0 and out.splitlines()[-1] == "pass"
+        for n in (101, 8000):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "check",
+                                 ",".join(["1"] * (n - 1)) + " / 2")
+            assert time.perf_counter() - start < 1
+            assert (code, out) == (2, "")
+            assert err == "error: more than 100 weights and degrees\n"
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "check", "1,1,1,2,5 / 10",
                            "--format", "json")
