@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf, lcm
 from operator import add
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 
 class BasketInconsistency(ValueError):
@@ -128,7 +128,7 @@ def _point_sums(b: int, r: int) -> tuple[int, tuple[int, ...]]:
 
 
 def _point_sigmas(b: int, r: int, ms: Iterable[int]) -> tuple[int, ...]:
-    """sigma_m = 12 l(m) - 2(2m-1)m(m-1) l(2) of a point (b, r), r >= 2.
+    """sigma_m = 12 l(m) - 2(2m-1)m(m-1) l(2) of a point (b, r); (0, 1) adds 0.
 
     With S(m) = sum_{j<m} rho_j (r - rho_j), this is
     (6 S(m) - (2m-1)m(m-1) S(2)) / r, an integer: rho_j = jb mod r puts
@@ -136,7 +136,7 @@ def _point_sigmas(b: int, r: int, ms: Iterable[int]) -> tuple[int, ...]:
     points of a basket (Buckley, Reid and Zhou, arXiv:1208.0457).
     """
     period, prefix = _point_sums(b, r)
-    s2 = prefix[1]
+    s2 = b * (r - b)  # S(2)
     sigs = []
     for m in ms:
         k, j = divmod(m - 1, r)
@@ -213,27 +213,31 @@ class InitialCounts:
 
 
 def initial_counts_from_chis(chi: int, chis: Mapping[int, int]) -> InitialCounts:
-    """Invert the chi formulas for the unpacked multiplicities.
+    """Invert the chi formulas for the unpacked multiplicities (_unpacked)."""
+    return InitialCounts(*_unpacked(chi, chis))
 
-    chis maps m to chi_m for m = 2..5.  The split of n14_plus between
-    (1,4) and higher index points is not determined at this level.
+
+def _unpacked(chi: int, chis: Mapping[int, int] | Sequence[int]
+              ) -> tuple[int, int, int, int]:
+    """(n12, n13, n14_plus, sigma) from chi and chis[m] = chi_m, m = 2..5;
+    the split of n14_plus between (1,4) and higher index points is open.
     """
-    c2, c3, c4, c5 = (chis[m] for m in (2, 3, 4, 5))
-    n12 = 5 * chi + 6 * c2 - 4 * c3 + c4
-    n13 = 4 * chi + 2 * c2 + 2 * c3 - 3 * c4 + c5
-    n14_plus = chi - 3 * c2 + c3 + 2 * c4 - c5
-    sigma = 10 * chi + 5 * c2 - c3
-    return InitialCounts(n12, n13, n14_plus, sigma)
+    c2, c3, c4, c5 = chis[2], chis[3], chis[4], chis[5]
+    return (5 * chi + 6 * c2 - 4 * c3 + c4,
+            4 * chi + 2 * c2 + 2 * c3 - 3 * c4 + c5,
+            chi - 3 * c2 + c3 + 2 * c4 - c5,
+            10 * chi + 5 * c2 - c3)
 
 
-def high_index_count_bounds(chi: int, chis: Mapping[int, int]) -> tuple[int, int]:
+def high_index_count_bounds(chi: int, chis: Mapping[int, int] | Sequence[int]
+                            ) -> tuple[int, int]:
     """Inclusive bounds on sigma5 forced by nonnegative packing counts.
 
     Lower bound: the two merge counts at index five stay nonnegative.
     Upper bound: both (1,4)-multiplicity and the index-five merge count
     stay nonnegative.  An empty range rejects the chi data.
     """
-    c2, c3, c4, c5, c6 = (chis[m] for m in (2, 3, 4, 5, 6))
+    c2, c3, c4, c5, c6 = chis[2], chis[3], chis[4], chis[5], chis[6]
     lo = max(0,
              -3 * chi - 6 * c2 + 3 * c3 - c4 + 2 * c5 - c6,
              -2 * chi - 2 * c2 - 3 * c3 + 3 * c4 + c5 - c6)
@@ -242,8 +246,8 @@ def high_index_count_bounds(chi: int, chis: Mapping[int, int]) -> tuple[int, int
     return lo, hi
 
 
-def pluri_growth_filter(p: Mapping[int, int], pg: int) -> bool:
-    """Necessary growth of section counts for amplitude +1 families."""
+def pluri_growth_filter(p: Mapping[int, int] | Sequence[int], pg: int) -> bool:
+    """Necessary growth of section counts P_m = p[m], m = 1..6, for +1."""
     for m in (2, 3, 4):
         if p[m + 2] < p[m] + p[2] + pg:
             return False
@@ -258,13 +262,6 @@ def pluri_growth_filter(p: Mapping[int, int], pg: int) -> bool:
 NAMED_PRUNES = ("c2", "volume")
 
 
-def _pack(codes: tuple[int, ...], width: int) -> int:
-    packed = 0
-    for code in reversed(codes):
-        packed = packed << width | code
-    return packed
-
-
 def _points(packed: int, unit: int, width: int) -> Points:
     """The (b, r) of each point of a packed state, sorted by (r, b)."""
     mask = (1 << width) - 1
@@ -276,9 +273,27 @@ def _points(packed: int, unit: int, width: int) -> Points:
     return tuple(out)
 
 
-def _build_closure(root: tuple[int, ...], unit: int, width: int,
-                   ms: tuple[int, ...], prune: str | None,
-                   volume_floor: int) -> tuple:
+_SIGMA_TOP = 17  # chi_3..chi_6 as targets, k = 7..16 in the closure read
+
+
+class _PointTable(dict):
+    """sigma_m, m < _SIGMA_TOP, of each point type (b, r), made on first use.
+
+    shapes holds what _build_closure derives from the rows for one unit,
+    scale and ms, so the closures of that shape in a run share it.
+    """
+
+    def __init__(self) -> None:
+        self.shapes: dict[tuple, tuple] = {}
+
+    def __missing__(self, point: tuple[int, int]) -> tuple[int, ...]:
+        row = self[point] = _point_sigmas(*point, range(_SIGMA_TOP))
+        return row
+
+
+def _build_closure(root: tuple[int, ...], unit: int, ms: tuple[int, ...],
+                   prune: str | None, volume_floor: int,
+                   points: _PointTable) -> tuple:
     """Breadth-first closure of a root under prime packing, with canonical dedup.
 
     Two points merge only when they are Farey neighbours,
@@ -288,51 +303,54 @@ def _build_closure(root: tuple[int, ...], unit: int, width: int,
     (a Stern-Brocot mediant path).  So from a root of points (1, r)
     the closure is exactly the set of baskets whose initial_basket is
     the root; the prunes cut the same baskets as over all merges, since
-    both grow more true along any packing path.
+    both grow more true along any packing path.  A merge, a mediant,
+    is again a point in normal form.
 
-    Returns (sigs, states, l2s, scale): each state packed into one int;
-    per state and listed m, in an array, the signature
-    sigma_m = 12 l(m) - 2(2m-1)m(m-1) l(2); and, for the "c2" prune
-    only, scale * l(2) per state as ints (scale passes 2^63 on large
-    roots), else None.  While it runs, a state is a sorted tuple of
-    point codes carrying its c_2 load and l(2), scaled by twice the lcm
-    of every index up to the root's total index (which covers every
-    merged point), then sigma_m for m in ms.  Packing p and q into s
-    adds data(s) - data(p) - data(q).
+    Returns (sigs, states, l2s, scale, width): each state packed into
+    one int of width-bit codes; per state and listed m, in an array,
+    the signature sigma_m = 12 l(m) - 2(2m-1)m(m-1) l(2); and, for the
+    "c2" prune only, scale * l(2) per state as ints (scale passes 2^63
+    on large roots), else None.  While it runs, a state is a sorted
+    tuple of point codes carrying its c_2 load and l(2), scaled by
+    twice the lcm of every index up to the root's total index (which
+    covers every merged point), then sigma_m for m in ms, read off the
+    run's points table.  Packing p and q into s adds data(s) - data(p)
+    - data(q); the data per code and that change per merge are kept in
+    points.shapes for every closure of the same unit, scale and ms.
     """
-    scale = 2 * lcm(1, *range(1, sum(c // unit for c in root) + 1))
-    zero = (0,) * (len(ms) + 2)
+    total = sum(root) // unit  # the root's total index
+    width = ((total + 1) * unit).bit_length()
+    scale = 2 * lcm(1, *range(1, total + 1))
+    shape = unit, scale, ms
+    if shape not in points.shapes:
+        # Each new move reads three points; most recur across moves.
+        @lru_cache(maxsize=None)
+        def point_data(code: int) -> tuple[int, ...]:
+            r, b = divmod(code, unit)
+            sigs = points[b, r]
+            return ((r * r - 1) * (scale // r),
+                    b * (r - b) * (scale // (2 * r)), *[sigs[m] for m in ms])
 
-    # Each new move reads three points; most recur across moves.
-    @lru_cache(maxsize=None)
-    def point_data(code: int) -> tuple[int, ...] | None:
-        r, b = divmod(code, unit)
-        if r == 1:
-            return zero
-        if b < 1 or 2 * b > r or gcd(b, r) != 1:
-            return None
-        s2 = _point_sums(b, r)[1][1]
-        return ((r * r - 1) * (scale // r), s2 * (scale // (2 * r)),
-                *_point_sigmas(b, r, ms))
+        @lru_cache(maxsize=None)
+        def merge(p: int, q: int) -> tuple[int, ...]:
+            return tuple(x - y - z for x, y, z in zip(
+                point_data(p + q), point_data(p), point_data(q)))
+        points.shapes[shape] = point_data, merge
+    point_data, merge = points.shapes[shape]
 
     def move(p: int, q: int) -> tuple | None:
         """(code of the merged point, change of data), None unless prime."""
         (rp, bp), (rq, bq) = divmod(p, unit), divmod(q, unit)
         if abs(bp * rq - bq * rp) != 1:
             return None
-        ds = point_data(p + q)
-        if ds is None:
-            return None
-        return p + q, tuple(x - y - z for x, y, z in
-                            zip(ds, point_data(p), point_data(q)))
+        return p + q, merge(p, q)
 
     # A named prune cuts the states whose data[at] exceeds limit.
     at, limit = {"c2": (0, 24 * scale),
                  "volume": (1, volume_floor * scale - 1)}.get(prune, (0, inf))
 
-    root_data = zero
-    for code in root:
-        root_data = tuple(map(add, root_data, point_data(code)))
+    root_data = tuple(map(sum, zip(*map(point_data, root)))) or (0,) * (
+        len(ms) + 2)
     states: dict[tuple[int, ...], tuple[int, ...]] = {}
     if root_data[at] <= limit:
         states[root] = root_data
@@ -374,7 +392,9 @@ def _build_closure(root: tuple[int, ...], unit: int, width: int,
     sigs = array("q", [x for data in states.values() for x in data[2:]])
     l2s = (tuple(data[1] for data in states.values()) if prune == "c2"
            else None)
-    return sigs, tuple(_pack(state, width) for state in states), l2s, scale
+    packed = tuple(sum(code << i * width for i, code in enumerate(state))
+                   for state in states)
+    return sigs, packed, l2s, scale, width
 
 
 def descendants(b0: Basket, chi: int, chi2: int,
@@ -393,42 +413,40 @@ def descendants(b0: Basket, chi: int, chi2: int,
     hits with K^3 >= 0.
 
     cache, a dict the caller keeps for one run, keeps each closure for
-    later calls on the same root, which redo only the target check.
-    Its key holds all a closure depends on: the root, the target
-    indices, the prune and, for the "volume" prune, chi_2 + 3 chi.
-    The hits come sorted by their points' (b, r); each becomes a
-    FormalBasket here.  The sweep reads the points of
-    _descendant_points instead, and builds a FormalBasket only for the
-    hits its entry caps leave.
+    later calls on the same root, which redo only the target check; its
+    key holds the root, the target indices, the prune and, for the
+    "volume" prune, chi_2 + 3 chi.  The hits come sorted by their
+    points' (b, r).  The sweep calls _descendant_points on point codes.
     """
+    # unit exceeds every b a merge can reach: adding codes merges points
+    unit = 1 << max(1, sum(q.b for q in b0).bit_length())
+    root = tuple(sorted(q.r * unit + q.b for q in b0))
     return [FormalBasket(tuple(Orbifold(b, r) for b, r in points), chi, chi2)
-            for points in _descendant_points(b0, chi, chi2, targets,
+            for points in _descendant_points(root, unit, chi, chi2, targets,
                                              prune, cache)]
 
 
-def _descendant_points(b0: Basket, chi: int, chi2: int,
-                       targets: Mapping[int, int],
-                       prune: str | None = None,
-                       cache: dict | None = None) -> list[Points]:
-    """descendants() as the sorted (b, r) tuples of each hit's points."""
+def _descendant_points(root: tuple[int, ...], unit: int, chi: int,
+                       chi2: int, targets: Mapping[int, int],
+                       prune: str | None = None, cache: dict | None = None,
+                       points: _PointTable | None = None) -> list[Points]:
+    """descendants() of sorted point codes r * unit + b, hits as (b, r);
+    points is the run's _PointTable, a new one when not given.
+    """
     if prune is not None and prune not in NAMED_PRUNES:
         raise ValueError(f"unknown prune {prune!r}")
     ms = tuple(sorted(targets))
+    if ms and not 0 <= ms[0] <= ms[-1] < _SIGMA_TOP:
+        raise ValueError(f"targets must lie in 0..{_SIGMA_TOP - 1}")
     floor = chi2 + 3 * chi
-    # Point (b, r) has code r * unit + b.  unit exceeds every b a merge
-    # can reach, so adding codes merges points and sorting codes sorts
-    # points by (r, b); every code fits in width bits.
-    unit = 1 << max(1, sum(q.b for q in b0).bit_length())
-    width = ((sum(q.r for q in b0) + 1) * unit).bit_length()
-    root = tuple(sorted(q.r * unit + q.b for q in b0))
-    key = (_pack(root, width), unit, width, ms, prune,
-           floor if prune == "volume" else None)
+    key = (root, unit, ms, prune, floor if prune == "volume" else None)
     closure = cache.get(key) if cache is not None else None
     if closure is None:
-        closure = _build_closure(root, unit, width, ms, prune, floor)
+        closure = _build_closure(root, unit, ms, prune, floor,
+                                 _PointTable() if points is None else points)
         if cache is not None:
             cache[key] = closure
-    sigs, states, l2s, scale = closure
+    sigs, states, l2s, scale, width = closure
     # chi_m = t reads sigma_m = 12 t - _chi_term(m); with
     # K^3 = 2(chi_2 + 3 chi - l(2)), K^3 < 0 reads l(2) > chi_2 + 3 chi.
     want = tuple(12 * targets[m] - _chi_term(chi, chi2, m) for m in ms)

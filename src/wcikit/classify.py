@@ -20,11 +20,10 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement
 from math import lcm
-from operator import gt
-from typing import Iterable, Iterator
+from operator import gt, neg
+from typing import Iterable, Iterator, Sequence
 
 from .baskets import (
     BasketInconsistency,
@@ -34,23 +33,23 @@ from .baskets import (
     _chi_term,
     _chis,
     _descendant_points,
-    _point_sigmas,
-    canonical,
+    _PointTable,
+    _unpacked,
     high_index_count_bounds,
-    initial_counts_from_chis,
-    k3,
     pluri_growth_filter,
 )
 from .candidate import (
     Candidate,
     InvalidCandidate,
     ScreenReport,
+    check_cy_product,
     necessary_screen,
     normalize,
 )
 from .series import (
     TableMethod,
     TruncatedSeries,
+    _times_poincare,
     basket_series_blocks,
     div_into,
     divisor_matching,
@@ -94,60 +93,9 @@ class CountTuple:
 
     def low_series(self) -> TruncatedSeries:
         """Poincare series of the counted values, exact up to the horizon."""
-        c = list(_weight_series(self.mu))
-        for v, count in enumerate(self.nu, start=2):
-            for _ in range(count):
-                mul_into(c, v)
-        return TruncatedSeries(tuple(c))
-
-
-# Keyed by mu.  iter_tuples yields the tuples of one mu together, so a
-# few entries serve a whole sweep (792 mus for amplitude -1, 5,005 for
-# +1, against 7,056 and 146,880 tuples).
-@lru_cache(maxsize=16)
-def _weight_series(mu: tuple[int, ...]) -> tuple[int, ...]:
-    """1 / prod(1 - t^v)^mu[v-1] up to t^len(mu)."""
-    c = [1] + [0] * len(mu)
-    for v, count in enumerate(mu, start=1):
-        for _ in range(count):
-            div_into(c, v)
-    return tuple(c)
-
-
-@lru_cache(maxsize=16)
-def _divisible_weights(mu: tuple[int, ...]) -> tuple[int, ...]:
-    """Counted weights divisible by h, for h = 2..len(mu)."""
-    h_max = len(mu)
-    return tuple(sum(mu[v - 1] for v in range(h, h_max + 1, h))
-                 for h in range(2, h_max + 1))
-
-
-# Keyed by nu and codim_max: 35 nus for amplitude -1, 252 for +1.
-@lru_cache(maxsize=256)
-def _divisible_weight_room(nu: tuple[int, ...],
-                           codim_max: int) -> tuple[int, ...]:
-    """Most weights divisible by h, h = 2..len(nu) + 1, a record may have.
-
-    One more than the degrees divisible by h: the counted ones plus the
-    codim_max - sum(nu) degrees a record may have past the horizon.
-    This never exceeds codim_max + 1, the other cap of the screen.
-    """
-    h_max = len(nu) + 1
-    spare = codim_max - sum(nu)
-    return tuple(sum(nu[v - 2] for v in range(h, h_max + 1, h)) + spare + 1
-                 for h in range(2, h_max + 1))
-
-
-def _gcd_counts_cut(t: CountTuple, alpha: int) -> bool:
-    """True when no record with these counts passes isolated_gcd_counts.
-
-    The counts of a record's weights and degrees up to the horizon are
-    its source tuple's, since c_0..c_h fix the table method's entries
-    up to h; so too many counted weights divisible by some h, against
-    the room _divisible_weight_room leaves, fail the record's screen.
-    """
-    return any(map(gt, _divisible_weights(t.mu),
-                   _divisible_weight_room(t.nu, _NU_CAP[alpha])))
+        return TruncatedSeries(tuple(_times_poincare(
+            [1] + [0] * self.horizon, self.weight_values(),
+            self.degree_values())))
 
 
 def tuple_of_candidate(c: Candidate, horizon: int) -> CountTuple:
@@ -159,47 +107,75 @@ def tuple_of_candidate(c: Candidate, horizon: int) -> CountTuple:
     return CountTuple(mu, nu)
 
 
-def iter_tuples(alpha: int) -> Iterator[CountTuple]:
+def iter_tuples(alpha: int) -> Iterator[tuple]:
     """Admissible count tuples for one amplitude, in lexicographic order.
 
     Caps: at most dim + codim_cap + 1 weights and codim_cap degrees in
     total; a value cannot be both a weight and a degree (no linear cone);
     for amplitude +1 a small degree forces enough small weights below it.
+    Yields plain rows (mu, nu, mu row, nu row), the count tuple being
+    CountTuple(mu, nu).  A mu row holds 1 / prod(1 - t^a) over the
+    counted weights a, up to t^h, and the counted weights divisible by
+    k = 2..h; a nu row the terms (s, n), 0 < s <= h, of prod(1 - t^d)
+    over the counted degrees d, and per k the most weights divisible by
+    k a record may have: one more than its degrees divisible by k, the
+    counted ones plus the nu_cap - sum(nu) it may have past the horizon
+    (never above nu_cap + 1, the other cap of the screen).
     """
     if alpha not in _HORIZON:
         raise ValueError("tuple enumeration defined for amplitude -1 or +1")
     h = _HORIZON[alpha]
     mu_cap, nu_cap = _MU_CAP[alpha], _NU_CAP[alpha]
-    # Per nu: a bit per value 2..h it uses as a degree, and its prefix
-    # sums, the number of degrees of value at most s for s = 2..h.
-    nus = [(nu, _used(nu), tuple(accumulate(nu)))
-           for nu in _bounded_counts(h - 1, nu_cap)]
+    # Per nu: a bit per value 2..h it uses as a degree, its prefix sums,
+    # the number of degrees of value at most s for s = 2..h, and its row.
+    nus = [(nu, _used(nu), tuple(accumulate(nu)),
+            (tuple((s, n) for s, n in enumerate(c) if s and n),
+             tuple(n + nu_cap - sum(nu) + 1 for n in divisible)))
+           for nu, c, divisible in _counts(h - 1, nu_cap, 2, mul_into)]
     # The nus a mu admits depend only on the values 2..h it uses as
     # weights and, for +1, on its room: 4 more than the number of
     # weights of value at most s, for s = 2..h, capped at nu_cap (no nu
     # prefix sum exceeds that).  For -1 the room is empty and binds no nu.
-    admitted: dict[tuple, list[tuple[int, ...]]] = {}
-    for mu in _bounded_counts(h, mu_cap):
+    admitted: dict[tuple, list[tuple]] = {}
+    for mu, w, divisible in _counts(h, mu_cap, 1, div_into):
         used = _used(mu[1:])
         room = (tuple(min(p + 4, nu_cap) for p in accumulate(mu))[1:]
                 if alpha == 1 else ())
         nus_of_mu = admitted.get((used, room))
         if nus_of_mu is None:
             nus_of_mu = admitted[used, room] = [
-                nu for nu, nu_used, below in nus
+                (nu, row) for nu, nu_used, below, row in nus
                 if not nu_used & used and not any(map(gt, below, room))]
-        for nu in nus_of_mu:
-            yield CountTuple(mu, nu)
+        for nu, nu_row in nus_of_mu:
+            yield mu, nu, (w, divisible), nu_row
 
 
-def _bounded_counts(n: int, cap: int) -> Iterator[tuple[int, ...]]:
-    """Tuples of n counts with sum at most cap, in lexicographic order."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(cap + 1):
-        for rest in _bounded_counts(n - 1, cap - first):
-            yield (first, *rest)
+def _counts(n: int, cap: int, first: int, into) -> Iterator[tuple]:
+    """Tuples of n counts with sum at most cap, in lexicographic order.
+
+    Count i is of value first + i.  Each comes with the series into
+    (div_into or mul_into) makes of 1 with each counted value, up to
+    t^(first + n - 1), and the counted values divisible by k = 2..first
+    + n - 1; both grow a value at a time as a count is raised.
+    """
+    top = first + n - 1
+    counts = [0] * n
+    divisors = [[k - 2 for k in range(2, v + 1) if v % k == 0]
+                for v in range(top + 1)]
+
+    def rec(i: int, left: int, c: list[int], d: list[int]) -> Iterator:
+        if i == n:
+            yield tuple(counts), tuple(c), tuple(d)
+            return
+        c, d = c.copy(), d.copy()
+        for count in range(left + 1):
+            counts[i] = count
+            yield from rec(i + 1, left - count, c, d)
+            into(c, first + i)
+            for k in divisors[first + i]:
+                d[k] += 1
+
+    return rec(0, cap, [1] + [0] * top, [0] * (top - 1))
 
 
 def _used(counts: tuple[int, ...]) -> int:
@@ -217,20 +193,24 @@ class ChiData:
     pg: int
 
 
-def tuple_chis(t: CountTuple, alpha: int) -> ChiData:
-    """Read chi data off the low-degree series.
+def _chi_ints(low: Sequence[int], alpha: int) -> tuple[int, int, Sequence]:
+    """(chi, p_g, chis) off c_0..c_h, with chis[m] = chi_m for m = 2..6.
 
-    Amplitude +1: coefficient m is chi_m for m >= 2 and coefficient 1 is
-    the geometric genus, so chi = 1 - p_g.  Amplitude -1: coefficient m
-    counts sections of -mK, which equals -chi_{m+1}.
+    Amplitude +1: c_m = chi_m for m >= 2 and c_1 = p_g, so chi = 1 - p_g.
+    Amplitude -1: c_m counts sections of -mK, which equals -chi_{m+1}.
     """
-    low = t.low_series().coeffs
     if alpha == 1:
-        pg = low[1]
-        return ChiData(1 - pg, {m: low[m] for m in range(2, 7)}, low, pg)
+        return 1 - low[1], low[1], low
     if alpha == -1:
-        return ChiData(1, {m: -low[m - 1] for m in range(2, 7)}, low, 0)
+        return 1, 0, (0, *map(neg, low))
     raise ValueError("chi data defined for amplitude -1 or +1")
+
+
+def tuple_chis(t: CountTuple, alpha: int) -> ChiData:
+    """Read chi data off the low-degree series (_chi_ints)."""
+    low = t.low_series().coeffs
+    chi, pg, chis = _chi_ints(low, alpha)
+    return ChiData(chi, {m: chis[m] for m in range(2, 7)}, low, pg)
 
 
 # The -1 index multisets weigh c_2 loads sum(r - 1/r), for r <= 24,
@@ -276,60 +256,66 @@ def _volume_cap(s: int, headroom: int, scale: int) -> int | None:
     return (unit - 1) // beta if beta > 0 else None
 
 
-def _tuple_baskets(t: CountTuple, alpha: int,
-                   closures: dict | None = None
+def _tuple_baskets(row: tuple, alpha: int, closures: dict, points: _PointTable
                    ) -> tuple[list[tuple[Points, str]], list[str],
-                              str | None]:
-    """Formal baskets consistent with one tuple, with case labels.
+                              str | None, ChiData | None]:
+    """Formal baskets consistent with one row of iter_tuples, with case labels.
 
     Returns (baskets, exhaustiveness violations, the screen that pruned
-    the tuple or None); each basket is the sorted (b, r) tuple of its
-    points, as _descendant_points gives it, sorted in turn.  Case
-    labels: 'sigma5-zero' needs no high index points, 'ambient-capped'
-    bounds their index by the largest possible weight, 'volume-capped'
-    by positivity of the unpacked volume.  closures, when given, is a
-    dict kept for one run that shares packing closures with its other
-    tuples.
+    the tuple or None, the tuple's ChiData or None when pruned); each
+    basket is the sorted (b, r) tuple of its points, as
+    _descendant_points gives it, sorted in turn.  Case labels:
+    'sigma5-zero' needs no high index points, 'ambient-capped' bounds
+    their index by the largest possible weight, 'volume-capped' by
+    positivity of the unpacked volume.  closures and points are the
+    run's _descendant_points cache and point table.  The screens read
+    plain integers; only a tuple that passes them all gets a ChiData.
     """
-    if _gcd_counts_cut(t, alpha):
-        return [], [], "isolated_gcd_counts"
-    data = tuple_chis(t, alpha)
-    if min(data.p) < 0:
-        return [], [], "negative_sections"
-    counts = initial_counts_from_chis(data.chi, data.chis)
-    if counts.n12 < 0 or counts.n13 < 0 or counts.n14_plus < 0:
-        return [], [], "negative_unpacked_counts"
-    lo, hi = high_index_count_bounds(data.chi, data.chis)
+    mu, nu, (w, divisible), (terms, room) = row
+    # c_0..c_h fix a record's counted weights and degrees, so more counted
+    # weights divisible by some h than room leaves fail its gcd counts.
+    if any(map(gt, divisible, room)):
+        return [], [], "isolated_gcd_counts", None
+    low = list(w)  # times the numerator of nu: c_0..c_h
+    for k, n in terms:
+        for m in range(k, len(w)):
+            low[m] += n * w[m - k]
+    if min(low) < 0:
+        return [], [], "negative_sections", None
+    chi, pg, chis = _chi_ints(low, alpha)
+    n12, n13, n14, _ = _unpacked(chi, chis)
+    if n12 < 0 or n13 < 0 or n14 < 0:
+        return [], [], "negative_unpacked_counts", None
+    lo, hi = high_index_count_bounds(chi, chis)
     if lo > hi:
-        return [], [], "empty_sigma5_range"
+        return [], [], "empty_sigma5_range", None
     if alpha == 1:
-        if not pluri_growth_filter({m: data.p[m] for m in range(1, 7)}, data.pg):
-            return [], [], "pluri_growth"
+        if not pluri_growth_filter(low, pg):
+            return [], [], "pluri_growth", None
         # (1 - p_g - P_2 - P_3 + P_5)/12 - sigma5/20 <= 0, times 60
-        if 5 * (1 - data.pg - data.p[2] - data.p[3] + data.p[5]) <= 3 * lo:
-            return [], [], "volume"
+        if 5 * (1 - pg - low[2] - low[3] + low[5]) <= 3 * lo:
+            return [], [], "volume", None
 
-    chi, chi2 = data.chi, data.chis[2]
-    targets = {m: data.chis[m] for m in (3, 4, 5, 6)}
+    data = ChiData(chi, {m: chis[m] for m in range(2, 7)}, tuple(low), pg)
+    chi2, targets = chis[2], {m: chis[m] for m in (3, 4, 5, 6)}
     violations: list[str] = []
     found: list[tuple[Points, str]] = []
+    # Each root has n12 + n13 + n14 points (1, r), of code r * unit + 1.
+    unit = 1 << max(1, (n12 + n13 + n14).bit_length())
 
     if alpha == 1:
-        bpp = canonical([Orbifold(1, 2)] * counts.n12
-                        + [Orbifold(1, 3)] * counts.n13
-                        + [Orbifold(1, 4)] * counts.n14_plus)
-        vol = k3(FormalBasket(bpp, chi, chi2))
+        # k3 with each high index point at (1, 4); (1, r) takes (r - 1)/r
+        vol = Fraction(24 * (chi2 + 3 * chi) - 6 * n12 - 8 * n13 - 9 * n14, 12)
         headroom, scale = vol.numerator, vol.denominator
-        ambient_capped = sum(t.mu) >= 5 or any(t.nu)
+        ambient_capped = sum(mu) >= 5 or any(nu)
 
     for s in range(lo, hi + 1):
-        base = [Orbifold(1, 2)] * counts.n12 + [Orbifold(1, 3)] * counts.n13 \
-            + [Orbifold(1, 4)] * (counts.n14_plus - s)
+        base = ((2 * unit + 1,) * n12 + (3 * unit + 1,) * n13
+                + (4 * unit + 1,) * (n14 - s))
         if alpha == -1:
             # 24 - c_2 load of base, scaled
-            budget = 24 * _C2_SCALE - counts.n12 * _C2_LOAD[2] \
-                - counts.n13 * _C2_LOAD[3] \
-                - (counts.n14_plus - s) * _C2_LOAD[4]
+            budget = 24 * _C2_SCALE - n12 * _C2_LOAD[2] \
+                - n13 * _C2_LOAD[3] - (n14 - s) * _C2_LOAD[4]
             if budget < 0:
                 continue
             multisets = _r_multisets(
@@ -349,7 +335,7 @@ def _tuple_baskets(t: CountTuple, alpha: int,
                     caps.append(vcap)
                 if not caps:
                     violations.append(
-                        f"tuple mu={t.mu} nu={t.nu}: no index cap for "
+                        f"tuple mu={mu} nu={nu}: no index cap for "
                         f"sigma5={s}")
                     continue
                 cap = min(caps)
@@ -358,22 +344,22 @@ def _tuple_baskets(t: CountTuple, alpha: int,
                 # headroom / scale is K^3 with every high index point
                 # set to (1,4); each point (1,r) spends 1/4 - 1/r of it,
                 # and the total spend stays strictly below headroom, so
-                # in units of 1 / unit it is at most one unit less.
-                unit = lcm(4, scale, *range(5, cap + 1))
+                # in units of 1 / den it is at most one unit less.
+                den = lcm(4, scale, *range(5, cap + 1))
                 multisets = _r_multisets(
-                    s, {r: unit // 4 - unit // r for r in range(5, cap + 1)},
-                    headroom * (unit // scale) - 1)
+                    s, {r: den // 4 - den // r for r in range(5, cap + 1)},
+                    headroom * (den // scale) - 1)
                 case = "ambient-capped" if ambient_capped else "volume-capped"
             prune = "volume"
         for rs in multisets:
             # Each basket lies in the fiber of one root, its initial
             # basket, so no two roots find the same basket.  The prunes
             # keep c_2 <= 24 and K^3 < 0 for -1, K^3 > 0 for +1.
-            b0 = canonical(base + [Orbifold(1, r) for r in rs])
-            found.extend((points, case) for points in _descendant_points(
-                b0, chi, chi2, targets, prune=prune, cache=closures))
+            root = base + tuple(r * unit + 1 for r in rs)
+            found.extend((hit, case) for hit in _descendant_points(
+                root, unit, chi, chi2, targets, prune, closures, points))
     found.sort(key=lambda hit: hit[0])
-    return found, violations, None
+    return found, violations, None, data
 
 
 @dataclass(frozen=True, slots=True)
@@ -400,8 +386,11 @@ class ClassificationRecord:
         }
 
 
-def _table(alpha: int) -> TableMethod:
-    return TableMethod(max_weights=_MU_CAP[alpha], max_degrees=_NU_CAP[alpha])
+def _table(alpha: int, low: Sequence[int] = ()) -> TableMethod:
+    """A table with realize()'s entry caps that has read low."""
+    table = TableMethod(max_weights=_MU_CAP[alpha], max_degrees=_NU_CAP[alpha])
+    table.feed(low)
+    return table
 
 
 def tuple_prefix(t: CountTuple, alpha: int) -> TableMethod:
@@ -413,9 +402,7 @@ def tuple_prefix(t: CountTuple, alpha: int) -> TableMethod:
     copies of it on to c_15 (_survivors), once per distinct
     c_{h+1}..c_7 and c_8..c_15 among t's baskets.
     """
-    table = _table(alpha)
-    table.feed(t.low_series().coeffs)
-    return table
+    return _table(alpha, t.low_series().coeffs)
 
 
 # The ends of the first two blocks basket_series_blocks gives from a
@@ -425,7 +412,7 @@ _HEAD_END, _STAGED_END = 8, 16
 
 def _closure_coeffs(data: ChiData, alpha: int,
                     hits: Iterable[Points],
-                    sigmas: dict) -> list[tuple[int, ...] | None]:
+                    points: _PointTable) -> list[tuple[int, ...] | None]:
     """c_{h+1}..c_15 of each hit of one tuple, read off its points.
 
     data is the tuple's ChiData, whose low series ends at c_h; a hit is
@@ -433,21 +420,16 @@ def _closure_coeffs(data: ChiData, alpha: int,
     and k = m + 1 for -1 (c_m = -chi_{m+1}), 12 chi_k is _chi_term
     plus sigma_k, which adds up over the points (_point_sigmas).  A hit
     whose chi_k are not integral gets None, as basket_series_blocks
-    raises on it.  sigmas, a dict kept for one run, holds each point's
-    sigma_k.
+    raises on it.  points, the run's point table, holds each sigma_k.
     """
     shift = alpha == -1
     ks = range(len(data.p) + shift, _STAGED_END + shift)
     terms = [_chi_term(data.chi, data.chis[2], k) for k in ks]
     sign = 1 if alpha == 1 else -1
-    vecs = sigmas.setdefault((ks.start, ks.stop), {})
     out: list[tuple[int, ...] | None] = []
-    for points in hits:
+    for hit in hits:
         try:
-            chis = _chis(terms, [
-                vecs[p] if p in vecs
-                else vecs.setdefault(p, _point_sigmas(*p, ks))
-                for p in points])
+            chis = _chis(terms, [points[p][ks.start:] for p in hit])
         except BasketInconsistency:
             out.append(None)
         else:
@@ -464,30 +446,26 @@ def _read(table: TableMethod | None,
     return table if table.feed(block) else None
 
 
-def _survivors(t: CountTuple, alpha: int,
-               hits: list[Points], sigmas: dict
+def _survivors(data: ChiData, alpha: int, hits: list[Points], points: _PointTable
                ) -> list[tuple[FormalBasket, TableMethod] | None]:
-    """Per hit of t, its FormalBasket and a table that read c_0..c_15.
+    """Per hit of a tuple, its FormalBasket and a table that read c_0..c_15.
 
-    None for a hit whose c_{h+1}..c_7 or c_8..c_15, the first two
-    blocks realize(fb, alpha, tuple_prefix(t, alpha)) reads, hold a
-    non-integral or negative coefficient or hit an entry cap; both
-    blocks come from _closure_coeffs.  realize() rejects such a basket
-    too.  When its identity stop comes first, the series past it adds
-    no entry and is integral, and a negative coefficient there fails
-    its own series check.  The hits with the same c_{h+1}..c_7 read it
-    once, from a copy of tuple_prefix; the survivors with the same
-    c_{h+1}..c_15 read c_8..c_15 once, from a copy of that table.
-    realize() continues a survivor from index 16.
+    data is the tuple's ChiData.  None for a hit whose c_{h+1}..c_7 or
+    c_8..c_15 (_closure_coeffs), the first two blocks realize(fb, alpha,
+    tuple_prefix(t, alpha)) reads, hold a non-integral or negative
+    coefficient or hit an entry cap; realize() rejects it too.  When its
+    identity stop comes first, the series past it adds no entry and is
+    integral, and a negative coefficient there fails its own series
+    check.  Each distinct c_{h+1}..c_7 is read once from a copy of the
+    table that read data.p, each distinct c_{h+1}..c_15 once more from
+    a copy of that; realize() continues a survivor from index 16.
     """
-    data = tuple_chis(t, alpha)
     split = _HEAD_END - len(data.p)
-    prefix = tuple_prefix(t, alpha)
+    prefix = _table(alpha, data.p)
     heads: dict[tuple[int, ...], TableMethod | None] = {}
     reads: dict[tuple[int, ...], TableMethod | None] = {}
     out: list[tuple[FormalBasket, TableMethod] | None] = []
-    for points, coeffs in zip(hits, _closure_coeffs(data, alpha, hits,
-                                                    sigmas)):
+    for hit, coeffs in zip(hits, _closure_coeffs(data, alpha, hits, points)):
         if coeffs is not None and coeffs not in reads:
             head = coeffs[:split]
             if head not in heads:
@@ -495,7 +473,7 @@ def _survivors(t: CountTuple, alpha: int,
             reads[coeffs] = _read(heads[head], coeffs[split:])
         table = reads.get(coeffs)  # None also for a non-integral hit
         out.append(None if table is None else (
-            FormalBasket(tuple(Orbifold(b, r) for b, r in points),
+            FormalBasket(tuple(Orbifold(b, r) for b, r in hit),
                          data.chi, data.chis[2]), table))
     return out
 
@@ -648,7 +626,8 @@ def classify_cy() -> list[ClassificationRecord]:
     The ratio screen and product divisibility force the four smallest
     weights to have product at most ((c+4)/c)^c, the degree excess
     identity then bounds the remaining weights by the excess total, and
-    each degree is one weight plus one positive excess part.
+    each degree is one weight plus one positive excess part.  The exact
+    product check runs first; only its survivors get the full screen.
     """
     found: dict[tuple, ClassificationRecord] = {}
     for cc in range(1, 5):
@@ -671,6 +650,9 @@ def classify_cy() -> list[ClassificationRecord]:
                     key = (cand.weights, cand.degrees)
                     if key in found:
                         continue
+                    if cand.dim == 3 and cand.amplitude == 0 and \
+                            not check_cy_product(cand):
+                        continue  # the screen's product_divides fails
                     screen = necessary_screen(cand)
                     if screen.passed:
                         found[key] = ClassificationRecord(
@@ -697,25 +679,25 @@ def _merge(merged: dict[tuple, ClassificationRecord],
         merged[key] = replace(old, provenance=prov)
 
 
-def _batch_worker(args: tuple[int, Iterable[CountTuple]]
+def _batch_worker(args: tuple[int, Iterable[tuple]]
                   ) -> tuple[dict, list[str], Counter]:
-    alpha, batch = args
+    alpha, rows = args
     records: dict[tuple, ClassificationRecord] = {}
     violations: list[str] = []
     stats: Counter = Counter()
     closures: dict = {}
-    sigmas: dict = {}
-    for t in batch:
+    points = _PointTable()
+    for row in rows:
         stats["tuples"] += 1
-        hits, viols, pruned = _tuple_baskets(t, alpha, closures)
+        hits, viols, pruned, data = _tuple_baskets(row, alpha, closures,
+                                                   points)
         violations.extend(viols)
         if pruned:
             stats[pruned] += 1
         stats["baskets"] += len(hits)
         if not hits:
             continue
-        survivors = _survivors(t, alpha, [points for points, _ in hits],
-                               sigmas)
+        survivors = _survivors(data, alpha, [hit for hit, _ in hits], points)
         for (_, case), survivor in zip(hits, survivors):
             rec = None if survivor is None else realize(
                 survivor[0], alpha, survivor[1])
@@ -723,7 +705,7 @@ def _batch_worker(args: tuple[int, Iterable[CountTuple]]
                 stats["unrealized"] += 1
                 continue
             stats["realized"] += 1
-            prov = f"tuple mu={t.mu} nu={t.nu} case={case}"
+            prov = f"tuple mu={row[0]} nu={row[1]} case={case}"
             _merge(records, replace(rec, provenance=(prov,)))
     return records, violations, stats
 
@@ -737,11 +719,11 @@ def _drive(config: RunConfig) -> RunReport:
         # Many contiguous chunks, handed out as workers free up, balance
         # the few expensive tuples; map() returns them in tuple order, so
         # the merge below sees the same order as a single job.
-        tuples = list(iter_tuples(alpha))
-        size = max(1, -(-len(tuples) // (workers * _CHUNKS_PER_JOB)))
-        batches = [(alpha, tuples[i:i + size])
-                   for i in range(0, len(tuples), size)]
-        del tuples
+        rows = list(iter_tuples(alpha))
+        size = max(1, -(-len(rows) // (workers * _CHUNKS_PER_JOB)))
+        batches = [(alpha, rows[i:i + size])
+                   for i in range(0, len(rows), size)]
+        del rows
         with ProcessPoolExecutor(
                 max_workers=workers,
                 mp_context=multiprocessing.get_context("spawn")) as pool:

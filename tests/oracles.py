@@ -20,8 +20,13 @@ from wcikit import (
     TruncatedSeries,
     canonical,
     canonical_unpacking,
+    descendants,
+    high_index_count_bounds,
     initial_basket,
+    initial_counts_from_chis,
     is_prime_packing,
+    k3,
+    pluri_growth_filter,
 )
 
 
@@ -130,6 +135,80 @@ def gt_r_multisets_oracle(s, cap, headroom):
             acc.pop()
 
     yield from rec(5, s, Fraction(0))
+
+
+def tuple_baskets_oracle(t, alpha):
+    """The sweep's front end for one CountTuple, built from objects.
+
+    Returns (hits, violations, pruned label or None), each hit the
+    (b, r) of its basket's points with its case label, as
+    classify._tuple_baskets gives them.  The gcd counts scan the
+    counted values; the chi data comes off CountTuple.low_series; the
+    roots are Orbifold lists made canonical, each reading descendants()
+    with Fraction multiset bounds.
+    """
+    codim_max = {-1: 3, 1: 5}[alpha]
+    ws, ds = t.weight_values(), t.degree_values()
+    for h in range(2, t.horizon + 1):
+        w = sum(1 for a in ws if a % h == 0)
+        d = sum(1 for e in ds if e % h == 0)
+        if w > codim_max + 1 or d + codim_max - len(ds) < w - 1:
+            return [], [], "isolated_gcd_counts"
+    p = t.low_series().coeffs
+    if alpha == 1:
+        pg, chi, chis = p[1], 1 - p[1], {m: p[m] for m in range(2, 7)}
+    else:
+        pg, chi, chis = 0, 1, {m: -p[m - 1] for m in range(2, 7)}
+    if min(p) < 0:
+        return [], [], "negative_sections"
+    counts = initial_counts_from_chis(chi, chis)
+    if min(counts.n12, counts.n13, counts.n14_plus) < 0:
+        return [], [], "negative_unpacked_counts"
+    lo, hi = high_index_count_bounds(chi, chis)
+    if lo > hi:
+        return [], [], "empty_sigma5_range"
+    if alpha == 1:
+        if not pluri_growth_filter({m: p[m] for m in range(1, 7)}, pg):
+            return [], [], "pluri_growth"
+        if Fraction(1 - pg - p[2] - p[3] + p[5], 12) <= Fraction(lo, 20):
+            return [], [], "volume"
+
+    chi2, targets = chis[2], {m: chis[m] for m in (3, 4, 5, 6)}
+    violations, found, closures = [], [], {}
+    ones = [Orbifold(1, 2)] * counts.n12 + [Orbifold(1, 3)] * counts.n13
+    if alpha == 1:
+        vol = k3(FormalBasket(canonical(
+            ones + [Orbifold(1, 4)] * counts.n14_plus), chi, chi2))
+        ambient_capped = sum(t.mu) >= 5 or any(t.nu)
+    for s in range(lo, hi + 1):
+        base = ones + [Orbifold(1, 4)] * (counts.n14_plus - s)
+        if alpha == -1:
+            load = c2_load_oracle(base)
+            if load > 24:
+                continue
+            multisets = fano_r_multisets_oracle(s, 24 - load)
+            case, prune = ("c2-capped" if s else "sigma5-zero"), "c2"
+        elif s == 0:
+            multisets, case, prune = [()], "sigma5-zero", "volume"
+        else:
+            beta = Fraction(1, 4) - vol + Fraction(s - 1, 20)
+            caps = [31] if ambient_capped else []
+            if beta > 0:
+                caps.append(-(-1 // beta) - 1)  # largest r, r * beta < 1
+            if not caps:
+                violations.append(f"tuple mu={t.mu} nu={t.nu}: no index "
+                                  f"cap for sigma5={s}")
+                continue
+            multisets = gt_r_multisets_oracle(s, min(caps), vol)
+            case = "ambient-capped" if ambient_capped else "volume-capped"
+            prune = "volume"
+        for rs in multisets:
+            b0 = canonical(base + [Orbifold(1, r) for r in rs])
+            found.extend((tuple((q.b, q.r) for q in fb.basket), case)
+                         for fb in descendants(b0, chi, chi2, targets,
+                                               prune=prune, cache=closures))
+    found.sort(key=lambda hit: hit[0])
+    return found, violations, None
 
 
 def isolated_subsets_ok(weights, degrees, codim) -> bool:

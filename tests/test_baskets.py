@@ -40,7 +40,7 @@ from wcikit import (
     realize,
     series_from_basket,
 )
-from wcikit.baskets import _chi_term, _chis, _point_sigmas
+from wcikit.baskets import _chi_term, _chis, _point_sigmas, _PointTable
 from wcikit.classify import ChiData, _closure_coeffs
 
 
@@ -211,19 +211,19 @@ class TestIntegerKernel:
         fb = FormalBasket((Orbifold(1, 2), Orbifold(2, 5)), 1, 0)
         hit = ((1, 2), (2, 5))
         data = ChiData(1, {2: 0}, (1, 0, 0, 0, 0, 0), 0)
-        assert _closure_coeffs(data, -1, [hit], {})[0] is not None
+        assert _closure_coeffs(data, -1, [hit], _PointTable())[0] is not None
         assert next(basket_series_blocks(fb, -1, 20))
 
         def off(b, r, ms):
             return tuple(x + (r == 5) for x in _point_sigmas(b, r, ms))
 
-        for module in ("wcikit.series", "wcikit.classify"):
+        for module in ("wcikit.series", "wcikit.baskets"):
             monkeypatch.setattr(sys.modules[module], "_point_sigmas", off)
         with pytest.raises(BasketInconsistency):
             next(basket_series_blocks(fb, -1, 20))
         with pytest.raises(BasketInconsistency):
             series_from_basket(fb, 1, 20)
-        assert _closure_coeffs(data, -1, [hit], {}) == [None]
+        assert _closure_coeffs(data, -1, [hit], _PointTable()) == [None]
         assert realize(fb, -1) is None
 
     def test_descendants_targets_match_oracle(self):
@@ -537,23 +537,26 @@ def sweep_calls(request):
     """
     classify_module = sys.modules["wcikit.classify"]
     alpha = request.param
-    tuples = list(iter_tuples(alpha))
+    rows = list(iter_tuples(alpha))
     if alpha == 1:
-        tuples = random.Random(5).sample(tuples, 3000)
+        rows = random.Random(5).sample(rows, 3000)
     calls = []
     current = []
 
-    def recorded(b0, chi, chi2, targets, prune=None, cache=None):
+    def recorded(root, unit, chi, chi2, targets, prune=None, cache=None,
+                 points=None):
         # the sweep reads the points of the baskets descendants() builds
+        # from the Orbifold form of its root
+        b0 = tuple(Orbifold(code % unit, code // unit) for code in root)
         hits = descendants(b0, chi, chi2, targets, prune=prune, cache=cache)
         calls.append((current[0], b0, chi, chi2, dict(targets), prune, hits))
         return [tuple((q.b, q.r) for q in fb.basket) for fb in hits]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classify_module, "_descendant_points", recorded)
-        for t in tuples:
-            current[:] = [t]
-            classify_module._tuple_baskets(t, alpha, {})
+        for row in rows:
+            current[:] = [row[:2]]
+            classify_module._tuple_baskets(row, alpha, {}, _PointTable())
     return alpha, calls
 
 

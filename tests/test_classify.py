@@ -19,6 +19,7 @@ from oracles import (
     random_basket,
     recover_oracle,
     table_method_oracle,
+    tuple_baskets_oracle,
 )
 from wcikit import (
     BasketInconsistency,
@@ -48,12 +49,12 @@ from wcikit import (
     tuple_of_candidate,
     tuple_prefix,
 )
+from wcikit.baskets import _PointTable
 from wcikit.classify import (
     _C2_LOAD,
     _C2_SCALE,
     _closure_coeffs,
     _compositions,
-    _gcd_counts_cut,
     _quadruples,
     _r_multisets,
     _survivors,
@@ -69,6 +70,16 @@ from wcikit.series import (
 classify_module = sys.modules["wcikit.classify"]
 baskets_module = sys.modules["wcikit.baskets"]
 series_module = sys.modules["wcikit.series"]
+
+def count_tuples(alpha):
+    """The CountTuple of each row iter_tuples yields, in order."""
+    return [CountTuple(mu, nu) for mu, nu, _, _ in iter_tuples(alpha)]
+
+
+def row_of(t, alpha):
+    """The row iter_tuples yields for the CountTuple t."""
+    return next(row for row in iter_tuples(alpha) if row[:2] == (t.mu, t.nu))
+
 
 X4_TUPLE = CountTuple((5, 0, 0, 0, 0), (0, 0, 1, 0))
 X5_TUPLE = CountTuple((4, 1, 0, 0, 0), (0, 0, 0, 1))
@@ -107,7 +118,7 @@ class TestCountTuple:
 
     @pytest.mark.parametrize("alpha", [-1, 1])
     def test_low_series_of_every_tuple(self, alpha):
-        tuples = list(iter_tuples(alpha))
+        tuples = count_tuples(alpha)
         for t in tuples:
             assert t.low_series() == low_series_oracle(t), t
         for t in random.Random(alpha + 500).sample(tuples, 200):
@@ -126,18 +137,18 @@ class TestTupleEnumeration:
         assert len(list(iter_tuples(1))) == 146880
 
     def test_known_members(self):
-        assert X4_TUPLE in iter_tuples(-1)
-        assert X7_TUPLE in iter_tuples(1)
+        assert X4_TUPLE in count_tuples(-1)
+        assert X7_TUPLE in count_tuples(1)
 
     def test_linear_cone_values_excluded(self):
         # value 2 appearing as weight and degree at once never enumerates
         bad = CountTuple((1, 1, 0, 0, 0), (1, 0, 0, 0))
-        assert bad not in iter_tuples(-1)
+        assert bad not in count_tuples(-1)
 
     def test_degree_prefix_rule(self):
         # five quadric degrees with no weights break the prefix inequality
         bad = CountTuple((0, 0, 0, 0, 0, 0), (5, 0, 0, 0, 0))
-        assert bad not in iter_tuples(1)
+        assert bad not in count_tuples(1)
 
     def test_amplitude_guard(self):
         with pytest.raises(ValueError):
@@ -145,7 +156,7 @@ class TestTupleEnumeration:
 
     @pytest.mark.parametrize("alpha", [-1, 1])
     def test_matches_oracle_in_order(self, alpha):
-        assert list(iter_tuples(alpha)) == list(iter_tuples_oracle(alpha))
+        assert count_tuples(alpha) == list(iter_tuples_oracle(alpha))
 
 
 class TestTupleChis:
@@ -189,8 +200,9 @@ def front_end_calls(request):
                    lambda *a, **k: [])
         mp.setattr(classify_module, "_r_multisets", recorded_multisets)
         mp.setattr(classify_module, "_volume_cap", recorded_cap)
-        for t in iter_tuples(alpha):
-            _tuple_baskets(t, alpha)
+        points = _PointTable()
+        for row in iter_tuples(alpha):
+            _tuple_baskets(row, alpha, {}, points)
     return alpha, calls
 
 
@@ -268,15 +280,20 @@ def formal_basket(t, alpha, points):
                         data.chi, data.chis[2])
 
 
+def tuple_baskets(t, alpha):
+    """_tuple_baskets of the CountTuple t, with tables of its own."""
+    return _tuple_baskets(row_of(t, alpha), alpha, {}, _PointTable())
+
+
 class TestFormalBaskets:
     def test_sept_basket(self):
-        hits, _, _ = _tuple_baskets(X7_TUPLE, 1)
+        hits = tuple_baskets(X7_TUPLE, 1)[0]
         assert (((1, 2),), "sigma5-zero") in hits
         assert formal_basket(X7_TUPLE, 1, ((1, 2),)) == \
             FormalBasket((Orbifold(1, 2),), -3, 11)
 
     def test_quintic_cousin_basket(self):
-        hits, _, _ = _tuple_baskets(X5_TUPLE, -1)
+        hits = tuple_baskets(X5_TUPLE, -1)[0]
         assert (((1, 2),), "sigma5-zero") in hits
         assert formal_basket(X5_TUPLE, -1, ((1, 2),)) == \
             FormalBasket((Orbifold(1, 2),), 1, -4)
@@ -342,18 +359,33 @@ def unbound(rec):
     return None if rec is None else replace(rec, series_bound=0)
 
 
-def unscreened_baskets(tuples, alpha):
-    """(tuple, basket) pairs of the tuples, gcd-cut ones not skipped."""
+def unscreened_baskets(rows, alpha):
+    """(tuple, basket) pairs of the rows, gcd-cut ones not skipped.
+
+    Each row counts no weight divisible by anything, so the gcd cut,
+    whose room is at least 1, never fires.
+    """
+    closures, points, pairs = {}, _PointTable(), []
+    for mu, nu, (w, _), nu_row in rows:
+        t = CountTuple(mu, nu)
+        row = (mu, nu, (w, (0,) * (len(mu) - 1)), nu_row)
+        pairs.extend((t, formal_basket(t, alpha, hit)) for hit, _ in
+                     _tuple_baskets(row, alpha, closures, points)[0])
+    return pairs
+
+
+def pruned_by(rows, alpha):
+    """The screen _tuple_baskets prunes each row with, closures skipped."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classify_module, "_gcd_counts_cut", lambda t, alpha: False)
-        return [(t, formal_basket(t, alpha, points)) for t in tuples
-                for points, _ in _tuple_baskets(t, alpha)[0]]
+        mp.setattr(classify_module, "_descendant_points", lambda *a: [])
+        return [_tuple_baskets(row, alpha, {}, _PointTable())[2]
+                for row in rows]
 
 
 @pytest.fixture(scope="module")
 def fano_pairs():
     # every basket of the -1 sweep, those of gcd-cut tuples included
-    return unscreened_baskets(list(iter_tuples(-1)), -1)
+    return unscreened_baskets(iter_tuples(-1), -1)
 
 
 @pytest.fixture(scope="module")
@@ -572,11 +604,11 @@ class TestClosureRead:
 
     def test_coefficients_match_the_series(self, fano_pairs, ample_pairs):
         for alpha, pairs in ((-1, fano_pairs), (1, ample_pairs)):
-            sigmas = {}
+            points = _PointTable()
             checked = 0
             for t, fbs in _by_tuple(pairs):
                 got = _closure_coeffs(tuple_chis(t, alpha), alpha,
-                                      [_points(fb) for fb in fbs], sigmas)
+                                      [_points(fb) for fb in fbs], points)
                 assert len(got) == len(fbs)
                 for fb, coeffs in zip(fbs, got):
                     want = chain.from_iterable(
@@ -595,7 +627,9 @@ class TestClosureRead:
                                    (1, ample_pairs, 9)):
             survived = 0
             for t, fbs in _by_tuple(pairs):
-                staged = _survivors(t, alpha, [_points(fb) for fb in fbs], {})
+                staged = _survivors(tuple_chis(t, alpha), alpha,
+                                    [_points(fb) for fb in fbs],
+                                    _PointTable())
                 for fb, survivor in zip(fbs, staged, strict=True):
                     want = realize(fb, alpha, tuple_prefix(t, alpha))
                     if survivor is None:
@@ -726,10 +760,11 @@ class TestGcdScreen:
 
     def test_matches_direct_counts(self):
         for alpha, codim_max in ((-1, 3), (1, 5)):
-            tuples = list(iter_tuples(alpha))
+            rows = list(iter_tuples(alpha))
             if alpha == 1:
-                tuples = random.Random(71).sample(tuples, 5000)
-            for t in tuples:
+                rows = random.Random(71).sample(rows, 5000)
+            for row, pruned in zip(rows, pruned_by(rows, alpha)):
+                t = CountTuple(*row[:2])
                 ws, ds = t.weight_values(), t.degree_values()
                 want = False
                 for h in range(2, t.horizon + 1):
@@ -737,24 +772,30 @@ class TestGcdScreen:
                     d = sum(1 for dd in ds if dd % h == 0)
                     if w > codim_max + 1 or d + codim_max - len(ds) < w - 1:
                         want = True
-                assert _gcd_counts_cut(t, alpha) == want, t
+                assert (pruned == "isolated_gcd_counts") == want, t
 
     def test_records_come_from_their_own_tuple(self, fano):
+        rows = {row[:2]: row for row in iter_tuples(-1)}
         for rec in fano.records:
             t = tuple_of_candidate(rec.candidate, 5)
-            assert not _gcd_counts_cut(t, -1)
+            # the record's own tuple passes every tuple screen
+            assert pruned_by([rows[t.mu, t.nu]], -1) == [None]
             assert all(p.startswith(f"tuple mu={t.mu} nu={t.nu} ")
                        for p in rec.provenance), rec.provenance
 
     def test_cut_fano_tuples_realize_nothing(self):
-        cut = [t for t in iter_tuples(-1) if _gcd_counts_cut(t, -1)]
+        rows = list(iter_tuples(-1))
+        cut = [row for row, pruned in zip(rows, pruned_by(rows, -1))
+               if pruned == "isolated_gcd_counts"]
         assert len(cut) == 4033
         pairs = unscreened_baskets(cut, -1)
         assert len(pairs) == 36
         assert [fb for _, fb in pairs if realize(fb, -1) is not None] == []
 
     def test_cut_ample_canonical_sample_realizes_nothing(self):
-        cut = [t for t in iter_tuples(1) if _gcd_counts_cut(t, 1)]
+        rows = list(iter_tuples(1))
+        cut = [row for row, pruned in zip(rows, pruned_by(rows, 1))
+               if pruned == "isolated_gcd_counts"]
         assert len(cut) == 91667
         pairs = unscreened_baskets(random.Random(73).sample(cut, 1500), 1)
         assert len(pairs) > 500
@@ -764,7 +805,8 @@ class TestGcdScreen:
         # 39,040 baskets unscreened; divisor 3 carries four weights 6
         # and at most one degree past the four quartics
         heavy = CountTuple((3, 2, 0, 0, 0, 4), (0, 0, 4, 0, 0))
-        assert _tuple_baskets(heavy, 1) == ([], [], "isolated_gcd_counts")
+        assert tuple_baskets(heavy, 1) == (
+            [], [], "isolated_gcd_counts", None)
 
 
 class TestStreamedRecoveryOnBaskets:
@@ -789,32 +831,74 @@ class TestStreamedRecoveryOnBaskets:
 
 class TestClosureCache:
     def test_shared_within_a_run_and_dropped_after(self, monkeypatch):
-        roots = []
-        build = baskets_module._build_closure
+        made = {"roots": [], "point types": [], "ChiData": 0,
+                "tuple_chis": 0, "CountTuple": 0}
 
-        def counted_build(root, *args):
-            roots.append(root)
-            return build(root, *args)
+        def counted(module, name, record):
+            f = getattr(module, name)
 
-        monkeypatch.setattr(baskets_module, "_build_closure", counted_build)
-        points = []
-        sigmas = classify_module._point_sigmas
+            def wrapped(*args, **kwargs):
+                record(args)
+                return f(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapped)
 
-        def counted_sigmas(b, r, ks):
-            points.append((b, r))
-            return sigmas(b, r, ks)
+        def tally(key):
+            def record(args):
+                made[key] += 1
+            return record
 
-        monkeypatch.setattr(classify_module, "_point_sigmas", counted_sigmas)
+        counted(baskets_module, "_build_closure",
+                lambda args: made["roots"].append(args[0]))
+        counted(baskets_module, "_point_sigmas",
+                lambda args: made["point types"].append(args[:2]))
+        for name in ("ChiData", "tuple_chis", "CountTuple"):
+            counted(classify_module, name, tally(name))
+
+        def check():
+            # the 1,053 roots of a run share 698 closures; their points
+            # 68 point types, each read once into the run's point table
+            # (2,764 signature reads when each closure kept its own);
+            # only the 191 tuples past every screen get chi data, and
+            # no tuple a CountTuple
+            assert len(made["roots"]) == len(set(made["roots"])) == 698
+            assert len(made["point types"]) == \
+                len(set(made["point types"])) == 68
+            assert (made["ChiData"], made["tuple_chis"],
+                    made["CountTuple"]) == (191, 0, 0)
+
         first = classify(RunConfig(alpha=-1)).to_json()
-        # the 1,053 descendants calls of the run share 698 distinct roots,
-        # and their hits 64 point types
-        assert len(roots) == len(set(roots)) == 698
-        assert len(points) == len(set(points)) == 64
-        # a second run finds none of them kept, so it builds all again
-        roots.clear()
-        points.clear()
+        check()
+        # a second run finds none of it kept, so it builds all again
+        made.update({"roots": [], "point types": [], "ChiData": 0})
         assert classify(RunConfig(alpha=-1)).to_json() == first
-        assert len(roots) == 698 and len(points) == 64
+        check()
+
+
+class TestIntegerFrontEnd:
+    """The integer front end against the object path it replaced."""
+
+    @pytest.mark.parametrize("alpha", [-1, 1])
+    def test_matches_object_path(self, alpha):
+        rows = list(iter_tuples(alpha))
+        if alpha == 1:  # the sample ample_pairs reads
+            rows = random.Random(61).sample(rows, 2000)
+        closures, points = {}, _PointTable()
+        pruned_counts = Counter()
+        for row in rows:
+            t = CountTuple(*row[:2])
+            hits, violations, pruned, data = _tuple_baskets(
+                row, alpha, closures, points)
+            assert (hits, violations, pruned) == \
+                tuple_baskets_oracle(t, alpha), t
+            assert data == (None if pruned else tuple_chis(t, alpha)), t
+            pruned_counts[pruned] += 1
+        assert pruned_counts == ({
+            "isolated_gcd_counts": 4033, "negative_unpacked_counts": 1993,
+            "negative_sections": 525, "empty_sigma5_range": 314, None: 191}
+            if alpha == -1 else {
+            "isolated_gcd_counts": 1282, "negative_unpacked_counts": 514,
+            "negative_sections": 151, "empty_sigma5_range": 37,
+            "pluri_growth": 2, None: 14})
 
 
 class TestHelpers:
@@ -833,6 +917,21 @@ class TestAmplitudeZero:
     def test_full_list(self):
         recs = classify_cy()
         assert [r.candidate.text() for r in recs] == CY_FAMILIES
+
+    def test_full_screen_follows_the_product_check(self, monkeypatch):
+        # 37 of the 4,288 candidates pass check_cy_product; only they
+        # get the full screen, whose report each record keeps
+        screened = []
+
+        def counted(cand):
+            screened.append(cand)
+            return necessary_screen(cand)
+
+        monkeypatch.setattr(classify_module, "necessary_screen", counted)
+        recs = classify_cy()
+        assert len(screened) == 37
+        assert [r.candidate.text() for r in recs] == CY_FAMILIES
+        assert all(r.screen == necessary_screen(r.candidate) for r in recs)
 
     def test_records_are_sound(self):
         for rec in classify_cy():
@@ -887,6 +986,15 @@ class TestDriver:
             ("unrealized", 1427), ("isolated_gcd_counts", 4033),
             ("empty_sigma5_range", 314), ("negative_unpacked_counts", 1993),
             ("realized", 181)]
+
+    def test_ample_canonical_statistics_shape(self, gt_report):
+        # the same for +1; the key order is inside the pinned digests
+        assert list(gt_report[0].statistics.items()) == [
+            ("tuples", 146880), ("baskets", 42870), ("unrealized", 42748),
+            ("negative_sections", 10892), ("empty_sigma5_range", 2656),
+            ("isolated_gcd_counts", 91667),
+            ("negative_unpacked_counts", 40623), ("pluri_growth", 286),
+            ("realized", 122), ("volume", 1)]
 
     def test_report_round_trips_to_json(self, fano):
         import json
