@@ -11,10 +11,11 @@ existence.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
+
+from . import _jsonout
 
 
 # Most weights and degrees, together, that parse_candidate accepts and
@@ -320,7 +321,7 @@ class ScreenReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return _jsonout.dumps(self.to_dict())
 
 
 def necessary_screen(c: Candidate) -> ScreenReport:

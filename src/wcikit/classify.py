@@ -13,7 +13,6 @@ dropped.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 from collections import Counter
@@ -25,6 +24,7 @@ from math import lcm
 from operator import gt, neg
 from typing import Iterable, Iterator, Sequence
 
+from . import _jsonout
 from .baskets import (
     BasketInconsistency,
     FormalBasket,
@@ -51,6 +51,7 @@ from .series import (
     TruncatedSeries,
     _times_poincare,
     basket_series_blocks,
+    clears_denominator,
     div_into,
     divisor_matching,
     max_weight_ok,
@@ -486,54 +487,56 @@ def realize(fb: FormalBasket, alpha: int,
     only if it is a dimension 3 candidate of the right amplitude whose
     own series reproduces the basket series exactly.  The basket series
     is the basket's chi_m in the one Riemann-Roch form of baskets.py,
-    _chi_term plus its points' signatures (basket_series_blocks).  It
-    runs to the basket's certified recovery bound, so absence of a
-    return value means that no presentation realizes the basket.  The
-    series is built and scanned in blocks, so a basket stops at the
+    _chi_term plus its points' signatures (basket_series_blocks).  The
+    stop below proves the two series equal, and a read that never
+    reaches it runs to the basket's certified recovery bound, so absence
+    of a return value means that no presentation realizes the basket.
+    The series is built and scanned in blocks, so a basket stops at the
     first block with a non-integral or negative coefficient or an entry
     cap hit.  prefix, a table that has read the start of the basket's
     series already, comes from tuple_prefix for the basket's own tuple,
     or from the sweep (_survivors) when it has read on to c_15; realize
     continues from a copy of it.
 
-    Reading also stops after a block of length L whose clean, nonempty
-    presentation (a; d) meets L - 1 >= max(deg N + sum(a), 4 + sum(r)
-    + sum(d)), with N and r as in series_numerator_degree.  The basket
-    series and prod(1 - t^d) / prod(1 - t^a) then agree mod t^L, and
-    the numerator of their difference has degree below L, so they are
-    equal: the rest of the read would add no entry and meet no
-    non-integral coefficient.  Past L no coefficient is negative when
-    the degrees match distinct weights dividing them
-    (divisor_matching); otherwise the candidate's own series is built
-    to the bound to show it.
+    Reading stops once the table's length L exceeds num, the
+    series_numerator_degree of the basket, and its presentation (a; d)
+    clears the basket's denominator D = (1 - t)^4 prod(1 - t^r):
+    Q = D prod(1 - t^d) / prod(1 - t^a) is a polynomial of degree at
+    most num (clears_denominator).  The basket series is S = N / D with
+    deg N <= num, the presentation's series is P = Q / D, and the
+    table keeps P = S mod t^L; so N - Q = (S - P) D vanishes mod t^L,
+    and, of degree at most num < L, it is zero: S = P.  Every residual
+    past L is then zero, so a read to the bound adds no entry and meets
+    no non-integral coefficient, and (a; d) is the one presentation of
+    S, since Moebius inversion reads the signed count of each entry off
+    the series.  Conversely, if S is the series of any presentation, the
+    table has read it once L passes its largest entry, and D S = N
+    clears; a read that reaches the bound uncertified realizes nothing.
+    The block that would run past num + 1 ends there.  Past L no
+    coefficient is negative when the degrees match distinct weights
+    dividing them (divisor_matching); otherwise the candidate's own
+    series is built to the bound to show it.
     """
     bound = recovery_bound(fb, alpha)
     table = _table(alpha) if prefix is None else prefix.copy()
     num = series_numerator_degree(fb, alpha)
-    den = num - (alpha == 1)  # deg of (1 - t)^4 prod(1 - t^r)
-    blocks = basket_series_blocks(fb, alpha, bound, table.length)
-    end = None  # the identity length of the last clean presentation
+    poles = {q.r for q in fb.basket if q.r > 1}
+    blocks = basket_series_blocks(fb, alpha, bound, table.length, num + 1)
     try:
-        while True:
-            block = blocks.send(end)
+        while table.length <= num or not clears_denominator(
+                table.weights, table.degrees, poles, num):
+            block = next(blocks, None)
+            if block is None:
+                return None  # read to the bound uncertified
             if min(block) < 0:
                 return None  # section counts are never negative
             if not table.feed(block):
                 return None
-            rec = table.presentation()
-            end = None
-            if rec.residual_clean and rec.weights:
-                end = 1 + max(num + sum(rec.weights), den + sum(rec.degrees))
-                if table.length >= end:
-                    break
-    except StopIteration:
-        pass
     except BasketInconsistency:
         return None
     rec = table.presentation()
-    if not rec.residual_clean or not rec.weights or not rec.degrees:
-        return None
-    if set(rec.weights) & set(rec.degrees):
+    # the table reads each index as weights or as degrees, never both
+    if not rec.weights or not rec.degrees:
         return None
     try:
         cand = normalize(rec.weights, rec.degrees)
@@ -546,8 +549,6 @@ def realize(fb: FormalBasket, alpha: int,
         return None
     screen = necessary_screen(cand)
     if not screen.passed:
-        return None
-    if table.series() != table.coeffs:
         return None
     if not divisor_matching(cand.weights, cand.degrees) and min(
             series_from_candidate(cand, bound).coeffs[table.length:],
@@ -588,7 +589,7 @@ class RunReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return _jsonout.dumps(self.to_dict())
 
 
 def _quadruples(bound: Fraction) -> Iterator[tuple[int, ...]]:

@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 
+from . import _jsonout
 from .baskets import FormalBasket, Orbifold, k3
 from .candidate import (
     MAX_ENTRIES,
@@ -112,11 +112,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
               f"weights and degrees", file=sys.stderr)
         return 2
     if args.format == "json":
-        out = json.dumps({
+        out = _jsonout.dumps({
             "weights": list(rec.weights),
             "degrees": list(rec.degrees),
             "residual_clean": rec.residual_clean,
-        }, indent=2) + "\n"
+        }) + "\n"
     else:
         w = ",".join(str(a) for a in rec.weights)
         d = ",".join(str(a) for a in rec.degrees)

@@ -15,9 +15,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, chain
+from math import isqrt
 from operator import add, sub
-from typing import Generator, Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .baskets import FormalBasket, _chi_term, _chis, _point_sigmas
 
@@ -343,37 +345,70 @@ def series_numerator_degree(fb: FormalBasket, alpha: int) -> int:
     return 4 + sum({q.r for q in fb.basket if q.r > 1}) + (alpha == 1)
 
 
+def clears_denominator(weights: Sequence[int], degrees: Sequence[int],
+                       poles: Collection[int], num: int) -> bool:
+    """True when D prod(1 - t^d) / prod(1 - t^a) is a polynomial, deg <= num.
+
+    D = (1 - t)^4 prod(1 - t^r) over the distinct poles r > 1, the
+    denominator of a basket series (series_numerator_degree).  Since
+    1 - t^k is, up to sign, the product of the cyclotomic polynomials
+    Phi_n over the orders n dividing k, the quotient is a polynomial
+    exactly when each order n divides no more weights than degrees and
+    poles together, counting four more for n = 1; its degree is then
+    4 + sum(r) + sum(d) - sum(a).
+    """
+    if (4 + sum(poles) + sum(degrees) - sum(weights) > num
+            or len(weights) > 4 + len(poles) + len(degrees)):
+        return False
+    # order n > 1 -> the weights it divides, less the poles and degrees
+    need: dict[int, int] = {}
+    for a in weights:
+        for n in _orders(a):
+            need[n] = need.get(n, 0) + 1
+    for x in chain(poles, degrees):
+        for n in _orders(x):
+            if n in need:
+                need[n] -= 1
+    return max(need.values(), default=0) <= 0
+
+
+@cache
+def _orders(a: int) -> tuple[int, ...]:
+    """The divisors n > 1 of a."""
+    return tuple({m for n in range(1, isqrt(a) + 1) if a % n == 0
+                  for m in (n, a // n)} - {1})
+
+
 def basket_series_blocks(fb: FormalBasket, alpha: int, bound: int,
-                         start: int = 0
-                         ) -> Generator[list[int], int | None, None]:
+                         start: int = 0, end: int | None = None
+                         ) -> Iterator[list[int]]:
     """Expected section counts c_start..c_bound of a formal basket, in blocks.
 
     Amplitude +1 reads chi_m directly; amplitude -1 reads -chi_{m+1} by
     duality.  Each block sums the sigma_m of the basket's point types,
     times their counts, onto _chi_term; it raises BasketInconsistency
     on a non-integral chi_m.  Blocks end at _FIRST_BLOCK times a power of
-    two, whatever the start; an index sent to the generator ends the
-    next block there instead, when that is sooner, and the blocks after
-    it double from there.
+    two, whatever the start; the block that would run past end stops
+    there instead, and the blocks after it double from there.
     """
     if alpha not in (-1, 1):
         raise ValueError("basket series defined for amplitude -1 or +1")
     counts = Counter((q.b, q.r) for q in fb.basket if q.r > 1)
     sign, shift = (1, 0) if alpha == 1 else (-1, 1)
     head = [1, 1 - fb.chi] if alpha == 1 else [1]  # not read off chi_m
-    hi = _FIRST_BLOCK
-    while hi <= start:
+    lo, hi = start, _FIRST_BLOCK
+    while hi <= lo:
         hi *= 2
-    lo, hi = start, min(hi, bound + 1)
-    while lo < hi:
+    while lo <= bound:
+        if end is not None and lo < end < hi:
+            hi = end
+        hi = min(hi, bound + 1)
         ks = range(max(lo, len(head)) + shift, hi + shift)
         chis = _chis([_chi_term(fb.chi, fb.chi2, k) for k in ks],
                      [[n * x for x in _point_sigmas(b, r, ks)]
                       for (b, r), n in counts.items()])
-        end = yield head[lo:hi] + [sign * c for c in chis]
-        lo, hi = hi, min(2 * hi, bound + 1)
-        if end is not None:
-            hi = min(hi, max(end, lo + 1))
+        yield head[lo:hi] + [sign * c for c in chis]
+        lo, hi = hi, 2 * hi
 
 
 def series_from_basket(fb: FormalBasket, alpha: int, bound: int) -> TruncatedSeries:

@@ -42,6 +42,29 @@ def div_into_oracle(c, k):
         c[m] += c[m - k]
 
 
+def clears_denominator_oracle(weights, degrees, poles, num):
+    """Whether D prod(1 - t^d) / prod(1 - t^a) is a polynomial, deg <= num.
+
+    D = (1 - t)^4 prod(1 - t^r) over the poles r.  Multiplies 1 by
+    every factor of the numerator, then divides the series by each
+    (1 - t^a), to the numerator's degree top.  The quotient is a
+    polynomial of degree q = top - sum(a) exactly when its coefficients
+    q + 1..top vanish: the series then agrees with a polynomial of
+    degree q to t^top, and that polynomial times prod(1 - t^a) has
+    degree at most top, so it is the numerator.
+    """
+    top = 4 + sum(poles) + sum(degrees)
+    q = top - sum(weights)
+    if q < 0:
+        return False
+    c = [1] + [0] * top
+    for k in [1] * 4 + list(poles) + list(degrees):
+        mul_into_oracle(c, k)
+    for a in weights:
+        div_into_oracle(c, a)
+    return q <= num and not any(c[q + 1:])
+
+
 def poincare_oracle(weights, degrees, bound):
     """Series coefficients by counting exponent vectors, one at a time.
 

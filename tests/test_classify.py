@@ -10,6 +10,7 @@ import pytest
 
 from oracles import (
     chi_m_oracle,
+    clears_denominator_oracle,
     fano_r_multisets_oracle,
     gt_r_multisets_oracle,
     iter_tuples_oracle,
@@ -64,6 +65,7 @@ from wcikit.classify import (
 from wcikit.series import (
     TableMethod,
     basket_series_blocks,
+    clears_denominator,
     series_numerator_degree,
 )
 
@@ -481,68 +483,69 @@ class TestPrefixExactness:
         assert unbound(got) == unbound(reference_realize(fb, -1, 300))
         assert got.candidate.text() == "1,6,8,9,10,15 / 18,30"
 
-    @pytest.mark.parametrize("basket,chi,chi2,alpha,degree", [
-        # 4 + (2+3+5+8) + max(sum(a), sum(d)) for 1,6,8,9,10,15 / 18,30
-        ("2x(1,2); 2x(1,3); 1x(1,5); 1x(1,8)", 1, -1, -1, 71),
-        # 4 + 2 + max(sum(a) + 1, sum(d)) for 1,1,1,1,1,2 / 3,5
-        ("1x(1,2)", -4, 16, 1, 14)], ids=["fano", "ample-canonical"])
+    @pytest.mark.parametrize("basket,chi,chi2,alpha,reads", [
+        # 1,6,8,9,10,15 / 18,30: num + 1 = 4 + (2+3+5+8) + 1 = 23, but the
+        # degree 30 is read only at length 31, so the certificate fails
+        # at 23 and holds at the next block's end, 46
+        ("2x(1,2); 2x(1,3); 1x(1,5); 1x(1,8)", 1, -1, -1,
+         {8: [8, 8, 7, 23], 12: [12, 11, 23], 23: [23, 23], 31: [23, 23]}),
+        # 1,1,1,1,1,2 / 3,5: every entry is read by num + 1 = 4 + 2 + 1 + 1
+        ("1x(1,2)", -4, 16, 1, {4: [4, 4], 7: [7, 1], 8: [8], 9: [8]})],
+        ids=["fano", "ample-canonical"])
     def test_reads_to_the_first_block_past_the_identity_degree(
-            self, monkeypatch, basket, chi, chi2, alpha, degree):
-        # a first block one short of the identity degree is clean, so the
-        # second ends at the identity length, index degree; a first block
-        # that reaches the identity degree is enough on its own
+            self, monkeypatch, basket, chi, chi2, alpha, reads):
+        # the identity S = P is certified at the first block end past
+        # both num and the largest entry: no block runs past num + 1, and
+        # a block end from num + 1 on certifies once every entry is read
         fb = FormalBasket(parse_basket(basket), chi, chi2)
         fed = []
 
         def counted(*args):
-            blocks = basket_series_blocks(*args)
-            end = None
-            while True:
-                try:
-                    block = blocks.send(end)
-                except StopIteration:
-                    return
+            for block in basket_series_blocks(*args):
                 fed.append(len(block))
-                end = yield block
+                yield block
 
         monkeypatch.setattr(classify_module, "basket_series_blocks", counted)
-        for first, read in [(degree, [degree, 1]), (degree + 1, [degree + 1]),
-                            (degree + 2, [degree + 2])]:
+        for first, read in reads.items():
             monkeypatch.setattr(series_module, "_FIRST_BLOCK", first)
             fed.clear()
-            assert unbound(realize(fb, alpha)) == \
-                unbound(reference_realize(fb, alpha, 300))
+            got = realize(fb, alpha)
+            assert unbound(got) == unbound(reference_realize(fb, alpha, 300))
             assert fed == read, first
-
+            assert clears_denominator(
+                got.candidate.weights, got.candidate.degrees,
+                {q.r for q in fb.basket}, series_numerator_degree(fb, alpha))
 
     @pytest.mark.parametrize("alpha", [-1, 1])
     def test_degree_sum_sets_the_identity_length(self, monkeypatch, alpha):
         # realize() reads a constructed series, (1 - t^4)^3 / (1 - t)^5,
         # in the blocks of the basket's own.  Its presentation
-        # 1,1,1,1,1 / 4,4,4 is clean from length 9, and den + sum(d)
-        # = 4 + 12 exceeds num + sum(a) = 4 + [alpha = +1] + 5, so the
-        # read stops at length 17, one past the second block
+        # 1,1,1,1,1 / 4,4,4 is read by length 5, and it divides the
+        # basket denominator (1 - t)^4, but the degree sum puts the
+        # quotient (1 - t^4)^3 / (1 - t) at 4 + 12 - 5 = 11, over
+        # num = 4 + [alpha = +1]; so it is never certified, the read runs
+        # to the recovery bound, and nothing is realized
         fb = FormalBasket((), 1, 0)
-        assert series_numerator_degree(fb, alpha) == 4 + (alpha == 1)
-        series = poincare_series((1,) * 5, (4,) * 3, 40).coeffs
+        num = series_numerator_degree(fb, alpha)
+        assert num == 4 + (alpha == 1)
+        assert not clears_denominator((1,) * 5, (4,) * 3, set(), num)
+        bound = recovery_bound(fb, alpha)
+        series = poincare_series((1,) * 5, (4,) * 3, bound).coeffs
         fed = []
 
         def constructed(*args):
-            blocks = basket_series_blocks(*args)
-            lo, end = 0, None
-            while True:
-                try:
-                    block = blocks.send(end)
-                except StopIteration:
-                    return
+            lo = 0
+            for block in basket_series_blocks(*args):
                 fed.append(len(block))
-                end = yield list(series[lo:lo + len(block)])
+                yield list(series[lo:lo + len(block)])
                 lo += len(block)
 
         monkeypatch.setattr(classify_module, "basket_series_blocks",
                             constructed)
-        assert realize(fb, alpha) is None  # a curve, not a threefold
-        assert fed == [8, 8, 1]
+        assert realize(fb, alpha) is None
+        first = num + 1  # the first block ends at num + 1, then doubles
+        assert fed[:3] == [first, first, 2 * first]
+        assert sum(fed) == bound + 1
 
 
 class TestTuplePrefix:
@@ -570,9 +573,9 @@ class TestTuplePrefix:
         # from past the horizon
         starts = []
 
-        def recorded(fb, alpha, bound, start=0):
+        def recorded(fb, alpha, bound, start=0, end=None):
             starts.append((bound, start))
-            return basket_series_blocks(fb, alpha, bound, start)
+            return basket_series_blocks(fb, alpha, bound, start, end)
 
         monkeypatch.setattr(classify_module, "basket_series_blocks", recorded)
         realized = 0
@@ -667,6 +670,22 @@ class TestClosureRead:
             "realized": 181}
         assert len(report.records) == 181
 
+    def test_fano_sweep_reads_each_survivor_to_its_certificate(
+            self, monkeypatch):
+        # past c_15, the 222 realize() calls of a -1 run read 2,220
+        # coefficients in all (8,221 when each read ran on to
+        # 1 + max(num + sum(a), den + sum(d)))
+        pulled = []
+
+        def counted(*args):
+            for block in basket_series_blocks(*args):
+                pulled.append(len(block))
+                yield block
+
+        monkeypatch.setattr(classify_module, "basket_series_blocks", counted)
+        assert len(classify(RunConfig(alpha=-1)).records) == 181
+        assert sum(pulled) == 2220
+
 
 class TestRecordCertificate:
     """A divisor matching stands in for each record's own series."""
@@ -683,6 +702,18 @@ class TestRecordCertificate:
                 bound = recovery_bound(rec.formal_basket, report.alpha)
                 assert min(series_from_candidate(cand, bound).coeffs) >= 0
         assert unmatched == ["2,3,4,5,5,6,7 / 10,11,12"]
+
+    def test_records_clear_their_basket_denominators(self, fano, gt_report):
+        # a record's series is its basket's, N / D, so D times it is N,
+        # a polynomial of degree at most series_numerator_degree
+        for report in (fano, gt_report[0]):
+            for rec in report.records:
+                fb, cand = rec.formal_basket, rec.candidate
+                args = (cand.weights, cand.degrees,
+                        {q.r for q in fb.basket if q.r > 1},
+                        series_numerator_degree(fb, report.alpha))
+                assert clears_denominator(*args), cand.text()
+                assert clears_denominator_oracle(*args), cand.text()
 
     def test_only_the_unmatched_record_builds_its_series(self, gt_report,
                                                          monkeypatch):

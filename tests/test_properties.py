@@ -1,16 +1,19 @@
-"""Seeded property tests: text round trips, the table method, recovery.
+"""Seeded property tests: text round trips, the table method, recovery, JSON.
 
 hypothesis draws the cases from a fixed seed (derandomize), so every
 run sees the same examples; the module skips when hypothesis is absent.
 """
 
+import json
+
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from oracles import recover_oracle  # noqa: E402
+from wcikit._jsonout import dumps  # noqa: E402
 from wcikit import (  # noqa: E402
     TableMethod,
     TruncatedSeries,
@@ -93,3 +96,27 @@ def test_poincare_series_recovery_round_trip(pres):
     rec = recover_weights_degrees(s)
     assert rec.residual_clean
     assert (list(rec.weights), list(rec.degrees)) == (weights, degrees)
+
+
+# Strings over every code point class json escapes: controls, quotes,
+# backslashes, non-ASCII and astral characters (written as surrogates)
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 30, 10 ** 30) | TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=30)
+
+
+@SEEDED
+@given(JSON_VALUES)
+@example({"\u00e9\x00": ["\u2028\U0001f600\x1f", "\"\\", {}, []], "": -0})
+def test_json_writer_matches_json_dumps(value):
+    assert dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    (1, 2), 1.5, {1: "a"}, {"a": [set()]}, b"x", {"a": {"b": (None,)}}])
+def test_json_writer_refuses_other_values(value):
+    with pytest.raises(TypeError):
+        dumps(value)

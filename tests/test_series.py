@@ -1,10 +1,12 @@
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 from oracles import (
     chi_m_oracle,
+    clears_denominator_oracle,
     div_into_oracle,
     mul_into_oracle,
     poincare_oracle,
@@ -28,7 +30,12 @@ from wcikit import (
     series_from_basket,
     series_from_candidate,
 )
-from wcikit.series import MAX_SERIES_BOUND, div_into, mul_into
+from wcikit.series import (
+    MAX_SERIES_BOUND,
+    clears_denominator,
+    div_into,
+    mul_into,
+)
 
 
 class TestKernels:
@@ -326,6 +333,54 @@ class TestCertificate:
                 assert min(coeffs) >= 0, (weights, degrees)
             seen[matched and min(coeffs) >= 0] += 1
         assert min(seen.values()) > 50
+
+
+class TestDenominatorCertificate:
+    """clears_denominator counts cyclotomic orders; the oracle divides."""
+
+    def test_random_presentations_and_poles(self):
+        # weights dividing distinct degrees or poles, besides up to four
+        # 1s, divide D prod(1 - t^d); a stray weight and a num near the
+        # quotient's degree give both outcomes
+        rng = random.Random(73)
+        seen = Counter()
+        for _ in range(2000):
+            degrees = [rng.randint(2, 30) for _ in range(rng.randint(0, 4))]
+            poles = set(rng.sample(range(2, 16), rng.randint(0, 4)))
+            weights = [1] * rng.randint(0, 5) + [
+                rng.choice([a for a in range(1, x + 1) if x % a == 0])
+                for x in (*poles, *degrees) if rng.random() < 0.7]
+            if rng.random() < 0.5:
+                weights.append(rng.randint(1, 12))
+            rng.shuffle(weights)
+            num = (4 + sum(poles) + sum(degrees) - sum(weights)
+                   + rng.randint(-2, 2))
+            got = clears_denominator(weights, degrees, poles, num)
+            assert got == clears_denominator_oracle(
+                weights, degrees, poles, num), (weights, degrees, poles, num)
+            seen[got] += 1
+        assert min(seen.values()) > 400, seen
+
+    @pytest.mark.parametrize("weights,degrees,poles,num", [
+        # the order 3 divides the weights 3, 3 but only the degree 6;
+        # the degrees pass: 4 + 2 + 6 - 10 = 2 <= 6
+        ((1, 1, 1, 1, 3, 3), (6,), {2}, 6),
+        # the order 2 divides the weights 2, 4 but only the degree 8
+        ((1, 1, 1, 2, 4), (8,), {3}, 7),
+        # (1 - t^4)^3 / (1 - t) divides, but has degree 11 > 4
+        ((1, 1, 1, 1, 1), (4, 4, 4), set(), 4),
+        # five factors (1 - t) against the four of D and no degree
+        ((1, 1, 1, 1, 1), (), set(), 4)],
+        ids=["order-3", "order-2", "over-degree", "order-1"])
+    def test_negative_controls(self, weights, degrees, poles, num):
+        assert not clears_denominator(weights, degrees, poles, num)
+        assert not clears_denominator_oracle(weights, degrees, poles, num)
+
+    def test_the_controls_clear_once_mended(self):
+        # a pole or degree the order divides, or room for the degree
+        assert clears_denominator((1, 1, 1, 1, 3, 3), (6,), {2, 3}, 9)
+        assert clears_denominator((1, 1, 1, 2, 4), (6, 8), {3}, 12)
+        assert clears_denominator((1, 1, 1, 1, 1), (4, 4, 4), set(), 11)
 
 
 class TestRecoveryBound:
