@@ -11,13 +11,15 @@ the points (Buckley, Reid and Zhou, arXiv:1208.0457).  Packing merges
 two points into one; it runs opposite to deformation, so a basket's
 canonical unpacking dominates it and the finitely many baskets between
 the two are exactly the candidates sharing its low-degree chi data.
+These baskets, the fiber of an initial basket, are listed in closed
+form: one multiset of primitive vectors per index, the inverse of
+canonical_unpacking (_descendant_points).
 """
 
 from __future__ import annotations
 
 import re
-from array import array
-from bisect import insort
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -254,205 +256,182 @@ def pluri_growth_filter(p: Mapping[int, int] | Sequence[int], pg: int) -> bool:
     return p[4] >= 2 * p[2] - 1 and p[6] >= 2 * p[3] - 1
 
 
-# Named prunes for descendants(), evaluated on a state's integer data:
+# Named prunes for descendants(), evaluated on a basket's integer data:
 # "c2" cuts sum(r - 1/r) > 24, the amplitude -1 bound on c_2 . (-K),
 # and keeps only the hits with K^3 < 0; "volume" cuts K^3 <= 0 for the
 # chi and chi_2 of the call.  Both cuts only grow more true under
 # packing.
 NAMED_PRUNES = ("c2", "volume")
 
-
-def _points(packed: int, unit: int, width: int) -> Points:
-    """The (b, r) of each point of a packed state, sorted by (r, b)."""
-    mask = (1 << width) - 1
-    out = []
-    while packed:
-        r, b = divmod(packed & mask, unit)
-        out.append((b, r))
-        packed >>= width
-    return tuple(out)
-
-
-_SIGMA_TOP = 17  # chi_3..chi_6 as targets, k = 7..16 in the closure read
+_SIGMA_TOP = 17  # chi_4..chi_6 as targets, k = 7..16 in the closure read
 
 
 class _PointTable(dict):
     """sigma_m, m < _SIGMA_TOP, of each point type (b, r), made on first use.
 
-    shapes holds what _build_closure derives from the rows for one unit,
-    scale and ms, so the closures of that shape in a run share it.
+    shapes holds the _Shape of each scale and ms a fiber walk has used,
+    so the fibers of a run share their point and vector data.
     """
 
     def __init__(self) -> None:
-        self.shapes: dict[tuple, tuple] = {}
+        self.shapes: dict[tuple, _Shape] = {}
 
     def __missing__(self, point: tuple[int, int]) -> tuple[int, ...]:
         row = self[point] = _point_sigmas(*point, range(_SIGMA_TOP))
         return row
 
 
-def _build_closure(root: tuple[int, ...], unit: int, ms: tuple[int, ...],
-                   prune: str | None, volume_floor: int,
-                   points: _PointTable) -> tuple:
-    """Breadth-first closure of a root under prime packing, with canonical dedup.
+class _Shape(dict):
+    """The data of each point type (b, r) at one scale and one ms.
 
-    Two points merge only when they are Farey neighbours,
-    |b_p r_q - b_q r_p| = 1 (is_prime_packing).  Such a pair lies in
-    one interval [1/(k+1), 1/k], where canonical unpacking is additive,
-    and every point is reached from its own unpacking by such merges
-    (a Stern-Brocot mediant path).  So from a root of points (1, r)
-    the closure is exactly the set of baskets whose initial_basket is
-    the root; the prunes cut the same baskets as over all merges, since
-    both grow more true along any packing path.  A merge, a mediant,
-    is again a point in normal form.
-
-    Returns (sigs, states, l2s, scale, width): each state packed into
-    one int of width-bit codes; per state and listed m, in an array,
-    the signature sigma_m = 12 l(m) - 2(2m-1)m(m-1) l(2); and, for the
-    "c2" prune only, scale * l(2) per state as ints (scale passes 2^63
-    on large roots), else None.  While it runs, a state is a sorted
-    tuple of point codes carrying its c_2 load and l(2), scaled by
-    twice the lcm of every index up to the root's total index (which
-    covers every merged point), then sigma_m for m in ms, read off the
-    run's points table.  Packing p and q into s adds data(s) - data(p)
-    - data(q); the data per code and that change per merge are kept in
-    points.shapes for every closure of the same unit, scale and ms.
+    A point maps to its c_2 load r - 1/r and its l(2) = b(r - b)/(2r),
+    both times scale, then its sigma_m for m in ms off the run's points
+    table.  scale is twice a multiple of every index met, so all of
+    these are integers, and they add up over a basket.
     """
-    total = sum(root) // unit  # the root's total index
-    width = ((total + 1) * unit).bit_length()
-    scale = 2 * lcm(1, *range(1, total + 1))
-    shape = unit, scale, ms
-    if shape not in points.shapes:
-        # Each new move reads three points; most recur across moves.
-        @lru_cache(maxsize=None)
-        def point_data(code: int) -> tuple[int, ...]:
-            r, b = divmod(code, unit)
-            sigs = points[b, r]
-            return ((r * r - 1) * (scale // r),
-                    b * (r - b) * (scale // (2 * r)), *[sigs[m] for m in ms])
 
-        @lru_cache(maxsize=None)
-        def merge(p: int, q: int) -> tuple[int, ...]:
-            return tuple(x - y - z for x, y, z in zip(
-                point_data(p + q), point_data(p), point_data(q)))
-        points.shapes[shape] = point_data, merge
-    point_data, merge = points.shapes[shape]
+    def __init__(self, points: _PointTable, scale: int,
+                 ms: tuple[int, ...]) -> None:
+        self.points, self.scale, self.ms = points, scale, ms
+        self.vectors: dict[tuple[int, int, int], list] = {}
 
-    def move(p: int, q: int) -> tuple | None:
-        """(code of the merged point, change of data), None unless prime."""
-        (rp, bp), (rq, bq) = divmod(p, unit), divmod(q, unit)
-        if abs(bp * rq - bq * rp) != 1:
-            return None
-        return p + q, merge(p, q)
+    def __missing__(self, point: tuple[int, int]) -> tuple[int, ...]:
+        b, r = point
+        sigs = self.points[point]
+        row = self[point] = ((r * r - 1) * (self.scale // r),
+                             b * (r - b) * (self.scale // (2 * r)),
+                             *[sigs[m] for m in self.ms])
+        return row
 
-    # A named prune cuts the states whose data[at] exceeds limit.
-    at, limit = {"c2": (0, 24 * scale),
-                 "volume": (1, volume_floor * scale - 1)}.get(prune, (0, inf))
+    def rows(self, q: int, a: int, c: int) -> list[list[tuple]]:
+        """Per u = 0..a, each primitive vector (u, v) at q with v <= c.
 
-    root_data = tuple(map(sum, zip(*map(point_data, root)))) or (0,) * (
-        len(ms) + 2)
-    states: dict[tuple[int, ...], tuple[int, ...]] = {}
-    if root_data[at] <= limit:
-        states[root] = root_data
-    pruned: set[tuple[int, ...]] = set()
-    moves: dict[tuple[int, int], tuple | None] = {}
-    frontier = list(states)
-    while frontier:
-        nxt = []
-        for state in frontier:
-            data = states[state]
-            n = len(state)
-            for i in range(n - 1):
-                p = state[i]
-                if i and p == state[i - 1]:
-                    continue
-                for j in range(i + 1, n):
-                    q = state[j]
-                    if j > i + 1 and q == state[j - 1]:
-                        continue
-                    if (p, q) not in moves:
-                        moves[p, q] = move(p, q)
-                    pq = moves[p, q]
-                    if pq is None:
-                        continue
-                    rest = list(state)
-                    del rest[j]
-                    del rest[i]
-                    insort(rest, pq[0])
-                    child = tuple(rest)
-                    if child in states or child in pruned:
-                        continue
-                    cdata = tuple(map(add, data, pq[1]))
-                    if cdata[at] > limit:
-                        pruned.add(child)
-                        continue
-                    states[child] = cdata
-                    nxt.append(child)
-        frontier = nxt
-    sigs = array("q", [x for data in states.values() for x in data[2:]])
-    l2s = (tuple(data[1] for data in states.values()) if prune == "c2"
-           else None)
-    packed = tuple(sum(code << i * width for i, code in enumerate(state))
-                   for state in states)
-    return sigs, packed, l2s, scale, width
+        An entry is (v, the (r, b) of its point, its change of data):
+        the point (u + v, q(u + v) + v) less u points (1, q) and v points
+        (1, q + 1).  Each row runs by increasing v.
+        """
+        key = q, a, c
+        if key not in self.vectors:
+            unpacked = self[1, q], self[1, q + 1]
+            self.vectors[key] = [[] for _ in range(a + 1)]
+            for u in range(1, a + 1):
+                for v in range(1, c + 1):
+                    if gcd(u, v) == 1:
+                        b, r = u + v, q * (u + v) + v
+                        self.vectors[key][u].append((v, (r, b), tuple(
+                            x - u * y - v * z
+                            for x, y, z in zip(self[b, r], *unpacked))))
+        return self.vectors[key]
 
 
 def descendants(b0: Basket, chi: int, chi2: int,
                 targets: Mapping[int, int],
-                prune: str | None = None,
-                cache: dict | None = None) -> list[FormalBasket]:
+                prune: str | None = None) -> list[FormalBasket]:
     """The baskets of b0's fiber whose chi_m hit the targets.
 
-    Breadth-first closure of b0 under prime packing with canonical
-    dedup: for b0 of points (1, r), every basket whose initial_basket
-    is b0 (see _build_closure).  A basket survives iff its chi_m, for
-    this chi and chi_2, equals targets[m] for every listed m.
-    prune, one of NAMED_PRUNES, skips the baskets it cuts and all their
-    descendants; both prunes are monotone under packing (once true they
-    stay true on every further pack).  The "c2" prune also drops the
-    hits with K^3 >= 0.
-
-    cache, a dict the caller keeps for one run, keeps each closure for
-    later calls on the same root, which redo only the target check; its
-    key holds the root, the target indices, the prune and, for the
-    "volume" prune, chi_2 + 3 chi.  The hits come sorted by their
-    points' (b, r).  The sweep calls _descendant_points on point codes.
+    b0 must be an initial basket, every point (1, r); any other raises
+    ValueError.  Its fiber is every basket whose initial_basket is b0.
+    A basket survives iff its chi_m, for this chi and chi_2, equals
+    targets[m] for every listed m.  prune, one of NAMED_PRUNES, skips
+    the baskets it cuts; both prunes are monotone under packing (once
+    true they stay true on every further pack).  The "c2" prune also
+    drops the hits with K^3 >= 0.  The hits come sorted by their points'
+    (b, r).  The sweep calls _descendant_points on the root's indices.
     """
-    # unit exceeds every b a merge can reach: adding codes merges points
-    unit = 1 << max(1, sum(q.b for q in b0).bit_length())
-    root = tuple(sorted(q.r * unit + q.b for q in b0))
+    if any(q.b != 1 for q in b0):
+        raise ValueError("b0 must be an initial basket of points (1, r)")
     return [FormalBasket(tuple(Orbifold(b, r) for b, r in points), chi, chi2)
-            for points in _descendant_points(root, unit, chi, chi2, targets,
-                                             prune, cache)]
+            for points in _descendant_points(tuple(q.r for q in b0), chi,
+                                             chi2, targets, prune)]
 
 
-def _descendant_points(root: tuple[int, ...], unit: int, chi: int,
-                       chi2: int, targets: Mapping[int, int],
-                       prune: str | None = None, cache: dict | None = None,
+def _descendant_points(root: tuple[int, ...], chi: int, chi2: int,
+                       targets: Mapping[int, int], prune: str | None = None,
                        points: _PointTable | None = None) -> list[Points]:
-    """descendants() of sorted point codes r * unit + b, hits as (b, r);
+    """descendants() of the points (1, r), r in root, hits as (b, r);
     points is the run's _PointTable, a new one when not given.
+
+    The fiber in closed form.  A point (b, r) with b >= 2 has r = qb + s
+    with 0 < s < b (s = 0 would break gcd(b, r) = 1, and 2b <= r makes
+    q >= 2), and canonical_unpacking gives it u = b - s points (1, q)
+    and v = s points (1, q + 1), with u, v >= 1 and gcd(u, v) =
+    gcd(b, r) = 1.  Conversely, for q >= 2 and a primitive vector
+    (u, v), u, v >= 1, the point (u + v, q(u + v) + v) is normalized and
+    unpacks to exactly those points.  The two maps are inverse, and a
+    point (1, r) unpacks to itself, so a basket of the fiber is one
+    multiset of primitive vectors per index q that together use no more
+    points (1, q) and (1, q + 1) than the root holds; a point (1, q + 1)
+    used at q is not free at q + 1.  The walk adds vectors in
+    nondecreasing (q, u, v) order, so it meets each basket once.
+
+    Adding (u, v) at q, with r = uq + v(q + 1), raises the c_2 load by
+    u/q + v/(q + 1) - 1/r > 0 and, since sum b stays put, lowers
+    K^3 = 2(chi_2 + 3 chi) - sum b + sum b^2/r by
+    u/q + v/(q + 1) - (u + v)^2/r > 0 (Cauchy-Schwarz).  So a prune
+    that holds on a basket holds on every basket the walk reaches from
+    it, and cutting the branch there keeps exactly the baskets of the
+    fiber it does not cut.  chi_m = t reads sigma_m = 12 t -
+    _chi_term(m), and K^3 < 0 reads l(2) > chi_2 + 3 chi.
     """
     if prune is not None and prune not in NAMED_PRUNES:
         raise ValueError(f"unknown prune {prune!r}")
     ms = tuple(sorted(targets))
     if ms and not 0 <= ms[0] <= ms[-1] < _SIGMA_TOP:
         raise ValueError(f"targets must lie in 0..{_SIGMA_TOP - 1}")
-    floor = chi2 + 3 * chi
-    key = (root, unit, ms, prune, floor if prune == "volume" else None)
-    closure = cache.get(key) if cache is not None else None
-    if closure is None:
-        closure = _build_closure(root, unit, ms, prune, floor,
-                                 _PointTable() if points is None else points)
-        if cache is not None:
-            cache[key] = closure
-    sigs, states, l2s, scale, width = closure
-    # chi_m = t reads sigma_m = 12 t - _chi_term(m); with
-    # K^3 = 2(chi_2 + 3 chi - l(2)), K^3 < 0 reads l(2) > chi_2 + 3 chi.
+    points = _PointTable() if points is None else points
+    # Each index in the fiber is at most the root's total, below 2^bits,
+    # so one shape serves every root whose total has as many bits.
+    key = sum(root).bit_length(), ms
+    if key not in points.shapes:
+        points.shapes[key] = _Shape(
+            points, 2 * lcm(1, *range(1, 1 << key[0])), ms)
+    shape = points.shapes[key]
+    scale, floor = shape.scale, chi2 + 3 * chi
+    at, limit = {"c2": (0, 24 * scale),
+                 "volume": (1, floor * scale - 1)}.get(prune, (0, inf))
+    l2_floor = floor * scale if prune == "c2" else -inf
     want = tuple(12 * targets[m] - _chi_term(chi, chi2, m) for m in ms)
-    w = len(ms)
-    l2_floor = floor * scale
-    return sorted(_points(state, unit, width)
-                  for k, state in enumerate(states)
-                  if tuple(sigs[k * w:(k + 1) * w]) == want
-                  and (l2s is None or l2s[k] > l2_floor))
+
+    data = tuple(map(sum, zip((0,) * (len(ms) + 2),
+                              *[shape[1, r] for r in root])))
+    if data[at] > limit:
+        return []
+    free = dict(Counter(root))  # plain dict lookups beat a Counter's
+    qs = [q for q in free if q + 1 in free]
+    if not qs:  # no two indices in a row: the fiber is the root alone
+        return ([tuple((1, r) for r in sorted(root))]
+                if data[2:] == want and data[1] > l2_floor else [])
+    tables = [shape.rows(q, free[q], free[q + 1]) for q in qs]
+    hits: list[list[tuple[int, int]]] = []
+    picked: list[tuple[int, int]] = []
+
+    def walk(i: int, u0: int, j0: int, data: tuple[int, ...]) -> None:
+        """Keep the basket if it hits, then add each vector from qs[i]'s
+        row u0, entry j0, on."""
+        if data[2:] == want and data[1] > l2_floor:
+            basket = picked + [(r, 1) for r, n in free.items()
+                               for _ in range(n)]
+            basket.sort()
+            hits.append([(b, r) for r, b in basket])
+        for k in range(i, len(qs)):
+            q, rows, c = qs[k], tables[k], free[qs[k] + 1]
+            if k > i:
+                u0, j0 = 1, 0
+            for u in range(u0, free[q] + 1):
+                row = rows[u]
+                for j in range(j0 if u == u0 else 0, len(row)):
+                    v, point, change = row[j]
+                    if v > c:
+                        break
+                    if data[at] + change[at] > limit:
+                        continue
+                    free[q] -= u
+                    free[q + 1] -= v
+                    picked.append(point)
+                    walk(k, u, j, tuple(map(add, data, change)))
+                    picked.pop()
+                    free[q] += u
+                    free[q + 1] += v
+
+    walk(0, 1, 0, data)
+    return sorted(map(tuple, hits))

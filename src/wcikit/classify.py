@@ -257,7 +257,7 @@ def _volume_cap(s: int, headroom: int, scale: int) -> int | None:
     return (unit - 1) // beta if beta > 0 else None
 
 
-def _tuple_baskets(row: tuple, alpha: int, closures: dict, points: _PointTable
+def _tuple_baskets(row: tuple, alpha: int, points: _PointTable
                    ) -> tuple[list[tuple[Points, str]], list[str],
                               str | None, ChiData | None]:
     """Formal baskets consistent with one row of iter_tuples, with case labels.
@@ -268,9 +268,19 @@ def _tuple_baskets(row: tuple, alpha: int, closures: dict, points: _PointTable
     _descendant_points gives it, sorted in turn.  Case labels:
     'sigma5-zero' needs no high index points, 'ambient-capped' bounds
     their index by the largest possible weight, 'volume-capped' by
-    positivity of the unpacked volume.  closures and points are the
-    run's _descendant_points cache and point table.  The screens read
-    plain integers; only a tuple that passes them all gets a ChiData.
+    positivity of the unpacked volume.  points is the run's point
+    table.  The screens read plain integers; only a tuple that passes
+    them all gets a ChiData.
+
+    The targets leave out chi_3, which is the same on every basket of a
+    root's fiber and equals c_3 there.  Each point has sigma_3 = -12b:
+    S(3) = b(r - b) + 2b(r - 2b) = 3br - 5b^2 when 2b < r, so
+    sigma_3 = (6 S(3) - 30 S(2)) / r = -12b, and (1, 2) has S(3) = 1,
+    sigma_3 = (6 - 30) / 2 = -12.  So 12 chi_3 = _chi_term(3) - 12 sum b
+    = 60 chi_2 + 120 chi - 12 sum b, and sum b, the number of points of
+    the unpacking, is the root's n12 + n13 + n14.  By _unpacked that
+    number is sigma = 10 chi + 5 chi_2 - c_3, so
+    chi_3 = 5 chi_2 + 10 chi - sigma = c_3 on every basket.
     """
     mu, nu, (w, divisible), (terms, room) = row
     # c_0..c_h fix a record's counted weights and degrees, so more counted
@@ -298,11 +308,9 @@ def _tuple_baskets(row: tuple, alpha: int, closures: dict, points: _PointTable
             return [], [], "volume", None
 
     data = ChiData(chi, {m: chis[m] for m in range(2, 7)}, tuple(low), pg)
-    chi2, targets = chis[2], {m: chis[m] for m in (3, 4, 5, 6)}
+    chi2, targets = chis[2], {m: chis[m] for m in (4, 5, 6)}
     violations: list[str] = []
     found: list[tuple[Points, str]] = []
-    # Each root has n12 + n13 + n14 points (1, r), of code r * unit + 1.
-    unit = 1 << max(1, (n12 + n13 + n14).bit_length())
 
     if alpha == 1:
         # k3 with each high index point at (1, 4); (1, r) takes (r - 1)/r
@@ -311,8 +319,7 @@ def _tuple_baskets(row: tuple, alpha: int, closures: dict, points: _PointTable
         ambient_capped = sum(mu) >= 5 or any(nu)
 
     for s in range(lo, hi + 1):
-        base = ((2 * unit + 1,) * n12 + (3 * unit + 1,) * n13
-                + (4 * unit + 1,) * (n14 - s))
+        base = (2,) * n12 + (3,) * n13 + (4,) * (n14 - s)
         if alpha == -1:
             # 24 - c_2 load of base, scaled
             budget = 24 * _C2_SCALE - n12 * _C2_LOAD[2] \
@@ -356,9 +363,8 @@ def _tuple_baskets(row: tuple, alpha: int, closures: dict, points: _PointTable
             # Each basket lies in the fiber of one root, its initial
             # basket, so no two roots find the same basket.  The prunes
             # keep c_2 <= 24 and K^3 < 0 for -1, K^3 > 0 for +1.
-            root = base + tuple(r * unit + 1 for r in rs)
             found.extend((hit, case) for hit in _descendant_points(
-                root, unit, chi, chi2, targets, prune, closures, points))
+                base + rs, chi, chi2, targets, prune, points))
     found.sort(key=lambda hit: hit[0])
     return found, violations, None, data
 
@@ -397,8 +403,9 @@ def _table(alpha: int, low: Sequence[int] = ()) -> TableMethod:
 def tuple_prefix(t: CountTuple, alpha: int) -> TableMethod:
     """A table that has read c_0..c_h, the series every basket of t shares.
 
-    A basket of t has chi_2 of t, and descendants() matched its chi_3
-    to chi_6 to t's; so its c_0..c_h are t's low series, and the table
+    A basket of t has chi_2 of t, its chi_3 is t's on the whole fiber
+    (_tuple_baskets), and descendants() matched its chi_4 to chi_6 to
+    t's; so its c_0..c_h are t's low series, and the table
     reads off exactly t's counted weights and degrees.  The sweep feeds
     copies of it on to c_15 (_survivors), once per distinct
     c_{h+1}..c_7 and c_8..c_15 among t's baskets.
@@ -686,12 +693,10 @@ def _batch_worker(args: tuple[int, Iterable[tuple]]
     records: dict[tuple, ClassificationRecord] = {}
     violations: list[str] = []
     stats: Counter = Counter()
-    closures: dict = {}
     points = _PointTable()
     for row in rows:
         stats["tuples"] += 1
-        hits, viols, pruned, data = _tuple_baskets(row, alpha, closures,
-                                                   points)
+        hits, viols, pruned, data = _tuple_baskets(row, alpha, points)
         violations.extend(viols)
         if pruned:
             stats[pruned] += 1

@@ -197,7 +197,7 @@ def tuple_baskets_oracle(t, alpha):
             return [], [], "volume"
 
     chi2, targets = chis[2], {m: chis[m] for m in (3, 4, 5, 6)}
-    violations, found, closures = [], [], {}
+    violations, found = [], []
     ones = [Orbifold(1, 2)] * counts.n12 + [Orbifold(1, 3)] * counts.n13
     if alpha == 1:
         vol = k3(FormalBasket(canonical(
@@ -229,7 +229,7 @@ def tuple_baskets_oracle(t, alpha):
             b0 = canonical(base + [Orbifold(1, r) for r in rs])
             found.extend((tuple((q.b, q.r) for q in fb.basket), case)
                          for fb in descendants(b0, chi, chi2, targets,
-                                               prune=prune, cache=closures))
+                                               prune=prune))
     found.sort(key=lambda hit: hit[0])
     return found, violations, None
 

@@ -177,6 +177,11 @@ class TestTupleChis:
             tuple_chis(X4_TUPLE, 0)
 
 
+def no_fiber(root, chi, chi2, targets, prune, points):
+    """_descendant_points, as the sweep calls it, finding no basket."""
+    return []
+
+
 @pytest.fixture(scope="module", params=[-1, 1])
 def front_end_calls(request):
     """Arguments of every multiset and index cap call in a tuple sweep.
@@ -198,13 +203,12 @@ def front_end_calls(request):
         return _volume_cap(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classify_module, "_descendant_points",
-                   lambda *a, **k: [])
+        mp.setattr(classify_module, "_descendant_points", no_fiber)
         mp.setattr(classify_module, "_r_multisets", recorded_multisets)
         mp.setattr(classify_module, "_volume_cap", recorded_cap)
         points = _PointTable()
         for row in iter_tuples(alpha):
-            _tuple_baskets(row, alpha, {}, points)
+            _tuple_baskets(row, alpha, points)
     return alpha, calls
 
 
@@ -284,7 +288,7 @@ def formal_basket(t, alpha, points):
 
 def tuple_baskets(t, alpha):
     """_tuple_baskets of the CountTuple t, with tables of its own."""
-    return _tuple_baskets(row_of(t, alpha), alpha, {}, _PointTable())
+    return _tuple_baskets(row_of(t, alpha), alpha, _PointTable())
 
 
 class TestFormalBaskets:
@@ -367,20 +371,20 @@ def unscreened_baskets(rows, alpha):
     Each row counts no weight divisible by anything, so the gcd cut,
     whose room is at least 1, never fires.
     """
-    closures, points, pairs = {}, _PointTable(), []
+    points, pairs = _PointTable(), []
     for mu, nu, (w, _), nu_row in rows:
         t = CountTuple(mu, nu)
         row = (mu, nu, (w, (0,) * (len(mu) - 1)), nu_row)
         pairs.extend((t, formal_basket(t, alpha, hit)) for hit, _ in
-                     _tuple_baskets(row, alpha, closures, points)[0])
+                     _tuple_baskets(row, alpha, points)[0])
     return pairs
 
 
 def pruned_by(rows, alpha):
-    """The screen _tuple_baskets prunes each row with, closures skipped."""
+    """The screen _tuple_baskets prunes each row with, fibers skipped."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classify_module, "_descendant_points", lambda *a: [])
-        return [_tuple_baskets(row, alpha, {}, _PointTable())[2]
+        mp.setattr(classify_module, "_descendant_points", no_fiber)
+        return [_tuple_baskets(row, alpha, _PointTable())[2]
                 for row in rows]
 
 
@@ -862,7 +866,7 @@ class TestStreamedRecoveryOnBaskets:
 
 class TestClosureCache:
     def test_shared_within_a_run_and_dropped_after(self, monkeypatch):
-        made = {"roots": [], "point types": [], "ChiData": 0,
+        made = {"point types": [], "shapes": [], "ChiData": 0,
                 "tuple_chis": 0, "CountTuple": 0}
 
         def counted(module, name, record):
@@ -878,29 +882,34 @@ class TestClosureCache:
                 made[key] += 1
             return record
 
-        counted(baskets_module, "_build_closure",
-                lambda args: made["roots"].append(args[0]))
+        class Shape(baskets_module._Shape):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made["shapes"].append(self)
+
+        monkeypatch.setattr(baskets_module, "_Shape", Shape)
         counted(baskets_module, "_point_sigmas",
                 lambda args: made["point types"].append(args[:2]))
         for name in ("ChiData", "tuple_chis", "CountTuple"):
             counted(classify_module, name, tally(name))
 
         def check():
-            # the 1,053 roots of a run share 698 closures; their points
-            # 68 point types, each read once into the run's point table
-            # (2,764 signature reads when each closure kept its own);
-            # only the 191 tuples past every screen get chi data, and
-            # no tuple a CountTuple
-            assert len(made["roots"]) == len(set(made["roots"])) == 698
+            # the 1,053 fibers of a run read 76 point types, each once
+            # into the run's point table, and share 5 shapes, one per bit
+            # length of a root's total, with 77 vector tables; only the
+            # 191 tuples past every screen get chi data, and no tuple a
+            # CountTuple
             assert len(made["point types"]) == \
-                len(set(made["point types"])) == 68
+                len(set(made["point types"])) == 76
+            assert len(made["shapes"]) == 5
+            assert sum(len(shape.vectors) for shape in made["shapes"]) == 77
             assert (made["ChiData"], made["tuple_chis"],
                     made["CountTuple"]) == (191, 0, 0)
 
         first = classify(RunConfig(alpha=-1)).to_json()
         check()
-        # a second run finds none of it kept, so it builds all again
-        made.update({"roots": [], "point types": [], "ChiData": 0})
+        # a second run finds none of it kept, so it reads all again
+        made.update({"point types": [], "shapes": [], "ChiData": 0})
         assert classify(RunConfig(alpha=-1)).to_json() == first
         check()
 
@@ -913,12 +922,12 @@ class TestIntegerFrontEnd:
         rows = list(iter_tuples(alpha))
         if alpha == 1:  # the sample ample_pairs reads
             rows = random.Random(61).sample(rows, 2000)
-        closures, points = {}, _PointTable()
+        points = _PointTable()
         pruned_counts = Counter()
         for row in rows:
             t = CountTuple(*row[:2])
             hits, violations, pruned, data = _tuple_baskets(
-                row, alpha, closures, points)
+                row, alpha, points)
             assert (hits, violations, pruned) == \
                 tuple_baskets_oracle(t, alpha), t
             assert data == (None if pruned else tuple_chis(t, alpha)), t

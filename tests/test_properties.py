@@ -1,4 +1,5 @@
-"""Seeded property tests: text round trips, the table method, recovery, JSON.
+"""Seeded property tests: text round trips, the table method, recovery,
+JSON, and the fibers of unit roots.
 
 hypothesis draws the cases from a fixed seed (derandomize), so every
 run sees the same examples; the module skips when hypothesis is absent.
@@ -12,11 +13,21 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from oracles import recover_oracle  # noqa: E402
+from oracles import (  # noqa: E402
+    c2_load_oracle,
+    chi_m_oracle,
+    fiber_oracle,
+    k3_oracle,
+    recover_oracle,
+)
 from wcikit._jsonout import dumps  # noqa: E402
 from wcikit import (  # noqa: E402
+    FormalBasket,
+    Orbifold,
     TableMethod,
     TruncatedSeries,
+    canonical,
+    descendants,
     normalize,
     parse_candidate,
     parse_series,
@@ -120,3 +131,43 @@ def test_json_writer_matches_json_dumps(value):
 def test_json_writer_refuses_other_values(value):
     with pytest.raises(TypeError):
         dumps(value)
+
+
+@st.composite
+def unit_roots(draw):
+    """Initial baskets of up to 9 points (1, r), 2 <= r <= 9.
+
+    Most points fall on one run of two or more consecutive indices,
+    which packs in many ways and which the sweep's roots rarely hold.
+    """
+    start = draw(st.integers(2, 8))
+    run = st.integers(start, draw(st.integers(start + 1, 9)))
+    rs = draw(st.lists(run | run | st.integers(2, 9), min_size=1,
+                       max_size=9))
+    return canonical([Orbifold(1, r) for r in rs])
+
+
+@SEEDED
+@given(unit_roots(), st.data())
+def test_fiber_walk_matches_fiber_oracle(b0, data):
+    # chi_2 + 3 chi, the volume prune's floor, near l(2) of the root
+    chi = data.draw(st.integers(-3, 3))
+    chi2 = data.draw(st.integers(0, 4)) - 3 * chi
+    targets = {}
+    ms = data.draw(st.sampled_from([(), (4, 5, 6), (3, 4, 5, 6)]))
+    if ms:
+        # read off one member of the fiber, so at least that one hits
+        src = data.draw(st.sampled_from(fiber_oracle(b0, chi, chi2, {})))
+        targets = {m: chi_m_oracle(src, m) for m in ms}
+    cuts = {None: None,
+            "c2": lambda b: c2_load_oracle(b) > 24,
+            "volume": lambda b: k3_oracle(FormalBasket(b, chi, chi2)) <= 0}
+    trivial = all(q.r + 1 != p.r for q, p in zip(b0, b0[1:]))
+    for prune, cut in cuts.items():
+        got = descendants(b0, chi, chi2, targets, prune)
+        want = fiber_oracle(b0, chi, chi2, targets, cut=cut)
+        if prune == "c2":
+            want = [fb for fb in want if k3_oracle(fb) < 0]
+        assert got == want, prune
+        if trivial:  # no prime packing: the root alone, or nothing
+            assert got in ([], [FormalBasket(b0, chi, chi2)]), prune
