@@ -22,10 +22,9 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, inf, lcm
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class BasketInconsistency(ValueError):
@@ -113,8 +112,6 @@ class FormalBasket:
         }
 
 
-# One entry per point type (b, r) met, each of r + 1 integers.
-@lru_cache(maxsize=None)
 def _point_sums(b: int, r: int) -> tuple[int, tuple[int, ...]]:
     """Sums of rho_j (r - rho_j), rho_j = jb mod r, for one point type.
 
@@ -129,22 +126,26 @@ def _point_sums(b: int, r: int) -> tuple[int, tuple[int, ...]]:
     return r * (r * r - 1) // 6, tuple(prefix)
 
 
-def _point_sigmas(b: int, r: int, ms: Iterable[int]) -> tuple[int, ...]:
+def _point_sigmas(b: int, r: int, ms: Iterable[int]) -> Iterator[int]:
     """sigma_m = 12 l(m) - 2(2m-1)m(m-1) l(2) of a point (b, r); (0, 1) adds 0.
 
     With S(m) = sum_{j<m} rho_j (r - rho_j), this is
-    (6 S(m) - (2m-1)m(m-1) S(2)) / r, an integer: rho_j = jb mod r puts
-    both terms at -(2m-1)m(m-1) b^2 mod r.  sigma_m adds up over the
-    points of a basket (Buckley, Reid and Zhou, arXiv:1208.0457).
+    (6 S(m) - (2m-1)m(m-1) S(2)) / r.  sigma_m adds up over the points
+    of a basket (Buckley, Reid and Zhou, arXiv:1208.0457).  Yields one
+    sigma_m per m as ms is read, from prefix sums made once per call.
+
+    12 divides every sigma_m, m >= 1.  Write jb = q_j r + rho_j; then
+    sigma_m / 6 = sum over j < m of [jb(1 - j) + 2 jb q_j - q_j(q_j + 1) r],
+    and every term is even.  _chi_term is a multiple of 12 too, since
+    6 divides k(k - 1)(2k - 1); so every chi_m of a basket is integral,
+    and the check in _chis fails only on a broken signature.
     """
     period, prefix = _point_sums(b, r)
     s2 = b * (r - b)  # S(2)
-    sigs = []
     for m in ms:
         k, j = divmod(m - 1, r)
-        sigs.append((6 * (k * period + prefix[j])
-                     - (2 * m - 1) * m * (m - 1) * s2) // r)
-    return tuple(sigs)
+        yield (6 * (k * period + prefix[j])
+               - (2 * m - 1) * m * (m - 1) * s2) // r
 
 
 def _chi_term(chi: int, chi2: int, k: int) -> int:
@@ -162,7 +163,8 @@ def _chis(terms: Iterable[int], columns: Iterable[Iterable[int]]) -> list[int]:
 
     Each column holds the sigma_k of one point, or of one point type
     times its count.  A sum 12 does not divide means no variety carries
-    the data; that raises BasketInconsistency.
+    the data; that raises BasketInconsistency, which no valid point's
+    signature reaches (_point_sigmas).
     """
     out = []
     for twelve in map(sum, zip(terms, *columns)):
@@ -204,25 +206,13 @@ def initial_basket(basket: Basket) -> Basket:
     return canonical(out)
 
 
-@dataclass(frozen=True, slots=True)
-class InitialCounts:
-    """Multiplicities of the canonical unpacking read off low-degree chi data."""
-
-    n12: int       # points of type (1,2)
-    n13: int       # points of type (1,3)
-    n14_plus: int  # points of type (1,4) plus all (1,r) with r >= 5
-    sigma: int     # total number of points
-
-
-def initial_counts_from_chis(chi: int, chis: Mapping[int, int]) -> InitialCounts:
-    """Invert the chi formulas for the unpacked multiplicities (_unpacked)."""
-    return InitialCounts(*_unpacked(chi, chis))
-
-
 def _unpacked(chi: int, chis: Mapping[int, int] | Sequence[int]
               ) -> tuple[int, int, int, int]:
-    """(n12, n13, n14_plus, sigma) from chi and chis[m] = chi_m, m = 2..5;
-    the split of n14_plus between (1,4) and higher index points is open.
+    """(n12, n13, n14_plus, sigma) from chi and chis[m] = chi_m, m = 2..5.
+
+    These are the canonical unpacking's numbers of points (1, 2), of
+    points (1, 3), of points (1, r) with r >= 4, and of all points; the
+    split of n14_plus between (1,4) and higher index points is open.
     """
     c2, c3, c4, c5 = chis[2], chis[3], chis[4], chis[5]
     return (5 * chi + 6 * c2 - 4 * c3 + c4,
@@ -277,7 +267,7 @@ class _PointTable(dict):
         self.shapes: dict[tuple, _Shape] = {}
 
     def __missing__(self, point: tuple[int, int]) -> tuple[int, ...]:
-        row = self[point] = _point_sigmas(*point, range(_SIGMA_TOP))
+        row = self[point] = tuple(_point_sigmas(*point, range(_SIGMA_TOP)))
         return row
 
 

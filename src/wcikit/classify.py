@@ -26,7 +26,6 @@ from typing import Iterable, Iterator, Sequence
 
 from . import _jsonout
 from .baskets import (
-    BasketInconsistency,
     FormalBasket,
     Orbifold,
     Points,
@@ -48,8 +47,6 @@ from .candidate import (
 )
 from .series import (
     TableMethod,
-    TruncatedSeries,
-    _times_poincare,
     basket_series_blocks,
     clears_denominator,
     div_into,
@@ -71,51 +68,15 @@ _NU_CAP = {-1: 3, 1: 5}
 _CHUNKS_PER_JOB = 16
 
 
-@dataclass(frozen=True, slots=True)
-class CountTuple:
-    """Counts of small weights (values 1..h) and small degrees (values 2..h)."""
-
-    mu: tuple[int, ...]
-    nu: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.nu) != len(self.mu) - 1:
-            raise ValueError("nu must cover values 2..h, one shorter than mu")
-
-    @property
-    def horizon(self) -> int:
-        return len(self.mu)
-
-    def weight_values(self) -> list[int]:
-        return [v for v, count in enumerate(self.mu, start=1) for _ in range(count)]
-
-    def degree_values(self) -> list[int]:
-        return [v for v, count in enumerate(self.nu, start=2) for _ in range(count)]
-
-    def low_series(self) -> TruncatedSeries:
-        """Poincare series of the counted values, exact up to the horizon."""
-        return TruncatedSeries(tuple(_times_poincare(
-            [1] + [0] * self.horizon, self.weight_values(),
-            self.degree_values())))
-
-
-def tuple_of_candidate(c: Candidate, horizon: int) -> CountTuple:
-    """Small-value counts of an explicit candidate."""
-    mu = tuple(sum(1 for a in c.weights if a == v)
-               for v in range(1, horizon + 1))
-    nu = tuple(sum(1 for d in c.degrees if d == v)
-               for v in range(2, horizon + 1))
-    return CountTuple(mu, nu)
-
-
 def iter_tuples(alpha: int) -> Iterator[tuple]:
     """Admissible count tuples for one amplitude, in lexicographic order.
 
     Caps: at most dim + codim_cap + 1 weights and codim_cap degrees in
     total; a value cannot be both a weight and a degree (no linear cone);
     for amplitude +1 a small degree forces enough small weights below it.
-    Yields plain rows (mu, nu, mu row, nu row), the count tuple being
-    CountTuple(mu, nu).  A mu row holds 1 / prod(1 - t^a) over the
+    Yields plain rows (mu, nu, mu row, nu row); the count tuple (mu, nu)
+    counts the weights of value 1..h and the degrees of value 2..h, and
+    row[:2] keys it.  A mu row holds 1 / prod(1 - t^a) over the
     counted weights a, up to t^h, and the counted weights divisible by
     k = 2..h; a nu row the terms (s, n), 0 < s <= h, of prod(1 - t^d)
     over the counted degrees d, and per k the most weights divisible by
@@ -186,12 +147,21 @@ def _used(counts: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True, slots=True)
 class ChiData:
-    """chi and chi_m (m = 2..6) implied by a count tuple, plus the raw series."""
+    """chi and chi_2 implied by a count tuple, plus its series c_0..c_h."""
 
     chi: int
-    chis: dict[int, int]
+    chi2: int
     p: tuple[int, ...]
-    pg: int
+
+
+def _low_series(row: tuple) -> list[int]:
+    """c_0..c_h of a row of iter_tuples: its mu row times its nu terms."""
+    (w, _), (terms, _) = row[2:]
+    low = list(w)
+    for k, n in terms:
+        for m in range(k, len(w)):
+            low[m] += n * w[m - k]
+    return low
 
 
 def _chi_ints(low: Sequence[int], alpha: int) -> tuple[int, int, Sequence]:
@@ -205,13 +175,6 @@ def _chi_ints(low: Sequence[int], alpha: int) -> tuple[int, int, Sequence]:
     if alpha == -1:
         return 1, 0, (0, *map(neg, low))
     raise ValueError("chi data defined for amplitude -1 or +1")
-
-
-def tuple_chis(t: CountTuple, alpha: int) -> ChiData:
-    """Read chi data off the low-degree series (_chi_ints)."""
-    low = t.low_series().coeffs
-    chi, pg, chis = _chi_ints(low, alpha)
-    return ChiData(chi, {m: chis[m] for m in range(2, 7)}, low, pg)
 
 
 # The -1 index multisets weigh c_2 loads sum(r - 1/r), for r <= 24,
@@ -282,15 +245,12 @@ def _tuple_baskets(row: tuple, alpha: int, points: _PointTable
     number is sigma = 10 chi + 5 chi_2 - c_3, so
     chi_3 = 5 chi_2 + 10 chi - sigma = c_3 on every basket.
     """
-    mu, nu, (w, divisible), (terms, room) = row
+    mu, nu, (_, divisible), (_, room) = row
     # c_0..c_h fix a record's counted weights and degrees, so more counted
     # weights divisible by some h than room leaves fail its gcd counts.
     if any(map(gt, divisible, room)):
         return [], [], "isolated_gcd_counts", None
-    low = list(w)  # times the numerator of nu: c_0..c_h
-    for k, n in terms:
-        for m in range(k, len(w)):
-            low[m] += n * w[m - k]
+    low = _low_series(row)
     if min(low) < 0:
         return [], [], "negative_sections", None
     chi, pg, chis = _chi_ints(low, alpha)
@@ -307,8 +267,8 @@ def _tuple_baskets(row: tuple, alpha: int, points: _PointTable
         if 5 * (1 - pg - low[2] - low[3] + low[5]) <= 3 * lo:
             return [], [], "volume", None
 
-    data = ChiData(chi, {m: chis[m] for m in range(2, 7)}, tuple(low), pg)
     chi2, targets = chis[2], {m: chis[m] for m in (4, 5, 6)}
+    data = ChiData(chi, chi2, tuple(low))
     violations: list[str] = []
     found: list[tuple[Points, str]] = []
 
@@ -400,19 +360,6 @@ def _table(alpha: int, low: Sequence[int] = ()) -> TableMethod:
     return table
 
 
-def tuple_prefix(t: CountTuple, alpha: int) -> TableMethod:
-    """A table that has read c_0..c_h, the series every basket of t shares.
-
-    A basket of t has chi_2 of t, its chi_3 is t's on the whole fiber
-    (_tuple_baskets), and descendants() matched its chi_4 to chi_6 to
-    t's; so its c_0..c_h are t's low series, and the table
-    reads off exactly t's counted weights and degrees.  The sweep feeds
-    copies of it on to c_15 (_survivors), once per distinct
-    c_{h+1}..c_7 and c_8..c_15 among t's baskets.
-    """
-    return _table(alpha, t.low_series().coeffs)
-
-
 # The ends of the first two blocks basket_series_blocks gives from a
 # tuple prefix: c_{h+1}..c_7, then c_8..c_15.
 _HEAD_END, _STAGED_END = 8, 16
@@ -420,29 +367,22 @@ _HEAD_END, _STAGED_END = 8, 16
 
 def _closure_coeffs(data: ChiData, alpha: int,
                     hits: Iterable[Points],
-                    points: _PointTable) -> list[tuple[int, ...] | None]:
+                    points: _PointTable) -> list[tuple[int, ...]]:
     """c_{h+1}..c_15 of each hit of one tuple, read off its points.
 
     data is the tuple's ChiData, whose low series ends at c_h; a hit is
     the (b, r) of its basket's points.  With k = m for +1 (c_m = chi_m)
     and k = m + 1 for -1 (c_m = -chi_{m+1}), 12 chi_k is _chi_term
-    plus sigma_k, which adds up over the points (_point_sigmas).  A hit
-    whose chi_k are not integral gets None, as basket_series_blocks
-    raises on it.  points, the run's point table, holds each sigma_k.
+    plus sigma_k, which adds up over the points (_point_sigmas), so
+    every chi_k is integral.  points, the run's point table, holds each
+    sigma_k.
     """
     shift = alpha == -1
     ks = range(len(data.p) + shift, _STAGED_END + shift)
-    terms = [_chi_term(data.chi, data.chis[2], k) for k in ks]
+    terms = [_chi_term(data.chi, data.chi2, k) for k in ks]
     sign = 1 if alpha == 1 else -1
-    out: list[tuple[int, ...] | None] = []
-    for hit in hits:
-        try:
-            chis = _chis(terms, [points[p][ks.start:] for p in hit])
-        except BasketInconsistency:
-            out.append(None)
-        else:
-            out.append(tuple(sign * c for c in chis))
-    return out
+    return [tuple(sign * c for c in _chis(
+        terms, [points[p][ks.start:] for p in hit])) for hit in hits]
 
 
 def _read(table: TableMethod | None,
@@ -458,10 +398,15 @@ def _survivors(data: ChiData, alpha: int, hits: list[Points], points: _PointTabl
                ) -> list[tuple[FormalBasket, TableMethod] | None]:
     """Per hit of a tuple, its FormalBasket and a table that read c_0..c_15.
 
-    data is the tuple's ChiData.  None for a hit whose c_{h+1}..c_7 or
-    c_8..c_15 (_closure_coeffs), the first two blocks realize(fb, alpha,
-    tuple_prefix(t, alpha)) reads, hold a non-integral or negative
-    coefficient or hit an entry cap; realize() rejects it too.  When its
+    data is the tuple's ChiData.  Every hit starts with data.p: its chi
+    and chi_2 are the tuple's, its chi_3 is the tuple's on the whole
+    fiber (_tuple_baskets), and _descendant_points matched its chi_4 to
+    chi_6 to the tuple's.  So one table reads data.p, and with it the
+    tuple's counted weights and degrees, for all its hits.  None for a
+    hit whose c_{h+1}..c_7 or
+    c_8..c_15 (_closure_coeffs), the first two blocks realize() reads
+    from a table that read data.p, hold a negative coefficient or hit an
+    entry cap; realize() rejects it too.  When its
     identity stop comes first, the series past it adds no entry and is
     integral, and a negative coefficient there fails its own series
     check.  Each distinct c_{h+1}..c_7 is read once from a copy of the
@@ -474,15 +419,15 @@ def _survivors(data: ChiData, alpha: int, hits: list[Points], points: _PointTabl
     reads: dict[tuple[int, ...], TableMethod | None] = {}
     out: list[tuple[FormalBasket, TableMethod] | None] = []
     for hit, coeffs in zip(hits, _closure_coeffs(data, alpha, hits, points)):
-        if coeffs is not None and coeffs not in reads:
+        if coeffs not in reads:
             head = coeffs[:split]
             if head not in heads:
                 heads[head] = _read(prefix, head)
             reads[coeffs] = _read(heads[head], coeffs[split:])
-        table = reads.get(coeffs)  # None also for a non-integral hit
+        table = reads[coeffs]
         out.append(None if table is None else (
             FormalBasket(tuple(Orbifold(b, r) for b, r in hit),
-                         data.chi, data.chis[2]), table))
+                         data.chi, data.chi2), table))
     return out
 
 
@@ -499,11 +444,11 @@ def realize(fb: FormalBasket, alpha: int,
     reaches it runs to the basket's certified recovery bound, so absence
     of a return value means that no presentation realizes the basket.
     The series is built and scanned in blocks, so a basket stops at the
-    first block with a non-integral or negative coefficient or an entry
-    cap hit.  prefix, a table that has read the start of the basket's
-    series already, comes from tuple_prefix for the basket's own tuple,
-    or from the sweep (_survivors) when it has read on to c_15; realize
-    continues from a copy of it.
+    first block with a negative coefficient or an entry cap hit; every
+    coefficient is integral (_point_sigmas).  prefix, a table that has
+    read the start of the basket's series already, comes from the sweep
+    (_survivors), which has read it on to c_15; realize continues from
+    a copy of it.
 
     Reading stops once the table's length L exceeds num, the
     series_numerator_degree of the basket, and its presentation (a; d)
@@ -513,8 +458,7 @@ def realize(fb: FormalBasket, alpha: int,
     deg N <= num, the presentation's series is P = Q / D, and the
     table keeps P = S mod t^L; so N - Q = (S - P) D vanishes mod t^L,
     and, of degree at most num < L, it is zero: S = P.  Every residual
-    past L is then zero, so a read to the bound adds no entry and meets
-    no non-integral coefficient, and (a; d) is the one presentation of
+    past L is then zero, so a read to the bound adds no entry, and (a; d) is the one presentation of
     S, since Moebius inversion reads the signed count of each entry off
     the series.  Conversely, if S is the series of any presentation, the
     table has read it once L passes its largest entry, and D S = N
@@ -529,18 +473,15 @@ def realize(fb: FormalBasket, alpha: int,
     num = series_numerator_degree(fb, alpha)
     poles = {q.r for q in fb.basket if q.r > 1}
     blocks = basket_series_blocks(fb, alpha, bound, table.length, num + 1)
-    try:
-        while table.length <= num or not clears_denominator(
-                table.weights, table.degrees, poles, num):
-            block = next(blocks, None)
-            if block is None:
-                return None  # read to the bound uncertified
-            if min(block) < 0:
-                return None  # section counts are never negative
-            if not table.feed(block):
-                return None
-    except BasketInconsistency:
-        return None
+    while table.length <= num or not clears_denominator(
+            table.weights, table.degrees, poles, num):
+        block = next(blocks, None)
+        if block is None:
+            return None  # read to the bound uncertified
+        if min(block) < 0:
+            return None  # section counts are never negative
+        if not table.feed(block):
+            return None
     rec = table.presentation()
     # the table reads each index as weights or as degrees, never both
     if not rec.weights or not rec.degrees:

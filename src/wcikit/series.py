@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, count, islice
 from math import isqrt
 from operator import add, sub
 from typing import Collection, Iterable, Iterator, Sequence
@@ -163,7 +163,7 @@ class TableMethod:
     """
 
     __slots__ = ("max_entries", "max_weights", "max_degrees", "weights",
-                 "degrees", "capped", "coeffs", "_p", "_base")
+                 "degrees", "capped", "coeffs", "_base")
 
     def __init__(self, max_entries: int | None = None,
                  max_weights: int | None = None,
@@ -175,7 +175,6 @@ class TableMethod:
         self.degrees: list[int] = []
         self.capped = False
         self.coeffs: list[int] = []  # every coefficient fed
-        self._p: list[int] = []
         # (w, d, {n: p_0..p_{n-1} of the first w weights and d degrees})
         self._base: tuple[int, int, dict[int, list[int]]] = (0, 0, {})
 
@@ -193,13 +192,8 @@ class TableMethod:
         other.degrees = self.degrees.copy()
         other.capped = self.capped
         other.coeffs = self.coeffs.copy()
-        other._p = self._p.copy()
         other._base = self._base
         return other
-
-    def series(self) -> list[int]:
-        """p_0..p_{length-1} of the entries read so far."""
-        return self._p.copy()
 
     def feed(self, block: Sequence[int]) -> bool:
         """Take the next coefficients; False once an entry cap stops the scan.
@@ -221,8 +215,8 @@ class TableMethod:
             shared[len(c)] = _times_poincare([1] + [0] * (len(c) - 1),
                                              self.weights[:n_w],
                                              self.degrees[:n_d])
-        p = self._p = _times_poincare(shared[len(c)].copy(),
-                                      self.weights[n_w:], self.degrees[n_d:])
+        p = _times_poincare(shared[len(c)].copy(),
+                            self.weights[n_w:], self.degrees[n_d:])
         for m in range(max(lo, 1), len(c)):
             v = c[m] - p[m]
             if not v:
@@ -386,16 +380,22 @@ def basket_series_blocks(fb: FormalBasket, alpha: int, bound: int,
 
     Amplitude +1 reads chi_m directly; amplitude -1 reads -chi_{m+1} by
     duality.  Each block sums the sigma_m of the basket's point types,
-    times their counts, onto _chi_term; it raises BasketInconsistency
-    on a non-integral chi_m.  Blocks end at _FIRST_BLOCK times a power of
-    two, whatever the start; the block that would run past end stops
-    there instead, and the blocks after it double from there.
+    times their counts, onto _chi_term; each point type's sigma_m come
+    off one _point_sigmas read per call, so its prefix sums are made
+    once.  Every chi_m is integral (_point_sigmas).  Blocks end at
+    _FIRST_BLOCK times a power of two, whatever the start; the block
+    that would run past end stops there instead, and the blocks after
+    it double from there.
     """
     if alpha not in (-1, 1):
         raise ValueError("basket series defined for amplitude -1 or +1")
     counts = Counter((q.b, q.r) for q in fb.basket if q.r > 1)
     sign, shift = (1, 0) if alpha == 1 else (-1, 1)
     head = [1, 1 - fb.chi] if alpha == 1 else [1]  # not read off chi_m
+    # the blocks' ks run on from the first one's
+    first = max(start, len(head)) + shift
+    columns = [(n, _point_sigmas(b, r, count(first)))
+               for (b, r), n in counts.items()]
     lo, hi = start, _FIRST_BLOCK
     while hi <= lo:
         hi *= 2
@@ -405,8 +405,8 @@ def basket_series_blocks(fb: FormalBasket, alpha: int, bound: int,
         hi = min(hi, bound + 1)
         ks = range(max(lo, len(head)) + shift, hi + shift)
         chis = _chis([_chi_term(fb.chi, fb.chi2, k) for k in ks],
-                     [[n * x for x in _point_sigmas(b, r, ks)]
-                      for (b, r), n in counts.items()])
+                     [[n * x for x in islice(sigmas, len(ks))]
+                      for n, sigmas in columns])
         yield head[lo:hi] + [sign * c for c in chis]
         lo, hi = hi, 2 * hi
 
@@ -415,7 +415,7 @@ def series_from_basket(fb: FormalBasket, alpha: int, bound: int) -> TruncatedSer
     """Expected section-count series of a formal basket with nef and big +-K.
 
     Amplitude +1 reads chi_m directly; amplitude -1 reads -chi_{m+1} by
-    duality.  Raises BasketInconsistency when some chi_m is not integral.
+    duality.
     """
     return TruncatedSeries(tuple(chain.from_iterable(
         basket_series_blocks(fb, alpha, bound))))

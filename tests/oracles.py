@@ -14,20 +14,18 @@ from itertools import combinations, product
 from math import gcd
 
 from wcikit import (
-    CountTuple,
     FormalBasket,
     Orbifold,
-    TruncatedSeries,
     canonical,
     canonical_unpacking,
     descendants,
     high_index_count_bounds,
     initial_basket,
-    initial_counts_from_chis,
     is_prime_packing,
     k3,
     pluri_growth_filter,
 )
+from wcikit.baskets import _unpacked
 
 
 def mul_into_oracle(c, k):
@@ -94,14 +92,43 @@ def poincare_oracle(weights, degrees, bound):
     return out
 
 
-def low_series_oracle(t) -> TruncatedSeries:
-    """A count tuple's series by the plain loops, one factor at a time."""
-    c = [1] + [0] * t.horizon
-    for d in t.degree_values():
+# A count tuple is a pair (mu, nu): mu[i] counts the weights of value
+# i + 1, nu[i] the degrees of value i + 2, up to the horizon len(mu).
+
+def weight_values(t) -> list[int]:
+    """The counted weights of the count tuple t, in increasing order."""
+    return [v for v, n in enumerate(t[0], start=1) for _ in range(n)]
+
+
+def degree_values(t) -> list[int]:
+    """The counted degrees of the count tuple t, in increasing order."""
+    return [v for v, n in enumerate(t[1], start=2) for _ in range(n)]
+
+
+def tuple_of_candidate(c, horizon):
+    """The count tuple of a candidate's weights and degrees up to horizon."""
+    return (tuple(c.weights.count(v) for v in range(1, horizon + 1)),
+            tuple(c.degrees.count(v) for v in range(2, horizon + 1)))
+
+
+def low_series_oracle(t) -> tuple[int, ...]:
+    """c_0..c_h of a count tuple by the plain loops, one factor at a time."""
+    c = [1] + [0] * len(t[0])
+    for d in degree_values(t):
         mul_into_oracle(c, d)
-    for a in t.weight_values():
+    for a in weight_values(t):
         div_into_oracle(c, a)
-    return TruncatedSeries(tuple(c))
+    return tuple(c)
+
+
+def chi_data_oracle(t, alpha):
+    """(chi, chi_2, c_0..c_h) of a count tuple, off low_series_oracle.
+
+    +1: c_1 = p_g = 1 - chi and c_2 = chi_2; -1: chi = 1 and
+    c_1 = -chi_2.
+    """
+    p = low_series_oracle(t)
+    return (1 - p[1], p[2], p) if alpha == 1 else (1, -p[1], p)
 
 
 def iter_tuples_oracle(alpha):
@@ -119,7 +146,7 @@ def iter_tuples_oracle(alpha):
             if alpha == 1 and any(nu):
                 if any(sum(nu[:s - 1]) > sum(mu[:s]) + 4 for s in range(2, 7)):
                     continue
-            yield CountTuple(mu, nu)
+            yield mu, nu
 
 
 def fano_r_multisets_oracle(s, budget):
@@ -161,31 +188,32 @@ def gt_r_multisets_oracle(s, cap, headroom):
 
 
 def tuple_baskets_oracle(t, alpha):
-    """The sweep's front end for one CountTuple, built from objects.
+    """The sweep's front end for one count tuple, built from objects.
 
     Returns (hits, violations, pruned label or None), each hit the
     (b, r) of its basket's points with its case label, as
     classify._tuple_baskets gives them.  The gcd counts scan the
-    counted values; the chi data comes off CountTuple.low_series; the
+    counted values; the chi data comes off low_series_oracle; the
     roots are Orbifold lists made canonical, each reading descendants()
     with Fraction multiset bounds.
     """
     codim_max = {-1: 3, 1: 5}[alpha]
-    ws, ds = t.weight_values(), t.degree_values()
-    for h in range(2, t.horizon + 1):
+    mu, nu = t
+    ws, ds = weight_values(t), degree_values(t)
+    for h in range(2, len(mu) + 1):
         w = sum(1 for a in ws if a % h == 0)
         d = sum(1 for e in ds if e % h == 0)
         if w > codim_max + 1 or d + codim_max - len(ds) < w - 1:
             return [], [], "isolated_gcd_counts"
-    p = t.low_series().coeffs
+    p = low_series_oracle(t)
     if alpha == 1:
         pg, chi, chis = p[1], 1 - p[1], {m: p[m] for m in range(2, 7)}
     else:
         pg, chi, chis = 0, 1, {m: -p[m - 1] for m in range(2, 7)}
     if min(p) < 0:
         return [], [], "negative_sections"
-    counts = initial_counts_from_chis(chi, chis)
-    if min(counts.n12, counts.n13, counts.n14_plus) < 0:
+    n12, n13, n14_plus, _ = _unpacked(chi, chis)
+    if min(n12, n13, n14_plus) < 0:
         return [], [], "negative_unpacked_counts"
     lo, hi = high_index_count_bounds(chi, chis)
     if lo > hi:
@@ -198,13 +226,13 @@ def tuple_baskets_oracle(t, alpha):
 
     chi2, targets = chis[2], {m: chis[m] for m in (3, 4, 5, 6)}
     violations, found = [], []
-    ones = [Orbifold(1, 2)] * counts.n12 + [Orbifold(1, 3)] * counts.n13
+    ones = [Orbifold(1, 2)] * n12 + [Orbifold(1, 3)] * n13
     if alpha == 1:
         vol = k3(FormalBasket(canonical(
-            ones + [Orbifold(1, 4)] * counts.n14_plus), chi, chi2))
-        ambient_capped = sum(t.mu) >= 5 or any(t.nu)
+            ones + [Orbifold(1, 4)] * n14_plus), chi, chi2))
+        ambient_capped = sum(mu) >= 5 or any(nu)
     for s in range(lo, hi + 1):
-        base = ones + [Orbifold(1, 4)] * (counts.n14_plus - s)
+        base = ones + [Orbifold(1, 4)] * (n14_plus - s)
         if alpha == -1:
             load = c2_load_oracle(base)
             if load > 24:
@@ -219,7 +247,7 @@ def tuple_baskets_oracle(t, alpha):
             if beta > 0:
                 caps.append(-(-1 // beta) - 1)  # largest r, r * beta < 1
             if not caps:
-                violations.append(f"tuple mu={t.mu} nu={t.nu}: no index "
+                violations.append(f"tuple mu={mu} nu={nu}: no index "
                                   f"cap for sigma5={s}")
                 continue
             multisets = gt_r_multisets_oracle(s, min(caps), vol)

@@ -29,7 +29,6 @@ from wcikit import (
     classify,
     high_index_count_bounds,
     initial_basket,
-    initial_counts_from_chis,
     k3,
     necessary_screen,
     parse_candidate,
@@ -39,6 +38,7 @@ from wcikit import (
     series_from_basket,
     series_from_candidate,
 )
+from wcikit.baskets import _unpacked
 
 FIXDIR = Path(__file__).parent / "fixtures"
 FLETCHER_FILES = ("fletcher_15_1.txt", "fletcher_15_4.txt",
@@ -149,17 +149,17 @@ def test_basket_formula_consistency():
         fb = FormalBasket(basket, chi, chi2)
         chis = {m: chi_m_oracle(fb, m) for m in range(2, 7)}
         b0 = initial_basket(basket)
-        counts = initial_counts_from_chis(chi, chis)
+        n12, n13, n14_plus, sigma = _unpacked(chi, chis)
         sigma5 = sum(1 for q in b0 if q.r >= 5)
         lo, hi = high_index_count_bounds(chi, chis)
         # each point reassembles inside its own unpacking, so the whole
         # basket reassembles from b0 by the same prime merges
         point_counts = [five_merge_counts(q) for q in basket]
         ok = (chis[2] == chi2
-              and counts.n12 == sum(1 for q in b0 if q.r == 2)
-              and counts.n13 == sum(1 for q in b0 if q.r == 3)
-              and counts.n14_plus == sum(1 for q in b0 if q.r >= 4)
-              and counts.sigma == len(b0)
+              and n12 == sum(1 for q in b0 if q.r == 2)
+              and n13 == sum(1 for q in b0 if q.r == 3)
+              and n14_plus == sum(1 for q in b0 if q.r >= 4)
+              and sigma == len(b0)
               and lo <= sigma5 <= hi
               and all(len(c) == 1 for c in point_counts)
               and count_five_packings(chi, chis, sigma5)

@@ -31,7 +31,6 @@ from wcikit import (
     format_basket,
     high_index_count_bounds,
     initial_basket,
-    initial_counts_from_chis,
     is_prime_packing,
     iter_tuples,
     k3,
@@ -40,7 +39,13 @@ from wcikit import (
     realize,
     series_from_basket,
 )
-from wcikit.baskets import _chi_term, _chis, _point_sigmas, _PointTable
+from wcikit.baskets import (
+    _chi_term,
+    _chis,
+    _point_sigmas,
+    _PointTable,
+    _unpacked,
+)
 from wcikit.classify import ChiData, _closure_coeffs
 
 
@@ -121,7 +126,7 @@ class TestCorrectionTerm:
                     continue
                 q = Orbifold(b, r)
                 l2 = rr_correction(q, 2)
-                sigs = _point_sigmas(b, r, range(1, 41))
+                sigs = tuple(_point_sigmas(b, r, range(1, 41)))
                 for m in range(1, 41):
                     sig = 12 * rr_correction(q, m) \
                         - 2 * (2 * m - 1) * m * (m - 1) * l2
@@ -202,33 +207,29 @@ class TestIntegerKernel:
                     assert got == whole[lo:], (fb, alpha, lo)
                     checked += 1
 
-    def test_sigma_3_is_minus_12b(self, monkeypatch):
+    def test_sigma_3_is_minus_12b(self):
         # so chi_3 is the same on a whole fiber, where sum b is fixed,
-        # and the sweep leaves it out of its targets.  _point_sums runs
-        # uncached here, so its module-wide cache does not keep the
-        # prefix sums of every point type below 400
-        monkeypatch.setattr(sys.modules["wcikit.baskets"], "_point_sums",
-                            sys.modules["wcikit.baskets"]._point_sums
-                            .__wrapped__)
+        # and the sweep leaves it out of its targets
         for r in range(2, 400):
             for b in range(1, r // 2 + 1):
                 if gcd(b, r) == 1:
-                    assert _point_sigmas(b, r, [3]) == (-12 * b,), (b, r)
+                    assert list(_point_sigmas(b, r, [3])) == [-12 * b], (b, r)
 
     def test_integrality_guard(self, monkeypatch):
         # Both terms of 12 chi_m are multiples of 12 on valid points (see
         # test_closure_signature_is_integral), so only a signature off
-        # by one reaches the one check, in _chis, on both its paths
+        # by one reaches the one check, in _chis, on both its paths; it
+        # raises there rather than drop the basket as unrealized
         with pytest.raises(BasketInconsistency):
             _chis([12, 24], [[0, 1]])
         fb = FormalBasket((Orbifold(1, 2), Orbifold(2, 5)), 1, 0)
         hit = ((1, 2), (2, 5))
-        data = ChiData(1, {2: 0}, (1, 0, 0, 0, 0, 0), 0)
-        assert _closure_coeffs(data, -1, [hit], _PointTable())[0] is not None
+        data = ChiData(1, 0, (1, 0, 0, 0, 0, 0))
+        assert len(_closure_coeffs(data, -1, [hit], _PointTable())[0]) == 10
         assert next(basket_series_blocks(fb, -1, 20))
 
         def off(b, r, ms):
-            return tuple(x + (r == 5) for x in _point_sigmas(b, r, ms))
+            return (x + (r == 5) for x in _point_sigmas(b, r, ms))
 
         for module in ("wcikit.series", "wcikit.baskets"):
             monkeypatch.setattr(sys.modules[module], "_point_sigmas", off)
@@ -236,8 +237,10 @@ class TestIntegerKernel:
             next(basket_series_blocks(fb, -1, 20))
         with pytest.raises(BasketInconsistency):
             series_from_basket(fb, 1, 20)
-        assert _closure_coeffs(data, -1, [hit], _PointTable()) == [None]
-        assert realize(fb, -1) is None
+        with pytest.raises(BasketInconsistency):
+            _closure_coeffs(data, -1, [hit], _PointTable())
+        with pytest.raises(BasketInconsistency):
+            realize(fb, -1)
 
     def test_descendants_targets_match_oracle(self):
         rng = random.Random(89)
@@ -350,12 +353,12 @@ class TestCountFormulas:
         for _ in range(250):
             fb = FormalBasket(canonical(random_basket(rng)),
                               rng.randint(-10, 40), rng.randint(-10, 40))
-            counts = initial_counts_from_chis(fb.chi, self._chis(fb))
             b0 = initial_basket(fb.basket)
-            assert counts.n12 == sum(1 for q in b0 if q.r == 2)
-            assert counts.n13 == sum(1 for q in b0 if q.r == 3)
-            assert counts.n14_plus == sum(1 for q in b0 if q.r >= 4)
-            assert counts.sigma == len(b0)
+            assert _unpacked(fb.chi, self._chis(fb)) == (
+                sum(1 for q in b0 if q.r == 2),
+                sum(1 for q in b0 if q.r == 3),
+                sum(1 for q in b0 if q.r >= 4),
+                len(b0))
 
     def test_sigma5_bracket(self):
         rng = random.Random(47)

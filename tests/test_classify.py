@@ -9,8 +9,10 @@ from math import lcm
 import pytest
 
 from oracles import (
+    chi_data_oracle,
     chi_m_oracle,
     clears_denominator_oracle,
+    degree_values,
     fano_r_multisets_oracle,
     gt_r_multisets_oracle,
     iter_tuples_oracle,
@@ -21,11 +23,12 @@ from oracles import (
     recover_oracle,
     table_method_oracle,
     tuple_baskets_oracle,
+    tuple_of_candidate,
+    weight_values,
 )
 from wcikit import (
-    BasketInconsistency,
+    ChiData,
     ClassificationRecord,
-    CountTuple,
     FormalBasket,
     InvalidCandidate,
     Orbifold,
@@ -39,26 +42,25 @@ from wcikit import (
     necessary_screen,
     normalize,
     parse_basket,
-    parse_candidate,
     poincare_series,
     realize,
     recover_weights_degrees,
     recovery_bound,
     series_from_basket,
     series_from_candidate,
-    tuple_chis,
-    tuple_of_candidate,
-    tuple_prefix,
 )
 from wcikit.baskets import _PointTable
 from wcikit.classify import (
     _C2_LOAD,
     _C2_SCALE,
+    _chi_ints,
     _closure_coeffs,
     _compositions,
+    _low_series,
     _quadruples,
     _r_multisets,
     _survivors,
+    _table,
     _tuple_baskets,
     _volume_cap,
 )
@@ -74,18 +76,18 @@ baskets_module = sys.modules["wcikit.baskets"]
 series_module = sys.modules["wcikit.series"]
 
 def count_tuples(alpha):
-    """The CountTuple of each row iter_tuples yields, in order."""
-    return [CountTuple(mu, nu) for mu, nu, _, _ in iter_tuples(alpha)]
+    """The count tuple (mu, nu) of each row iter_tuples yields, in order."""
+    return [row[:2] for row in iter_tuples(alpha)]
 
 
 def row_of(t, alpha):
-    """The row iter_tuples yields for the CountTuple t."""
-    return next(row for row in iter_tuples(alpha) if row[:2] == (t.mu, t.nu))
+    """The row iter_tuples yields for the count tuple t."""
+    return next(row for row in iter_tuples(alpha) if row[:2] == t)
 
 
-X4_TUPLE = CountTuple((5, 0, 0, 0, 0), (0, 0, 1, 0))
-X5_TUPLE = CountTuple((4, 1, 0, 0, 0), (0, 0, 0, 1))
-X7_TUPLE = CountTuple((4, 1, 0, 0, 0, 0), (0, 0, 0, 0, 0))
+X4_TUPLE = ((5, 0, 0, 0, 0), (0, 0, 1, 0))
+X5_TUPLE = ((4, 1, 0, 0, 0), (0, 0, 0, 1))
+X7_TUPLE = ((4, 1, 0, 0, 0, 0), (0, 0, 0, 0, 0))
 
 CY_FAMILIES = [
     "1,1,1,1,1 / 5",
@@ -105,32 +107,20 @@ CY_FAMILIES = [
 
 
 class TestCountTuple:
-    def test_length_guard(self):
-        with pytest.raises(ValueError):
-            CountTuple((1, 0, 0), (0, 0, 0))
-
-    def test_values(self):
-        t = CountTuple((2, 0, 1, 0, 0), (0, 1, 0, 0))
-        assert t.weight_values() == [1, 1, 3]
-        assert t.degree_values() == [3]
-        assert t.horizon == 5
+    """The series c_0..c_h the sweep builds from a row's tables."""
 
     def test_low_series_of_quartic(self):
-        assert X4_TUPLE.low_series().coeffs == (1, 5, 15, 35, 69, 121)
+        assert _low_series(row_of(X4_TUPLE, -1)) == [1, 5, 15, 35, 69, 121]
 
     @pytest.mark.parametrize("alpha", [-1, 1])
     def test_low_series_of_every_tuple(self, alpha):
-        tuples = count_tuples(alpha)
-        for t in tuples:
-            assert t.low_series() == low_series_oracle(t), t
-        for t in random.Random(alpha + 500).sample(tuples, 200):
-            assert list(t.low_series().coeffs) == poincare_oracle(
-                t.weight_values(), t.degree_values(), t.horizon), t
-
-    def test_of_candidate(self):
-        assert tuple_of_candidate(parse_candidate("1,1,1,1,1 / 4"), 5) == X4_TUPLE
-        # degree 7 sits beyond the horizon, so nu stays empty
-        assert tuple_of_candidate(parse_candidate("1,1,1,1,2 / 7"), 6) == X7_TUPLE
+        rows = list(iter_tuples(alpha))
+        for row in rows:
+            assert tuple(_low_series(row)) == low_series_oracle(row[:2]), row
+        for row in random.Random(alpha + 500).sample(rows, 200):
+            t = row[:2]
+            assert _low_series(row) == poincare_oracle(
+                weight_values(t), degree_values(t), len(t[0])), t
 
 
 class TestTupleEnumeration:
@@ -144,12 +134,12 @@ class TestTupleEnumeration:
 
     def test_linear_cone_values_excluded(self):
         # value 2 appearing as weight and degree at once never enumerates
-        bad = CountTuple((1, 1, 0, 0, 0), (1, 0, 0, 0))
+        bad = ((1, 1, 0, 0, 0), (1, 0, 0, 0))
         assert bad not in count_tuples(-1)
 
     def test_degree_prefix_rule(self):
         # five quadric degrees with no weights break the prefix inequality
-        bad = CountTuple((0, 0, 0, 0, 0, 0), (5, 0, 0, 0, 0))
+        bad = ((0, 0, 0, 0, 0, 0), (5, 0, 0, 0, 0))
         assert bad not in count_tuples(1)
 
     def test_amplitude_guard(self):
@@ -162,19 +152,21 @@ class TestTupleEnumeration:
 
 
 class TestTupleChis:
+    """The chi data _tuple_baskets builds for a tuple past every screen."""
+
     def test_quartic(self):
-        data = tuple_chis(X4_TUPLE, -1)
-        assert data.chi == 1 and data.pg == 0
-        assert data.chis == {2: -5, 3: -15, 4: -35, 5: -69, 6: -121}
+        # chi_m = -c_{m-1} for -1
+        assert tuple_baskets(X4_TUPLE, -1)[3] == ChiData(
+            1, -5, (1, 5, 15, 35, 69, 121))
 
     def test_sept(self):
-        data = tuple_chis(X7_TUPLE, 1)
-        assert data.pg == 4 and data.chi == -3
-        assert data.chis[2] == 11
+        # p_g = c_1 = 4, chi = 1 - p_g and chi_2 = c_2 for +1
+        data = tuple_baskets(X7_TUPLE, 1)[3]
+        assert (data.chi, data.chi2, data.p[1]) == (-3, 11, 4)
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            tuple_chis(X4_TUPLE, 0)
+            _chi_ints(_low_series(row_of(X4_TUPLE, -1)), 0)
 
 
 def no_fiber(root, chi, chi2, targets, prune, points):
@@ -281,13 +273,17 @@ class TestMultisetBounds:
 
 def formal_basket(t, alpha, points):
     """The FormalBasket of a hit of t, from its points and t's chi data."""
-    data = tuple_chis(t, alpha)
-    return FormalBasket(tuple(Orbifold(b, r) for b, r in points),
-                        data.chi, data.chis[2])
+    chi, chi2, _ = chi_data_oracle(t, alpha)
+    return FormalBasket(tuple(Orbifold(b, r) for b, r in points), chi, chi2)
+
+
+def prefix_table(t, alpha):
+    """A table with realize()'s caps that has read t's c_0..c_h."""
+    return _table(alpha, low_series_oracle(t))
 
 
 def tuple_baskets(t, alpha):
-    """_tuple_baskets of the CountTuple t, with tables of its own."""
+    """_tuple_baskets of the count tuple t, with tables of its own."""
     return _tuple_baskets(row_of(t, alpha), alpha, _PointTable())
 
 
@@ -332,10 +328,7 @@ def reference_realize(fb, alpha, bound):
     Its record's series_bound is the bound it read to, not the certified
     one realize() reports; compare the two through unbound().
     """
-    try:
-        target = series_from_basket(fb, alpha, bound)
-    except BasketInconsistency:
-        return None
+    target = series_from_basket(fb, alpha, bound)
     if any(cm < 0 for cm in target.coeffs):
         return None
     rec = recover_weights_degrees(target, max_entries=15)
@@ -373,7 +366,7 @@ def unscreened_baskets(rows, alpha):
     """
     points, pairs = _PointTable(), []
     for mu, nu, (w, _), nu_row in rows:
-        t = CountTuple(mu, nu)
+        t = (mu, nu)
         row = (mu, nu, (w, (0,) * (len(mu) - 1)), nu_row)
         pairs.extend((t, formal_basket(t, alpha, hit)) for hit, _ in
                      _tuple_baskets(row, alpha, points)[0])
@@ -437,10 +430,7 @@ class TestPrefixExactness:
         # realize() rejects on its 7-weight or 3-degree cap passes it and
         # hits the cap in a later block
         def passes_first_block(fb):
-            try:
-                head = list(series_from_basket(fb, -1, 5).coeffs)
-            except BasketInconsistency:
-                return False
+            head = list(series_from_basket(fb, -1, 5).coeffs)
             return min(head) >= 0 and not table_method_oracle(
                 head, None, 7, 3)[2]
 
@@ -558,18 +548,27 @@ class TestTuplePrefix:
     def test_baskets_start_with_their_tuple(self, fano_pairs, ample_pairs):
         for alpha, pairs in ((-1, fano_pairs), (1, ample_pairs)):
             for t, fb in pairs:
-                assert series_from_basket(fb, alpha, t.horizon).coeffs == \
-                    t.low_series().coeffs, (t, fb)
+                assert series_from_basket(fb, alpha, len(t[0])).coeffs == \
+                    low_series_oracle(t), (t, fb)
         assert len(fano_pairs) == 1644
 
-    def test_prefix_table_reads_the_tuple(self, fano_pairs):
-        for t, _ in fano_pairs:
-            table = tuple_prefix(t, -1)
+    def test_prefix_table_reads_the_tuple(self):
+        # the table _survivors starts each hit from, off the chi data the
+        # sweep builds, reads exactly the tuple's counted weights and
+        # degrees
+        points, read = _PointTable(), 0
+        for row in iter_tuples(-1):
+            data = _tuple_baskets(row, -1, points)[3]
+            if data is None:
+                continue
+            t = row[:2]
+            table = _table(-1, data.p)
             rec = table.presentation()
-            assert table.length == t.horizon + 1
-            assert list(rec.weights) == t.weight_values()
-            assert list(rec.degrees) == t.degree_values()
-            assert table.series() == list(t.low_series().coeffs)
+            assert table.length == len(t[0]) + 1
+            assert list(rec.weights) == weight_values(t)
+            assert list(rec.degrees) == degree_values(t)
+            read += 1
+        assert read == 191
 
     def test_realize_from_the_prefix(self, fano_pairs, monkeypatch):
         # from the prefix, from scratch and by the plain whole-series
@@ -585,10 +584,10 @@ class TestTuplePrefix:
         realized = 0
         for t, fb in fano_pairs:
             starts.clear()
-            got = realize(fb, -1, tuple_prefix(t, -1))
+            got = realize(fb, -1, prefix_table(t, -1))
             assert got == realize(fb, -1), fb
             bound = recovery_bound(fb, -1)
-            assert starts == [(bound, t.horizon + 1), (bound, 0)]
+            assert starts == [(bound, len(t[0]) + 1), (bound, 0)]
             assert unbound(got) == unbound(reference_realize(fb, -1, 300)), fb
             realized += got is not None
         assert realized == 181
@@ -614,14 +613,15 @@ class TestClosureRead:
             points = _PointTable()
             checked = 0
             for t, fbs in _by_tuple(pairs):
-                got = _closure_coeffs(tuple_chis(t, alpha), alpha,
-                                      [_points(fb) for fb in fbs], points)
+                got = _closure_coeffs(ChiData(*chi_data_oracle(t, alpha)),
+                                      alpha, [_points(fb) for fb in fbs],
+                                      points)
                 assert len(got) == len(fbs)
                 for fb, coeffs in zip(fbs, got):
                     want = chain.from_iterable(
-                        basket_series_blocks(fb, alpha, 15, t.horizon + 1))
+                        basket_series_blocks(fb, alpha, 15, len(t[0]) + 1))
                     assert coeffs == tuple(want), (t, fb)
-                    assert len(coeffs) == 15 - t.horizon
+                    assert len(coeffs) == 15 - len(t[0])
                     checked += 1
             assert checked == len(pairs)
 
@@ -634,11 +634,11 @@ class TestClosureRead:
                                    (1, ample_pairs, 9)):
             survived = 0
             for t, fbs in _by_tuple(pairs):
-                staged = _survivors(tuple_chis(t, alpha), alpha,
-                                    [_points(fb) for fb in fbs],
+                staged = _survivors(ChiData(*chi_data_oracle(t, alpha)),
+                                    alpha, [_points(fb) for fb in fbs],
                                     _PointTable())
                 for fb, survivor in zip(fbs, staged, strict=True):
-                    want = realize(fb, alpha, tuple_prefix(t, alpha))
+                    want = realize(fb, alpha, prefix_table(t, alpha))
                     if survivor is None:
                         assert want is None, (t, fb)
                         continue
@@ -799,10 +799,10 @@ class TestGcdScreen:
             if alpha == 1:
                 rows = random.Random(71).sample(rows, 5000)
             for row, pruned in zip(rows, pruned_by(rows, alpha)):
-                t = CountTuple(*row[:2])
-                ws, ds = t.weight_values(), t.degree_values()
+                t = row[:2]
+                ws, ds = weight_values(t), degree_values(t)
                 want = False
-                for h in range(2, t.horizon + 1):
+                for h in range(2, len(t[0]) + 1):
                     w = sum(1 for a in ws if a % h == 0)
                     d = sum(1 for dd in ds if dd % h == 0)
                     if w > codim_max + 1 or d + codim_max - len(ds) < w - 1:
@@ -812,10 +812,10 @@ class TestGcdScreen:
     def test_records_come_from_their_own_tuple(self, fano):
         rows = {row[:2]: row for row in iter_tuples(-1)}
         for rec in fano.records:
-            t = tuple_of_candidate(rec.candidate, 5)
+            mu, nu = tuple_of_candidate(rec.candidate, 5)
             # the record's own tuple passes every tuple screen
-            assert pruned_by([rows[t.mu, t.nu]], -1) == [None]
-            assert all(p.startswith(f"tuple mu={t.mu} nu={t.nu} ")
+            assert pruned_by([rows[mu, nu]], -1) == [None]
+            assert all(p.startswith(f"tuple mu={mu} nu={nu} ")
                        for p in rec.provenance), rec.provenance
 
     def test_cut_fano_tuples_realize_nothing(self):
@@ -839,7 +839,7 @@ class TestGcdScreen:
     def test_heaviest_tuple_is_cut(self):
         # 39,040 baskets unscreened; divisor 3 carries four weights 6
         # and at most one degree past the four quartics
-        heavy = CountTuple((3, 2, 0, 0, 0, 4), (0, 0, 4, 0, 0))
+        heavy = ((3, 2, 0, 0, 0, 4), (0, 0, 4, 0, 0))
         assert tuple_baskets(heavy, 1) == (
             [], [], "isolated_gcd_counts", None)
 
@@ -850,10 +850,7 @@ class TestStreamedRecoveryOnBaskets:
         # loop over the whole series at bound 300, under a 15-entry cap
         # and under realize()'s 7-weight and 3-degree caps
         for fb in fano_baskets:
-            try:
-                coeffs = series_from_basket(fb, -1, 300).coeffs
-            except BasketInconsistency:
-                continue
+            coeffs = series_from_basket(fb, -1, 300).coeffs
             for caps in ((15, None, None), (None, 7, 3)):
                 table = TableMethod(*caps)
                 for block in basket_series_blocks(fb, -1, 300):
@@ -866,8 +863,7 @@ class TestStreamedRecoveryOnBaskets:
 
 class TestClosureCache:
     def test_shared_within_a_run_and_dropped_after(self, monkeypatch):
-        made = {"point types": [], "shapes": [], "ChiData": 0,
-                "tuple_chis": 0, "CountTuple": 0}
+        made = {"point types": [], "shapes": [], "ChiData": 0}
 
         def counted(module, name, record):
             f = getattr(module, name)
@@ -890,21 +886,18 @@ class TestClosureCache:
         monkeypatch.setattr(baskets_module, "_Shape", Shape)
         counted(baskets_module, "_point_sigmas",
                 lambda args: made["point types"].append(args[:2]))
-        for name in ("ChiData", "tuple_chis", "CountTuple"):
-            counted(classify_module, name, tally(name))
+        counted(classify_module, "ChiData", tally("ChiData"))
 
         def check():
             # the 1,053 fibers of a run read 76 point types, each once
             # into the run's point table, and share 5 shapes, one per bit
             # length of a root's total, with 77 vector tables; only the
-            # 191 tuples past every screen get chi data, and no tuple a
-            # CountTuple
+            # 191 tuples past every screen get chi data
             assert len(made["point types"]) == \
                 len(set(made["point types"])) == 76
             assert len(made["shapes"]) == 5
             assert sum(len(shape.vectors) for shape in made["shapes"]) == 77
-            assert (made["ChiData"], made["tuple_chis"],
-                    made["CountTuple"]) == (191, 0, 0)
+            assert made["ChiData"] == 191
 
         first = classify(RunConfig(alpha=-1)).to_json()
         check()
@@ -915,7 +908,7 @@ class TestClosureCache:
 
 
 class TestIntegerFrontEnd:
-    """The integer front end against the object path it replaced."""
+    """The integer front end against tuple_baskets_oracle's object path."""
 
     @pytest.mark.parametrize("alpha", [-1, 1])
     def test_matches_object_path(self, alpha):
@@ -925,12 +918,13 @@ class TestIntegerFrontEnd:
         points = _PointTable()
         pruned_counts = Counter()
         for row in rows:
-            t = CountTuple(*row[:2])
+            t = row[:2]
             hits, violations, pruned, data = _tuple_baskets(
                 row, alpha, points)
             assert (hits, violations, pruned) == \
                 tuple_baskets_oracle(t, alpha), t
-            assert data == (None if pruned else tuple_chis(t, alpha)), t
+            assert data == (None if pruned else ChiData(
+                *chi_data_oracle(t, alpha))), t
             pruned_counts[pruned] += 1
         assert pruned_counts == ({
             "isolated_gcd_counts": 4033, "negative_unpacked_counts": 1993,

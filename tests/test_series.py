@@ -298,9 +298,9 @@ class TestStreamedRecovery:
             table = TableMethod(max_weights=rng.choice([None, 4]))
             fed = table.feed(coeffs)
             rec = table.presentation()
-            assert table.series() == list(poincare_series(
+            series = list(poincare_series(
                 rec.weights, rec.degrees, len(coeffs) - 1).coeffs)
-            assert fed == (table.series() == coeffs) == (not rec.capped)
+            assert fed == (series == coeffs) == (not rec.capped)
 
 
 class TestCertificate:

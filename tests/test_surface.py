@@ -31,10 +31,13 @@ def test_star_import():
 # Helpers no driver calls; the packing calculus, count_five_packings
 # and the rational chi_m and c2 loads live on in tests/oracles.py.
 # RRKernel was a second Riemann-Roch form beside the point signatures.
+# The count-tuple objects wrapped what the sweep reads off plain rows;
+# tests/oracles.py keeps a tuple_of_candidate over (mu, nu) pairs.
 @pytest.mark.parametrize("name", [
     "pack", "merge_orbifolds", "count_five_packings", "chi_m", "c2_load",
     "candidate_formal_baskets", "enumerate_tuples", "DeltaVector",
-    "RRKernel"])
+    "RRKernel", "CountTuple", "tuple_of_candidate", "tuple_chis",
+    "tuple_prefix", "InitialCounts", "initial_counts_from_chis"])
 def test_unused_helpers_are_gone(name):
     for module in (wcikit, wcikit.baskets, wcikit.candidate,
                    wcikit.classify, wcikit.series):
@@ -45,9 +48,16 @@ def test_unused_helpers_are_gone(name):
     (wcikit.TruncatedSeries, "mul_factor"),
     (wcikit.TruncatedSeries, "div_factor"),
     (wcikit.TruncatedSeries, "is_one"),
-    (wcikit.FormalBasket, "to_json")])
+    (wcikit.FormalBasket, "to_json"),
+    (wcikit.TableMethod, "series")])
 def test_unused_methods_are_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+def test_point_sums_keep_no_process_wide_cache():
+    # a run's point table is the only store of per-point data, dropped
+    # with the run
+    assert not hasattr(wcikit.baskets._point_sums, "cache_info")
 
 
 @pytest.mark.parametrize("path", sorted(
