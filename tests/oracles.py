@@ -301,6 +301,30 @@ def terminal_subsets_ok(weights, degrees, codim, alpha) -> bool:
     return True
 
 
+def hypersurface_quasismooth_oracle(weights, d) -> bool:
+    """Iano-Fletcher's criterion (Thm 8.1) for a general X_d in P(weights).
+
+    For every nonempty subset I of the variables, either some monomial
+    in x_I has degree d, or at least |I| distinct e outside I have a
+    monomial x_I^M x_e of degree d.  Brute force: the degrees of the
+    monomials in x_I are listed up to d, one subset at a time.
+    """
+    idx = range(len(weights))
+    for k in range(1, len(weights) + 1):
+        for sub in combinations(idx, k):
+            reach = [True] + [False] * d
+            for i in sub:
+                for m in range(weights[i], d + 1):
+                    reach[m] = reach[m] or reach[m - weights[i]]
+            if reach[d]:
+                continue
+            outside = sum(1 for e in idx if e not in sub
+                          and weights[e] <= d and reach[d - weights[e]])
+            if outside < k:
+                return False
+    return True
+
+
 def wellformed_oracle(weights) -> bool:
     """Every size-n subset of the n+1 weights is coprime."""
     n = len(weights) - 1

@@ -1037,39 +1037,6 @@ class TestDriver:
         assert len(blob["records"]) == 181
         assert blob["records"][0]["codim"] == 1
 
-    @pytest.mark.parametrize("cores,workers", [(2, [2]), (None, [])],
-                             ids=["two-cores", "unknown-cores"])
-    def test_jobs_capped_at_core_count(self, fano, monkeypatch, cores,
-                                       workers):
-        # a fake pool that starts no process records what it was asked for
-        pools = []
-        batches = []
-
-        class InProcessPool:
-            def __init__(self, max_workers, mp_context):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                items = list(items)
-                batches.append(len(items))
-                return map(fn, items)
-
-        monkeypatch.setattr(classify_module, "ProcessPoolExecutor",
-                            InProcessPool)
-        monkeypatch.setattr(classify_module.os, "cpu_count", lambda: cores)
-        report = classify(RunConfig(alpha=-1, jobs=10_000))
-        assert pools == workers
-        assert batches == [2 * 16] * len(workers)
-        assert report.config.jobs == 10_000
-        assert report.to_dict() | {"config": None} == \
-            fano.to_dict() | {"config": None}
-
     def test_amplitude_guard(self):
         with pytest.raises(ValueError):
             classify(RunConfig(alpha=2))

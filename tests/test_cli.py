@@ -223,21 +223,6 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--alpha", "0", "--codim", "0")
         assert code == 2 and "positive" in err
 
-    def test_json_same_for_every_job_count(self, capsys):
-        outs = []
-        for jobs in ("1", "2"):
-            code, out, _ = run(capsys, "classify", "--alpha", "-1",
-                               "--format", "json", "--jobs", jobs)
-            assert code == 0
-            blob = json.loads(out)
-            assert blob["config"].pop("jobs") == int(jobs)
-            outs.append(json.dumps(blob, indent=2))
-        assert outs[0] == outs[1]
-
-    def test_bad_jobs(self, capsys):
-        code, _, err = run(capsys, "classify", "--alpha", "0", "--jobs", "0")
-        assert code == 2 and "--jobs" in err
-
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "families.csv"
         code, out, _ = run(capsys, "classify", "--alpha", "0",
@@ -271,9 +256,9 @@ class TestOutputPath:
 # sha256 of `wci classify --alpha A --format json`; a change to any
 # record, statistic or violation has to update these in the open.
 DIGESTS = {
-    0: "3e763de5d46c411804263f71266cb2c24d62e1edc6ec776c7b9522dfbd2d3c37",
-    -1: "cdad187e16a1016982bb35b446c75ece7934195245fab6b3053e4986b67088a6",
-    1: "020f778e1d891fa435946e81b19df3f8fb3920cb9319ed2015b70be8704ee884",
+    0: "544ab2c791c1c8de87e1fc00ba286ba5bc415ffe04232eae15746da776393dcb",
+    -1: "861c2e1c8b2ec2cfaf0ac4f77e6ffecb647568ab5977710df143550b22a31e64",
+    1: "70f831d28266de459fb64ede1c67ccffd23c1013023444dfcf69e06957ccbbed",
 }
 
 
@@ -315,14 +300,16 @@ class TestSelftest:
         assert cli._LIST_DIGESTS == {a: DIGESTS[a] for a in (0, -1)}
 
     def test_import_leaves_hashlib_unloaded(self):
-        # hashlib loads OpenSSL; only selftest needs it
+        # hashlib loads OpenSSL; only selftest needs it.  No command
+        # starts a process pool either.
         src = os.path.dirname(os.path.dirname(wcikit.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         code = ("import sys, wcikit.cli; "
-                "print('hashlib' in sys.modules)")
+                "print(*(m in sys.modules for m in ("
+                "'hashlib', 'multiprocessing', 'concurrent.futures')))")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout == "False\n"
+        assert out.stdout == "False False False\n"
 
 
 class TestParser:
@@ -342,10 +329,12 @@ class TestParser:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [("--bound", "300"), ("--full",)],
-                             ids=["bound", "full"])
+    @pytest.mark.parametrize("flags", [("--bound", "300"), ("--full",),
+                                       ("--jobs", "2")],
+                             ids=["bound", "full", "jobs"])
     def test_classify_has_no_series_bound(self, capsys, flags):
-        # every run reads each basket to its certified bound
+        # every run reads each basket to its certified bound, in one
+        # process
         with pytest.raises(SystemExit) as exc:
             main(["classify", "--alpha", "-1", *flags])
         assert exc.value.code == 2

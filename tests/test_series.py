@@ -60,7 +60,7 @@ class TestKernels:
 
 class TestTruncatedSeries:
     def test_one(self):
-        s = TruncatedSeries.one(4)
+        s = TruncatedSeries((1,) + (0,) * 4)
         assert s.coeffs == (1, 0, 0, 0, 0)
         assert s.bound == 4
 
@@ -155,7 +155,7 @@ class TestRecovery:
             assert rec.degrees == c.degrees
 
     def test_constant_series(self):
-        rec = recover_weights_degrees(TruncatedSeries.one(8))
+        rec = recover_weights_degrees(TruncatedSeries((1,) + (0,) * 8))
         assert rec.weights == () and rec.degrees == ()
         assert rec.residual_clean
 

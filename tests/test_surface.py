@@ -49,7 +49,9 @@ def test_unused_helpers_are_gone(name):
     (wcikit.TruncatedSeries, "div_factor"),
     (wcikit.TruncatedSeries, "is_one"),
     (wcikit.FormalBasket, "to_json"),
-    (wcikit.TableMethod, "series")])
+    (wcikit.TableMethod, "series"),
+    (wcikit.TruncatedSeries, "one"),
+    (wcikit.RunConfig, "jobs")])
 def test_unused_methods_are_gone(owner, name):
     assert not hasattr(owner, name)
 
