@@ -208,66 +208,45 @@ def _weight_divisors(c: Candidate) -> set[int]:
     return out
 
 
-def _div_counts(c: Candidate, h: int) -> tuple[int, int]:
-    w = sum(1 for a in c.weights if a % h == 0)
-    d = sum(1 for d_ in c.degrees if d_ % h == 0)
-    return w, d
+def check_gcd_counts(c: Candidate) -> list[CheckResult]:
+    """Isolated and terminal singularity screens on a threefold, one divisor scan.
 
-
-def check_isolated_divisibility(c: Candidate) -> list[CheckResult]:
-    """Isolated singular locus on a threefold, via divisibility counts.
-
-    Equivalent to: every subset of up to c+1 weights with gcd h has at
-    least (subset size - 1) degrees divisible by h, and every larger
-    subset is coprime.  Counting weights and degrees divisible by each
-    candidate h > 1 covers all subsets at once.
+    For each h > 1 dividing a weight, h divides w weights and d degrees.
+    Isolated singular locus: w <= c+1 and d >= w - 1, which is every
+    subset of up to c+1 weights with gcd h having at least (subset size
+    - 1) degrees divisible by h and every larger subset coprime.
+    Terminal: h divides need = min(w, c+1) degrees outright, or one fewer
+    while h also divides a_m + amplitude for some weight a_m outside the
+    subset.  For amplitude 0 the escape weight must itself be divisible
+    by h, which forces h to divide as many degrees as weights.  Each
+    result's witness is its first failing h.
     """
     if c.dim != 3:
-        raise InvalidCandidate("isolated singularity screen needs dim 3")
-    cc = c.codim
+        raise InvalidCandidate("gcd count screens need dim 3")
+    alpha, cc = c.amplitude, c.codim
+    isolated = terminal = None
     for h in sorted(_weight_divisors(c)):
-        w, d = _div_counts(c, h)
-        if w > cc + 1:
-            return [CheckResult(
-                "isolated_gcd_counts", False,
-                f"{w} weights share divisor {h}, at most {cc + 1} allowed")]
-        if d < w - 1:
-            return [CheckResult(
-                "isolated_gcd_counts", False,
-                f"divisor {h}: {w} weights but only {d} degrees divisible, "
-                f"needs {w - 1}")]
-    return [CheckResult("isolated_gcd_counts", True)]
-
-
-def check_terminal_divisibility(c: Candidate) -> list[CheckResult]:
-    """Terminal singularity screen on a threefold, via divisibility counts.
-
-    For each divisor h > 1 carried by w weights (capped at c+1), h must
-    divide that many degrees outright, or one fewer while h also divides
-    a_m + amplitude for some weight a_m outside the subset.  For
-    amplitude 0 the escape weight must itself be divisible by h, which
-    forces h to divide as many degrees as weights.
-    """
-    if c.dim != 3:
-        raise InvalidCandidate("terminal singularity screen needs dim 3")
-    alpha = c.amplitude
-    cc = c.codim
-    for h in sorted(_weight_divisors(c)):
-        w, d = _div_counts(c, h)
+        w = sum(1 for a in c.weights if a % h == 0)
+        d = sum(1 for d_ in c.degrees if d_ % h == 0)
+        if isolated is None:
+            if w > cc + 1:
+                isolated = (f"{w} weights share divisor {h}, "
+                            f"at most {cc + 1} allowed")
+            elif d < w - 1:
+                isolated = (f"divisor {h}: {w} weights but only {d} degrees "
+                            f"divisible, needs {w - 1}")
         need = min(w, cc + 1)
-        if d >= need:
-            continue
-        if d == need - 1:
-            if alpha == 0:
-                if w > need:
-                    continue
-            elif any((a + alpha) % h == 0 for a in c.weights):
-                continue
-        return [CheckResult(
-            "terminal_gcd_counts", False,
-            f"divisor {h}: {d} of {need} required degrees divisible, "
-            f"no escape weight")]
-    return [CheckResult("terminal_gcd_counts", True)]
+        if terminal is None and d < need:
+            escape = d == need - 1 and (
+                w > need if alpha == 0
+                else any((a + alpha) % h == 0 for a in c.weights))
+            if not escape:
+                terminal = (f"divisor {h}: {d} of {need} required degrees "
+                            f"divisible, no escape weight")
+        if isolated and terminal:
+            break
+    return [CheckResult("isolated_gcd_counts", isolated is None, isolated),
+            CheckResult("terminal_gcd_counts", terminal is None, terminal)]
 
 
 def check_cy_product(c: Candidate) -> bool:
@@ -328,8 +307,9 @@ def necessary_screen(c: Candidate) -> ScreenReport:
     """Run every screen that applies to the candidate's dimension and amplitude.
 
     Check order is fixed so reports are deterministic.  Dimension 3 is
-    required for the singularity screens; other dimensions get only the
-    presentation-level checks.
+    required for the singularity screens, which share one divisor scan in
+    check_gcd_counts; other dimensions get only the presentation-level
+    checks.
     """
     checks: list[CheckResult] = []
     lc = is_linear_cone(c)
@@ -345,8 +325,7 @@ def necessary_screen(c: Candidate) -> ScreenReport:
     checks.append(CheckResult("codim_bound", check_codim_bound(c)))
     checks.extend(check_weight_degree_divisibility(c))
     if c.dim == 3:
-        checks.extend(check_isolated_divisibility(c))
-        checks.extend(check_terminal_divisibility(c))
+        checks.extend(check_gcd_counts(c))
         if c.amplitude == 0:
             checks.append(CheckResult("product_divides", check_cy_product(c)))
     if c.amplitude >= 0 and order_ok:

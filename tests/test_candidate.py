@@ -14,8 +14,7 @@ from wcikit import (
     check_codim_bound,
     check_cy_product,
     check_degree_weight_order,
-    check_isolated_divisibility,
-    check_terminal_divisibility,
+    check_gcd_counts,
     check_weight_degree_divisibility,
     check_wps_wellformed,
     degree_ratio_screen,
@@ -172,36 +171,72 @@ class TestGcdScreens:
     def test_dimension_guard(self):
         c = normalize([1, 1, 1, 1], [3])  # dim 2
         with pytest.raises(InvalidCandidate):
-            check_isolated_divisibility(c)
-        with pytest.raises(InvalidCandidate):
-            check_terminal_divisibility(c)
+            check_gcd_counts(c)
 
     def test_known_pass(self):
-        c = parse_candidate("1,1,1,2,5 / 10")
-        assert check_isolated_divisibility(c)[0].passed
-        assert check_terminal_divisibility(c)[0].passed
+        isolated, terminal = check_gcd_counts(parse_candidate("1,1,1,2,5 / 10"))
+        assert isolated.passed
+        assert terminal.passed
 
     def test_known_isolated_failure(self):
         c = parse_candidate("1,1,2,2,2 / 6")
-        assert not check_isolated_divisibility(c)[0].passed
+        assert not check_gcd_counts(c)[0].passed
+
+    @pytest.mark.parametrize("text,isolated,terminal", [
+        ("1,1,2,2,2 / 6",
+         (False, "3 weights share divisor 2, at most 2 allowed"),
+         (True, None)),
+        # each screen keeps its own first failing divisor: the scan goes
+        # on past the isolated failure at 2 to the terminal one at 3
+        ("2,2,2,3,3 / 12",
+         (False, "3 weights share divisor 2, at most 2 allowed"),
+         (False, "divisor 3: 1 of 2 required degrees divisible, "
+                 "no escape weight")),
+        ("1,1,1,1,100003 / 100007",
+         (True, None),
+         (False, "divisor 100003: 0 of 1 required degrees divisible, "
+                 "no escape weight")),
+    ])
+    def test_golden_witnesses(self, text, isolated, terminal):
+        results = check_gcd_counts(parse_candidate(text))
+        assert [r.name for r in results] == [
+            "isolated_gcd_counts", "terminal_gcd_counts"]
+        assert [(r.passed, r.witness) for r in results] == [isolated, terminal]
+
+    @staticmethod
+    def _assert_matches_oracles(c):
+        isolated, terminal = check_gcd_counts(c)
+        cc = c.codim
+        assert isolated.passed == isolated_subsets_ok(
+            c.weights, c.degrees, cc), c.text()
+        assert terminal.passed == terminal_subsets_ok(
+            c.weights, c.degrees, cc, c.amplitude), c.text()
+        return isolated, terminal
 
     def test_matches_subset_oracle(self):
         rng = random.Random(37)
-        agree_iso = agree_term = 0
         for _ in range(400):
             cc = rng.randint(1, 4)
             weights = sorted(rng.randint(1, 12) for _ in range(cc + 4))
             degrees = sorted(rng.randint(2, 30) for _ in range(cc))
-            c = normalize(weights, degrees)
-            got = check_isolated_divisibility(c)[0].passed
-            want = isolated_subsets_ok(c.weights, c.degrees, cc)
-            assert got == want, c.text()
-            agree_iso += 1
-            got = check_terminal_divisibility(c)[0].passed
-            want = terminal_subsets_ok(c.weights, c.degrees, cc, c.amplitude)
-            assert got == want, c.text()
-            agree_term += 1
-        assert agree_iso == agree_term == 400
+            self._assert_matches_oracles(normalize(weights, degrees))
+
+    def test_matches_subset_oracle_past_small_divisors(self):
+        # one weight in [10^3, 10^4] beside small ones, mostly 1, so that
+        # the scan often runs on through the large weight's divisors
+        rng = random.Random(43)
+        full_scans = 0
+        for _ in range(50):
+            cc = rng.randint(1, 4)
+            weights = [rng.choice((1, 1, 2, 3, 5)) for _ in range(cc + 3)]
+            big = rng.randint(10**3, 10**4)
+            degrees = [rng.randint(2, 30) for _ in range(cc - 1)]
+            degrees.append(big * rng.randint(1, 2)
+                           + rng.choice((0, rng.randint(1, 12))))
+            results = self._assert_matches_oracles(
+                normalize(weights + [big], degrees))
+            full_scans += not any(r.witness for r in results)
+        assert full_scans >= 5
 
 
 class TestProductAndRatio:

@@ -33,6 +33,17 @@ class TestCheck:
         assert out.splitlines()[-1] == "fail"
         assert "FAIL" in out
 
+    def test_both_gcd_witnesses(self, capsys):
+        # each gcd screen prints its own first failing divisor
+        code, out, _ = run(capsys, "check", "2,2,2,3,3 / 12")
+        assert code == 1
+        lines = out.splitlines()
+        assert ("FAIL isolated_gcd_counts  "
+                "[3 weights share divisor 2, at most 2 allowed]") in lines
+        assert ("FAIL terminal_gcd_counts  [divisor 3: 1 of 2 required "
+                "degrees divisible, no escape weight]") in lines
+        assert lines[-1] == "fail"
+
     def test_parse_error(self, capsys):
         code, out, err = run(capsys, "check", "junk")
         assert code == 2

@@ -33,11 +33,14 @@ def test_star_import():
 # RRKernel was a second Riemann-Roch form beside the point signatures.
 # The count-tuple objects wrapped what the sweep reads off plain rows;
 # tests/oracles.py keeps a tuple_of_candidate over (mu, nu) pairs.
+# The two gcd screens share one divisor scan in check_gcd_counts.
 @pytest.mark.parametrize("name", [
     "pack", "merge_orbifolds", "count_five_packings", "chi_m", "c2_load",
     "candidate_formal_baskets", "enumerate_tuples", "DeltaVector",
     "RRKernel", "CountTuple", "tuple_of_candidate", "tuple_chis",
-    "tuple_prefix", "InitialCounts", "initial_counts_from_chis"])
+    "tuple_prefix", "InitialCounts", "initial_counts_from_chis",
+    "check_isolated_divisibility", "check_terminal_divisibility",
+    "_div_counts"])
 def test_unused_helpers_are_gone(name):
     for module in (wcikit, wcikit.baskets, wcikit.candidate,
                    wcikit.classify, wcikit.series):
