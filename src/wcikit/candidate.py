@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, prod
+from operator import le
 
 from . import _jsonout
 
@@ -40,13 +42,14 @@ class Candidate:
     degrees: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.weights or not self.degrees:
+        w, d = self.weights, self.degrees
+        if not w or not d:
             raise InvalidCandidate("weights and degrees must be nonempty")
-        if any(a < 1 for a in self.weights) or any(d < 1 for d in self.degrees):
+        if min(w) < 1 or min(d) < 1:
             raise InvalidCandidate("entries must be positive integers")
-        if list(self.weights) != sorted(self.weights):
+        if not all(map(le, w, w[1:])):
             raise InvalidCandidate("weights must be sorted ascending")
-        if list(self.degrees) != sorted(self.degrees):
+        if not all(map(le, d, d[1:])):
             raise InvalidCandidate("degrees must be sorted ascending")
         if self.dim < 1:
             raise InvalidCandidate("need more weights than degrees plus one")
@@ -61,7 +64,7 @@ class Candidate:
 
     @property
     def dim(self) -> int:
-        return self.n - self.codim
+        return len(self.weights) - len(self.degrees) - 1
 
     @property
     def amplitude(self) -> int:
@@ -132,28 +135,32 @@ def is_linear_cone(c: Candidate) -> bool:
 
 
 def check_wps_wellformed(c: Candidate) -> bool:
-    """True iff every n of the n+1 weights are collectively coprime."""
+    """True iff every n of the n+1 weights are collectively coprime.
+
+    All weights but a_i have gcd(gcd(a_0..a_{i-1}), gcd(a_{i+1}..a_n)).
+    """
     w = c.weights
-    for i in range(len(w)):
-        g = 0
-        for j, a in enumerate(w):
-            if j != i:
-                g = gcd(g, a)
-        if g > 1:
-            return False
-    return True
+    before = accumulate(w[:-1], gcd, initial=0)
+    after = list(accumulate(reversed(w[1:]), gcd, initial=0))[::-1]
+    return max(map(gcd, before, after)) <= 1
 
 
 def check_degree_weight_order(c: Candidate) -> bool:
     """True iff every paired degree strictly exceeds its weight (delta_j >= 1)."""
-    return all(v >= 1 for v in deltas(c))
+    return _dominates(deltas(c))
+
+
+def _dominates(dv: tuple[int, ...]) -> bool:
+    return min(dv) >= 1
 
 
 def check_codim_bound(c: Candidate) -> bool:
     """Codimension cap: c <= dim + amplitude + 1 when amplitude >= 0, else c <= dim."""
-    alpha = c.amplitude
-    cap = c.dim + alpha + 1 if alpha >= 0 else c.dim
-    return c.codim <= cap
+    return _codim_ok(c.dim, c.codim, c.amplitude)
+
+
+def _codim_ok(dim: int, cc: int, alpha: int) -> bool:
+    return cc <= (dim + alpha + 1 if alpha >= 0 else dim)
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,6 +177,11 @@ def check_weight_degree_divisibility(c: Candidate) -> list[CheckResult]:
     degree.  Part two: when c >= dim + 1 the j-th delta from the top is at
     least the matching weight from the bottom.
     """
+    return _weight_degree_checks(c, c.dim, deltas(c))
+
+
+def _weight_degree_checks(c: Candidate, dim: int,
+                          dv: tuple[int, ...]) -> list[CheckResult]:
     results: list[CheckResult] = []
     d1 = c.degrees[0]
     bad = None
@@ -181,9 +193,8 @@ def check_weight_degree_divisibility(c: Candidate) -> list[CheckResult]:
         "large_weight_divides", bad is None,
         None if bad is None else f"weight {bad} > d1={d1} divides no degree"))
 
-    dim, cc = c.dim, c.codim
+    cc = len(dv)
     if cc >= dim + 1:
-        dv = deltas(c)
         bad_pair = None
         for j in range(dim + 1):
             if dv[cc - 1 - j] < c.weights[dim - j]:
@@ -223,7 +234,10 @@ def check_gcd_counts(c: Candidate) -> list[CheckResult]:
     """
     if c.dim != 3:
         raise InvalidCandidate("gcd count screens need dim 3")
-    alpha, cc = c.amplitude, c.codim
+    return _gcd_checks(c, c.codim, c.amplitude)
+
+
+def _gcd_checks(c: Candidate, cc: int, alpha: int) -> list[CheckResult]:
     isolated = terminal = None
     for h in sorted(_weight_divisors(c)):
         w = sum(1 for a in c.weights if a % h == 0)
@@ -261,12 +275,13 @@ def degree_ratio_screen(c: Candidate) -> tuple[bool, Fraction]:
 
     Checks sum(d_j / a_{j+dim}) <= c + amplitude + dim + 1 and returns the
     derived enumeration bound ((c+alpha+dim+1)/c)^c / (a_0 * ... * a_dim),
-    an upper bound for prod(degrees)/prod(weights).
+    an upper bound for prod(degrees)/prod(weights).  ok is always True on
+    this domain (proof in necessary_screen); it stays for its bound.
     """
     alpha = c.amplitude
     if alpha < 0:
         raise InvalidCandidate("ratio screen needs amplitude >= 0")
-    if any(v < 1 for v in deltas(c)):
+    if not _dominates(deltas(c)):
         raise InvalidCandidate("ratio screen needs all deltas >= 1")
     dim, cc = c.dim, c.codim
     cap = cc + alpha + dim + 1
@@ -309,7 +324,13 @@ def necessary_screen(c: Candidate) -> ScreenReport:
     Check order is fixed so reports are deterministic.  Dimension 3 is
     required for the singularity screens, which share one divisor scan in
     check_gcd_counts; other dimensions get only the presentation-level
-    checks.
+    checks; dim, codim, amplitude and the deltas are read once.
+
+    degree_ratio_bound passes by proof, without degree_ratio_screen's sum.
+    With t_j = a_{dim+1+j} >= a_dim >= a_0, ..., a_dim, every delta_j =
+    d_j - t_j >= 1 (degrees_dominate) and alpha >= 0: sum d_j/t_j =
+    c + sum delta_j/t_j <= c + (a_0 + ... + a_dim + alpha)/t_0 <= the cap
+    c + dim + 1 + alpha.
     """
     checks: list[CheckResult] = []
     lc = is_linear_cone(c)
@@ -318,17 +339,17 @@ def necessary_screen(c: Candidate) -> ScreenReport:
         None if not lc else
         f"shared value {min(set(c.weights) & set(c.degrees))}"))
     checks.append(CheckResult("well_formed_space", check_wps_wellformed(c)))
-    order_ok = check_degree_weight_order(c)
+    dim, dv, alpha = c.dim, deltas(c), c.amplitude
+    cc = len(dv)
+    order_ok = _dominates(dv)
     checks.append(CheckResult(
-        "degrees_dominate", order_ok,
-        None if order_ok else f"deltas {deltas(c)}"))
-    checks.append(CheckResult("codim_bound", check_codim_bound(c)))
-    checks.extend(check_weight_degree_divisibility(c))
-    if c.dim == 3:
-        checks.extend(check_gcd_counts(c))
-        if c.amplitude == 0:
+        "degrees_dominate", order_ok, None if order_ok else f"deltas {dv}"))
+    checks.append(CheckResult("codim_bound", _codim_ok(dim, cc, alpha)))
+    checks.extend(_weight_degree_checks(c, dim, dv))
+    if dim == 3:
+        checks.extend(_gcd_checks(c, cc, alpha))
+        if alpha == 0:
             checks.append(CheckResult("product_divides", check_cy_product(c)))
-    if c.amplitude >= 0 and order_ok:
-        ratio_ok, _ = degree_ratio_screen(c)
-        checks.append(CheckResult("degree_ratio_bound", ratio_ok))
+    if alpha >= 0 and order_ok:
+        checks.append(CheckResult("degree_ratio_bound", True))
     return ScreenReport(c, tuple(checks))

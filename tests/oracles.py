@@ -14,15 +14,26 @@ from itertools import combinations, product
 from math import gcd
 
 from wcikit import (
+    CheckResult,
     FormalBasket,
+    InvalidCandidate,
     Orbifold,
+    ScreenReport,
     canonical,
     canonical_unpacking,
+    check_codim_bound,
+    check_cy_product,
+    check_degree_weight_order,
+    check_gcd_counts,
+    check_weight_degree_divisibility,
+    deltas,
     descendants,
     high_index_count_bounds,
     initial_basket,
+    is_linear_cone,
     is_prime_packing,
     k3,
+    normalize,
     pluri_growth_filter,
 )
 from wcikit.baskets import _unpacked
@@ -337,6 +348,49 @@ def wellformed_oracle(weights) -> bool:
     return True
 
 
+def necessary_screen_oracle(c) -> ScreenReport:
+    """necessary_screen with each helper reading the candidate itself.
+
+    Well-formedness drops one weight at a time and takes the gcd of the
+    rest (quadratic), and degree_ratio_bound sums the ratios d_j/a_{j+dim}
+    as Fractions against the cap c + amplitude + dim + 1.
+    """
+    checks: list[CheckResult] = []
+    lc = is_linear_cone(c)
+    checks.append(CheckResult(
+        "not_linear_cone", not lc,
+        None if not lc else
+        f"shared value {min(set(c.weights) & set(c.degrees))}"))
+    w = c.weights
+    wellformed = True
+    for i in range(len(w)):
+        g = 0
+        for j, a in enumerate(w):
+            if j != i:
+                g = gcd(g, a)
+        if g > 1:
+            wellformed = False
+            break
+    checks.append(CheckResult("well_formed_space", wellformed))
+    order_ok = check_degree_weight_order(c)
+    checks.append(CheckResult(
+        "degrees_dominate", order_ok,
+        None if order_ok else f"deltas {deltas(c)}"))
+    checks.append(CheckResult("codim_bound", check_codim_bound(c)))
+    checks.extend(check_weight_degree_divisibility(c))
+    if c.dim == 3:
+        checks.extend(check_gcd_counts(c))
+        if c.amplitude == 0:
+            checks.append(CheckResult("product_divides", check_cy_product(c)))
+    if c.amplitude >= 0 and order_ok:
+        dim, cc = c.dim, c.codim
+        total = sum(Fraction(d, a)
+                    for d, a in zip(c.degrees, c.weights[dim + 1:]))
+        checks.append(CheckResult("degree_ratio_bound",
+                                  total <= cc + c.amplitude + dim + 1))
+    return ScreenReport(c, tuple(checks))
+
+
 @lru_cache(maxsize=None)
 def rr_correction(q: Orbifold, m: int) -> Fraction:
     """Riemann-Roch local term: sum_{j<m} jb(r - jb)/(2r) with jb taken mod r."""
@@ -599,3 +653,29 @@ def random_presentation(rng, max_weight=10, max_degree=30):
     pool = [v for v in range(2, max_degree + 1) if v not in weights]
     degrees = sorted(rng.choice(pool) for _ in range(n_d))
     return weights, degrees
+
+
+def random_screen_candidate(rng, big_share=0.0):
+    """Seeded candidate of dimension 1-5 and amplitude -2..+2.
+
+    Weights are at most 30, except that with probability big_share one
+    weight is drawn up to 10^4.  The deltas sum to a_0 + ... + a_dim +
+    amplitude, as every candidate's do; most are positive, some are not,
+    so every check can fail.
+    """
+    while True:
+        dim, cc = rng.randint(1, 5), rng.randint(1, 4)
+        alpha = rng.randint(-2, 2)
+        weights = [rng.randint(1, 30) for _ in range(dim + cc + 1)]
+        if rng.random() < big_share:
+            weights[-1] = rng.randint(31, 10**4)
+        weights.sort()
+        total = sum(weights[:dim + 1]) + alpha
+        dv = [rng.randint(-2 if rng.random() < 0.1 else 1, max(total, 1))
+              for _ in range(cc - 1)]
+        dv.append(total - sum(dv))
+        try:
+            return normalize(weights, [a + v for a, v in
+                                       zip(weights[dim + 1:], dv)])
+        except InvalidCandidate:
+            continue

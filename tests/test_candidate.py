@@ -4,6 +4,8 @@ import pytest
 
 from oracles import (
     isolated_subsets_ok,
+    necessary_screen_oracle,
+    random_screen_candidate,
     terminal_subsets_ok,
     wellformed_oracle,
 )
@@ -11,12 +13,14 @@ from wcikit import (
     Candidate,
     CandidateParseError,
     InvalidCandidate,
+    RunConfig,
     check_codim_bound,
     check_cy_product,
     check_degree_weight_order,
     check_gcd_counts,
     check_weight_degree_divisibility,
     check_wps_wellformed,
+    classify,
     degree_ratio_screen,
     deltas,
     is_linear_cone,
@@ -75,10 +79,14 @@ class TestParsing:
         assert c.weights == (1, 1, 1, 2, 5)
 
     def test_direct_construction_validates(self):
-        with pytest.raises(InvalidCandidate):
-            Candidate((2, 1, 1, 1, 1), (4,))
-        with pytest.raises(InvalidCandidate):
-            Candidate((1, 1, 1), (2, 2),)
+        for weights, degrees, message in [
+                ((2, 1, 1, 1, 1), (4,), "weights must be sorted"),
+                ((1, 1, 1, 1, 1, 1), (3, 2), "degrees must be sorted"),
+                ((2, 0, 1, 1, 1), (4,), "positive"),  # sign before order
+                ((1, 1, 1), (2, 2), "need more weights"),
+                ((), (2,), "nonempty")]:
+            with pytest.raises(InvalidCandidate, match=message):
+                Candidate(weights, degrees)
 
     def test_invariants(self):
         c = parse_candidate("1,1,2,2,3,3 / 6,6")
@@ -117,6 +125,23 @@ class TestBasicChecks:
         for _ in range(300):
             n_w = rng.randint(3, 7)
             c = normalize([rng.randint(1, 12) for _ in range(n_w)], [50])
+            assert check_wps_wellformed(c) == wellformed_oracle(c.weights)
+        # exactly one n-subset shares a prime: the weights other than the
+        # odd one out, which sorts first, in the middle or last
+        for shared, odd in (((2, 4, 6, 8), (1, 3, 5, 7, 9)),
+                            ((3, 3, 6, 9), (2, 4, 5, 10))):
+            for a in odd:
+                c = normalize(shared + (a,), [50])
+                assert not wellformed_oracle(c.weights)
+                assert not check_wps_wellformed(c), c.weights
+        # up to MAX_ENTRIES weights, all but k of them multiples of p
+        for _ in range(200):
+            p, k = rng.choice((2, 3, 5)), rng.randint(0, 2)
+            n_w = rng.randint(3, MAX_ENTRIES)
+            weights = [p * rng.randint(1, 20) for _ in range(n_w - k)]
+            weights += [p * rng.randint(0, 20) + rng.randint(1, p - 1)
+                        for _ in range(k)]
+            c = normalize(weights, [50])
             assert check_wps_wellformed(c) == wellformed_oracle(c.weights)
 
     def test_degree_weight_order(self):
@@ -277,6 +302,27 @@ class TestProductAndRatio:
             checked += 1
         assert checked > 50
 
+    def test_ratio_screen_holds_on_its_domain(self):
+        # the sum d_j/a_{j+dim} never exceeds the cap once amplitude >= 0
+        # and every delta >= 1 (proof in necessary_screen's docstring)
+        rng = random.Random(47)
+        checked = 0
+        for _ in range(5000):
+            c = random_screen_candidate(rng, big_share=0.05)
+            if c.amplitude >= 0 and min(deltas(c)) >= 1:
+                assert degree_ratio_screen(c)[0], c.text()
+                checked += 1
+        assert checked > 1000
+
+    @pytest.mark.parametrize("text", [
+        "1,1,1,1,1 / 5", "1,1,1,1,1,1,1,1 / 2,2,2,3"])
+    def test_ratio_screen_equality_cases(self, text):
+        c = parse_candidate(text)
+        total = sum(Fraction(d, a)
+                    for d, a in zip(c.degrees, c.weights[c.dim + 1:]))
+        assert total == c.codim + c.amplitude + c.dim + 1
+        assert degree_ratio_screen(c)[0]
+
     def test_ratio_screen_guards(self):
         with pytest.raises(InvalidCandidate):
             degree_ratio_screen(parse_candidate("1,1,1,1,1 / 4"))  # amplitude -1
@@ -311,6 +357,31 @@ class TestNecessaryScreen:
         names = [ch.name for ch in report.checks]
         assert "isolated_gcd_counts" not in names
         assert "terminal_gcd_counts" not in names
+
+    def test_matches_oracle_on_random_candidates(self):
+        rng = random.Random(53)
+        failed = set()
+        for _ in range(20000):
+            c = random_screen_candidate(rng, big_share=0.05)
+            report = necessary_screen(c)
+            assert report.to_dict() == \
+                necessary_screen_oracle(c).to_dict(), c.text()
+            failed.update(report.failed_names())
+        # every check that can fail did, on some candidate
+        assert failed == {
+            "not_linear_cone", "well_formed_space", "degrees_dominate",
+            "codim_bound", "large_weight_divides", "tail_delta_bound",
+            "isolated_gcd_counts", "terminal_gcd_counts", "product_divides"}
+
+    def test_matches_oracle_on_the_classified_lists(self, gt_report):
+        reports = (classify(RunConfig(alpha=0)), classify(RunConfig(alpha=-1)),
+                   gt_report[0])
+        assert [len(r.records) for r in reports] == [13, 181, 122]
+        for report in reports:
+            for rec in report.records:
+                want = necessary_screen_oracle(rec.candidate).to_dict()
+                assert necessary_screen(rec.candidate).to_dict() == want
+                assert rec.screen.to_dict() == want
 
     def test_report_serializes(self):
         report = necessary_screen(parse_candidate("1,1,1,2,5 / 10"))
