@@ -170,6 +170,16 @@ class CheckResult:
     witness: str | None = None
 
 
+# The passing results, built once: being frozen, one instance can sit in
+# every report, and a failing check builds its own with its witness.
+_PASS = {name: CheckResult(name, True) for name in (
+    "not_linear_cone", "well_formed_space", "degrees_dominate",
+    "codim_bound", "large_weight_divides", "tail_delta_bound",
+    "isolated_gcd_counts", "terminal_gcd_counts", "product_divides",
+    "degree_ratio_bound")}
+_VACUOUS_TAIL = CheckResult("tail_delta_bound", True, "vacuous: c <= dim")
+
+
 def check_weight_degree_divisibility(c: Candidate) -> list[CheckResult]:
     """Quasismoothness fragment: large weights divide degrees, tail deltas bound.
 
@@ -189,9 +199,9 @@ def _weight_degree_checks(c: Candidate, dim: int,
         if a > d1 and all(d % a for d in c.degrees):
             bad = a
             break
-    results.append(CheckResult(
-        "large_weight_divides", bad is None,
-        None if bad is None else f"weight {bad} > d1={d1} divides no degree"))
+    results.append(_PASS["large_weight_divides"] if bad is None else
+                   CheckResult("large_weight_divides", False,
+                               f"weight {bad} > d1={d1} divides no degree"))
 
     cc = len(dv)
     if cc >= dim + 1:
@@ -200,29 +210,36 @@ def _weight_degree_checks(c: Candidate, dim: int,
             if dv[cc - 1 - j] < c.weights[dim - j]:
                 bad_pair = (cc - j, dv[cc - 1 - j], c.weights[dim - j])
                 break
-        results.append(CheckResult(
-            "tail_delta_bound", bad_pair is None,
-            None if bad_pair is None else
-            "delta_%d=%d < weight %d" % bad_pair))
+        results.append(_PASS["tail_delta_bound"] if bad_pair is None else
+                       CheckResult("tail_delta_bound", False,
+                                   "delta_%d=%d < weight %d" % bad_pair))
     else:
-        results.append(CheckResult("tail_delta_bound", True, "vacuous: c <= dim"))
+        results.append(_VACUOUS_TAIL)
     return results
 
 
-def _weight_divisors(c: Candidate) -> set[int]:
-    """All divisors > 1 of any weight; every subset gcd is among them."""
-    out: set[int] = set()
-    for a in set(c.weights):
+def _weight_divisors(c: Candidate) -> dict[int, int]:
+    """Each divisor h > 1 of some weight, mapped to how many weights it divides.
+
+    Every subset gcd is a key.  Each distinct weight a is scanned once,
+    h in 2..a, and adds its multiplicity to every h that divides it, so
+    the scan is linear in the largest weight.
+    """
+    w = c.weights
+    out: dict[int, int] = {}
+    for a in set(w):
+        m = w.count(a)
         for h in range(2, a + 1):
             if a % h == 0:
-                out.add(h)
+                out[h] = out.get(h, 0) + m
     return out
 
 
 def check_gcd_counts(c: Candidate) -> list[CheckResult]:
     """Isolated and terminal singularity screens on a threefold, one divisor scan.
 
-    For each h > 1 dividing a weight, h divides w weights and d degrees.
+    For each h > 1 dividing a weight, h divides w weights and d degrees;
+    the divisor scan (_weight_divisors) counts w, and d is counted per h.
     Isolated singular locus: w <= c+1 and d >= w - 1, which is every
     subset of up to c+1 weights with gcd h having at least (subset size
     - 1) degrees divisible by h and every larger subset coprime.
@@ -239,9 +256,14 @@ def check_gcd_counts(c: Candidate) -> list[CheckResult]:
 
 def _gcd_checks(c: Candidate, cc: int, alpha: int) -> list[CheckResult]:
     isolated = terminal = None
-    for h in sorted(_weight_divisors(c)):
-        w = sum(1 for a in c.weights if a % h == 0)
-        d = sum(1 for d_ in c.degrees if d_ % h == 0)
+    degrees = c.degrees
+    counts = _weight_divisors(c)
+    for h in sorted(counts):
+        w = counts[h]
+        d = 0
+        for d_ in degrees:
+            if d_ % h == 0:
+                d += 1
         if isolated is None:
             if w > cc + 1:
                 isolated = (f"{w} weights share divisor {h}, "
@@ -259,8 +281,10 @@ def _gcd_checks(c: Candidate, cc: int, alpha: int) -> list[CheckResult]:
                             f"divisible, no escape weight")
         if isolated and terminal:
             break
-    return [CheckResult("isolated_gcd_counts", isolated is None, isolated),
-            CheckResult("terminal_gcd_counts", terminal is None, terminal)]
+    return [_PASS["isolated_gcd_counts"] if isolated is None else
+            CheckResult("isolated_gcd_counts", False, isolated),
+            _PASS["terminal_gcd_counts"] if terminal is None else
+            CheckResult("terminal_gcd_counts", False, terminal)]
 
 
 def check_cy_product(c: Candidate) -> bool:
@@ -334,22 +358,24 @@ def necessary_screen(c: Candidate) -> ScreenReport:
     """
     checks: list[CheckResult] = []
     lc = is_linear_cone(c)
-    checks.append(CheckResult(
-        "not_linear_cone", not lc,
-        None if not lc else
+    checks.append(_PASS["not_linear_cone"] if not lc else CheckResult(
+        "not_linear_cone", False,
         f"shared value {min(set(c.weights) & set(c.degrees))}"))
-    checks.append(CheckResult("well_formed_space", check_wps_wellformed(c)))
+    checks.append(_PASS["well_formed_space"] if check_wps_wellformed(c)
+                  else CheckResult("well_formed_space", False))
     dim, dv, alpha = c.dim, deltas(c), c.amplitude
     cc = len(dv)
     order_ok = _dominates(dv)
-    checks.append(CheckResult(
-        "degrees_dominate", order_ok, None if order_ok else f"deltas {dv}"))
-    checks.append(CheckResult("codim_bound", _codim_ok(dim, cc, alpha)))
+    checks.append(_PASS["degrees_dominate"] if order_ok else
+                  CheckResult("degrees_dominate", False, f"deltas {dv}"))
+    checks.append(_PASS["codim_bound"] if _codim_ok(dim, cc, alpha) else
+                  CheckResult("codim_bound", False))
     checks.extend(_weight_degree_checks(c, dim, dv))
     if dim == 3:
         checks.extend(_gcd_checks(c, cc, alpha))
         if alpha == 0:
-            checks.append(CheckResult("product_divides", check_cy_product(c)))
+            checks.append(_PASS["product_divides"] if check_cy_product(c)
+                          else CheckResult("product_divides", False))
     if alpha >= 0 and order_ok:
-        checks.append(CheckResult("degree_ratio_bound", True))
+        checks.append(_PASS["degree_ratio_bound"])
     return ScreenReport(c, tuple(checks))

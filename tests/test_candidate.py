@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -12,6 +14,7 @@ from oracles import (
 from wcikit import (
     Candidate,
     CandidateParseError,
+    CheckResult,
     InvalidCandidate,
     RunConfig,
     check_codim_bound,
@@ -28,7 +31,7 @@ from wcikit import (
     normalize,
     parse_candidate,
 )
-from wcikit.candidate import MAX_ENTRIES
+from wcikit.candidate import MAX_ENTRIES, _weight_divisors
 from fractions import Fraction
 
 
@@ -228,6 +231,30 @@ class TestGcdScreens:
             "isolated_gcd_counts", "terminal_gcd_counts"]
         assert [(r.passed, r.witness) for r in results] == [isolated, terminal]
 
+    @pytest.mark.parametrize("text,counts", [
+        ("1,1,2,2,2 / 6", {2: 3}),
+        ("2,2,2,3,3 / 12", {2: 3, 3: 2}),
+    ])
+    def test_weight_divisor_golden_counts(self, text, counts):
+        assert _weight_divisors(parse_candidate(text)) == counts
+
+    def test_weight_divisor_counts_match_brute_force(self):
+        # repeated small weights, and in a fifth of the lists one weight
+        # in [10^3, 10^4]; keys from trial division up to sqrt(a)
+        rng = random.Random(59)
+        for _ in range(2500):
+            weights = [rng.randint(1, 12) for _ in range(rng.randint(3, 9))]
+            if rng.random() < 0.2:
+                weights[-1] = rng.randint(10**3, 10**4)
+            hs = set()
+            for a in weights:
+                for h in range(1, int(a ** 0.5) + 1):
+                    if a % h == 0:
+                        hs.update((h, a // h))
+            hs.discard(1)
+            want = {h: sum(a % h == 0 for a in weights) for h in hs}
+            assert _weight_divisors(normalize(weights, [50])) == want, weights
+
     @staticmethod
     def _assert_matches_oracles(c):
         isolated, terminal = check_gcd_counts(c)
@@ -382,6 +409,44 @@ class TestNecessaryScreen:
                 want = necessary_screen_oracle(rec.candidate).to_dict()
                 assert necessary_screen(rec.candidate).to_dict() == want
                 assert rec.screen.to_dict() == want
+
+    # sha256 of the reports below, one to_json() per line; every change
+    # to the screen must leave it as it is
+    OUTPUT_DIGEST = (
+        "1651babaa9a48e4a4af8f853bc759a39edae13d9c16f1cf6ec48679d1b6714b4")
+
+    def test_output_digest(self):
+        rng = random.Random(61)
+        texts = ["1,1,1,2,5 / 10", "2,2,2,3,3 / 12", "1,1,2,2,2 / 6",
+                 "1,1,1,1,100003 / 100007"]
+        candidates = [parse_candidate(t) for t in texts]
+        candidates += [random_screen_candidate(rng, big_share=0.1)
+                       for _ in range(5000)]
+        h = hashlib.sha256()
+        for c in candidates:
+            h.update(necessary_screen(c).to_json().encode())
+            h.update(b"\n")
+        assert h.hexdigest() == self.OUTPUT_DIGEST
+
+    def test_passing_results_are_shared_and_frozen(self):
+        result = CheckResult("codim_bound", True)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.passed = False
+        vacuous = CheckResult("tail_delta_bound", True, "vacuous: c <= dim")
+        # the candidates of test_output_digest; passing holds every passing
+        # entry, so no id is reused while the failing ones are checked
+        rng = random.Random(61)
+        passing, failing = {}, []
+        for _ in range(5000):
+            c = random_screen_candidate(rng, big_share=0.1)
+            for ch in necessary_screen(c).checks:
+                if ch.passed:
+                    assert ch in (CheckResult(ch.name, True), vacuous), ch
+                    passing[id(ch)] = ch
+                else:
+                    failing.append(ch)
+        assert failing
+        assert not any(id(ch) in passing for ch in failing)
 
     def test_report_serializes(self):
         report = necessary_screen(parse_candidate("1,1,1,2,5 / 10"))
