@@ -31,13 +31,8 @@ from .candidate import (
     CheckResult,
     InvalidCandidate,
     ScreenReport,
-    check_codim_bound,
     check_cy_product,
-    check_degree_weight_order,
-    check_gcd_counts,
-    check_weight_degree_divisibility,
     check_wps_wellformed,
-    degree_ratio_screen,
     deltas,
     is_linear_cone,
     necessary_screen,
@@ -93,15 +88,10 @@ __all__ = [
     "basket_series_blocks",
     "canonical",
     "canonical_unpacking",
-    "check_codim_bound",
     "check_cy_product",
-    "check_degree_weight_order",
-    "check_gcd_counts",
-    "check_weight_degree_divisibility",
     "check_wps_wellformed",
     "classify",
     "classify_cy",
-    "degree_ratio_screen",
     "deltas",
     "descendants",
     "divisor_matching",

@@ -12,7 +12,6 @@ existence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from math import gcd, prod
 from operator import le
@@ -145,24 +144,6 @@ def check_wps_wellformed(c: Candidate) -> bool:
     return max(map(gcd, before, after)) <= 1
 
 
-def check_degree_weight_order(c: Candidate) -> bool:
-    """True iff every paired degree strictly exceeds its weight (delta_j >= 1)."""
-    return _dominates(deltas(c))
-
-
-def _dominates(dv: tuple[int, ...]) -> bool:
-    return min(dv) >= 1
-
-
-def check_codim_bound(c: Candidate) -> bool:
-    """Codimension cap: c <= dim + amplitude + 1 when amplitude >= 0, else c <= dim."""
-    return _codim_ok(c.dim, c.codim, c.amplitude)
-
-
-def _codim_ok(dim: int, cc: int, alpha: int) -> bool:
-    return cc <= (dim + alpha + 1 if alpha >= 0 else dim)
-
-
 @dataclass(frozen=True, slots=True)
 class CheckResult:
     name: str
@@ -180,18 +161,14 @@ _PASS = {name: CheckResult(name, True) for name in (
 _VACUOUS_TAIL = CheckResult("tail_delta_bound", True, "vacuous: c <= dim")
 
 
-def check_weight_degree_divisibility(c: Candidate) -> list[CheckResult]:
+def _weight_degree_checks(c: Candidate, dim: int,
+                          dv: tuple[int, ...]) -> list[CheckResult]:
     """Quasismoothness fragment: large weights divide degrees, tail deltas bound.
 
     Part one: any weight exceeding the smallest degree must divide some
     degree.  Part two: when c >= dim + 1 the j-th delta from the top is at
-    least the matching weight from the bottom.
+    least the matching weight from the bottom.  dv is deltas(c).
     """
-    return _weight_degree_checks(c, c.dim, deltas(c))
-
-
-def _weight_degree_checks(c: Candidate, dim: int,
-                          dv: tuple[int, ...]) -> list[CheckResult]:
     results: list[CheckResult] = []
     d1 = c.degrees[0]
     bad = None
@@ -235,7 +212,7 @@ def _weight_divisors(c: Candidate) -> dict[int, int]:
     return out
 
 
-def check_gcd_counts(c: Candidate) -> list[CheckResult]:
+def _gcd_checks(c: Candidate, cc: int, alpha: int) -> list[CheckResult]:
     """Isolated and terminal singularity screens on a threefold, one divisor scan.
 
     For each h > 1 dividing a weight, h divides w weights and d degrees;
@@ -247,14 +224,9 @@ def check_gcd_counts(c: Candidate) -> list[CheckResult]:
     while h also divides a_m + amplitude for some weight a_m outside the
     subset.  For amplitude 0 the escape weight must itself be divisible
     by h, which forces h to divide as many degrees as weights.  Each
-    result's witness is its first failing h.
+    result's witness is its first failing h.  cc is the codimension and
+    alpha the amplitude.
     """
-    if c.dim != 3:
-        raise InvalidCandidate("gcd count screens need dim 3")
-    return _gcd_checks(c, c.codim, c.amplitude)
-
-
-def _gcd_checks(c: Candidate, cc: int, alpha: int) -> list[CheckResult]:
     isolated = terminal = None
     degrees = c.degrees
     counts = _weight_divisors(c)
@@ -294,26 +266,6 @@ def check_cy_product(c: Candidate) -> bool:
     return prod(c.degrees) % prod(c.weights) == 0
 
 
-def degree_ratio_screen(c: Candidate) -> tuple[bool, Fraction]:
-    """Degree-to-weight ratio cap for amplitude >= 0.
-
-    Checks sum(d_j / a_{j+dim}) <= c + amplitude + dim + 1 and returns the
-    derived enumeration bound ((c+alpha+dim+1)/c)^c / (a_0 * ... * a_dim),
-    an upper bound for prod(degrees)/prod(weights).  ok is always True on
-    this domain (proof in necessary_screen); it stays for its bound.
-    """
-    alpha = c.amplitude
-    if alpha < 0:
-        raise InvalidCandidate("ratio screen needs amplitude >= 0")
-    if not _dominates(deltas(c)):
-        raise InvalidCandidate("ratio screen needs all deltas >= 1")
-    dim, cc = c.dim, c.codim
-    cap = cc + alpha + dim + 1
-    total = sum(Fraction(d, a) for d, a in zip(c.degrees, c.weights[dim + 1:]))
-    bound = Fraction(cap, cc) ** cc / prod(c.weights[:dim + 1])
-    return total <= cap, bound
-
-
 @dataclass(frozen=True, slots=True)
 class ScreenReport:
     candidate: Candidate
@@ -347,14 +299,21 @@ def necessary_screen(c: Candidate) -> ScreenReport:
 
     Check order is fixed so reports are deterministic.  Dimension 3 is
     required for the singularity screens, which share one divisor scan in
-    check_gcd_counts; other dimensions get only the presentation-level
-    checks; dim, codim, amplitude and the deltas are read once.
+    _gcd_checks; other dimensions get only the presentation-level checks;
+    dim, codim, amplitude and the deltas are read once.
 
-    degree_ratio_bound passes by proof, without degree_ratio_screen's sum.
-    With t_j = a_{dim+1+j} >= a_dim >= a_0, ..., a_dim, every delta_j =
-    d_j - t_j >= 1 (degrees_dominate) and alpha >= 0: sum d_j/t_j =
-    c + sum delta_j/t_j <= c + (a_0 + ... + a_dim + alpha)/t_0 <= the cap
-    c + dim + 1 + alpha.
+    degrees_dominate: every paired degree strictly exceeds its weight,
+    delta_j >= 1.  codim_bound: c <= dim + amplitude + 1 when amplitude
+    >= 0, else c <= dim.
+
+    degree_ratio_bound, for alpha >= 0 once the degrees dominate, is the
+    cap sum d_j/t_j <= c + dim + 1 + alpha, with t_j = a_{dim+1+j} the
+    weight paired with d_j.  It bounds prod(degrees)/prod(weights) by
+    ((c+alpha+dim+1)/c)^c / (a_0 * ... * a_dim), which classify_cy
+    enumerates under.  It passes by proof, without the sum: with t_j >=
+    a_dim >= a_0, ..., a_dim and every delta_j = d_j - t_j >= 1,
+    sum d_j/t_j = c + sum delta_j/t_j <= c + (a_0 + ... + a_dim +
+    alpha)/t_0 <= the cap.
     """
     checks: list[CheckResult] = []
     lc = is_linear_cone(c)
@@ -365,10 +324,11 @@ def necessary_screen(c: Candidate) -> ScreenReport:
                   else CheckResult("well_formed_space", False))
     dim, dv, alpha = c.dim, deltas(c), c.amplitude
     cc = len(dv)
-    order_ok = _dominates(dv)
+    order_ok = min(dv) >= 1
     checks.append(_PASS["degrees_dominate"] if order_ok else
                   CheckResult("degrees_dominate", False, f"deltas {dv}"))
-    checks.append(_PASS["codim_bound"] if _codim_ok(dim, cc, alpha) else
+    codim_ok = cc <= (dim + alpha + 1 if alpha >= 0 else dim)
+    checks.append(_PASS["codim_bound"] if codim_ok else
                   CheckResult("codim_bound", False))
     checks.extend(_weight_degree_checks(c, dim, dv))
     if dim == 3:

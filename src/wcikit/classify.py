@@ -56,9 +56,10 @@ from .series import (
 )
 
 _HORIZON = {-1: 5, 1: 6}
-# A record has codim <= codim_max (check_codim_bound: 3 for -1, 5 for
-# +1), so at most codim_max + 4 weights and codim_max degrees; these
-# cap both the tuples and the entries realize() reads off a series.
+# A record has codim <= codim_max (necessary_screen's codim_bound: 3
+# for -1, 5 for +1), so at most codim_max + 4 weights and codim_max
+# degrees; these cap both the tuples and the entries realize() reads
+# off a series.
 _MU_CAP = {-1: 7, 1: 9}
 _NU_CAP = {-1: 3, 1: 5}
 

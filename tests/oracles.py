@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd
+from math import gcd, isqrt
 
 from wcikit import (
     CheckResult,
@@ -21,12 +21,7 @@ from wcikit import (
     ScreenReport,
     canonical,
     canonical_unpacking,
-    check_codim_bound,
     check_cy_product,
-    check_degree_weight_order,
-    check_gcd_counts,
-    check_weight_degree_divisibility,
-    deltas,
     descendants,
     high_index_count_bounds,
     initial_basket,
@@ -349,19 +344,27 @@ def wellformed_oracle(weights) -> bool:
 
 
 def necessary_screen_oracle(c) -> ScreenReport:
-    """necessary_screen with each helper reading the candidate itself.
+    """necessary_screen rebuilt check by check from the weights and degrees.
 
-    Well-formedness drops one weight at a time and takes the gcd of the
-    rest (quadratic), and degree_ratio_bound sums the ratios d_j/a_{j+dim}
-    as Fractions against the cap c + amplitude + dim + 1.
+    Only the linear cone and product tests come from wcikit.  Dim,
+    codim, amplitude and the deltas are recomputed; well-formedness
+    drops one weight at a time and takes the gcd of the rest
+    (quadratic); the gcd counts take every divisor h > 1 of a weight by
+    trial division up to sqrt(a), count the weights and degrees h
+    divides with direct loops, and keep each screen's first failing h;
+    degree_ratio_bound sums the ratios d_j/a_{j+dim} as Fractions
+    against the cap c + amplitude + dim + 1.
     """
+    w, ds = c.weights, c.degrees
+    cc = len(ds)
+    dim = len(w) - cc - 1
+    alpha = sum(ds) - sum(w)
+    dv = tuple(d - a for d, a in zip(ds, w[dim + 1:]))
     checks: list[CheckResult] = []
     lc = is_linear_cone(c)
     checks.append(CheckResult(
         "not_linear_cone", not lc,
-        None if not lc else
-        f"shared value {min(set(c.weights) & set(c.degrees))}"))
-    w = c.weights
+        None if not lc else f"shared value {min(set(w) & set(ds))}"))
     wellformed = True
     for i in range(len(w)):
         g = 0
@@ -372,22 +375,76 @@ def necessary_screen_oracle(c) -> ScreenReport:
             wellformed = False
             break
     checks.append(CheckResult("well_formed_space", wellformed))
-    order_ok = check_degree_weight_order(c)
+    order_ok = all(v >= 1 for v in dv)
     checks.append(CheckResult(
-        "degrees_dominate", order_ok,
-        None if order_ok else f"deltas {deltas(c)}"))
-    checks.append(CheckResult("codim_bound", check_codim_bound(c)))
-    checks.extend(check_weight_degree_divisibility(c))
-    if c.dim == 3:
-        checks.extend(check_gcd_counts(c))
-        if c.amplitude == 0:
+        "degrees_dominate", order_ok, None if order_ok else f"deltas {dv}"))
+    checks.append(CheckResult(
+        "codim_bound", cc <= (dim + alpha + 1 if alpha >= 0 else dim)))
+
+    undivided = [a for a in w
+                 if a > ds[0] and not any(d % a == 0 for d in ds)]
+    checks.append(CheckResult(
+        "large_weight_divides", not undivided,
+        f"weight {min(undivided)} > d1={ds[0]} divides no degree"
+        if undivided else None))
+    if cc <= dim:
+        checks.append(CheckResult("tail_delta_bound", True,
+                                  "vacuous: c <= dim"))
+    else:
+        # a_dim, a_{dim-1}, ..., a_0 against delta_c, delta_{c-1}, ...
+        tail = None
+        for i in range(dim, -1, -1):
+            k = cc - dim + i
+            if dv[k - 1] < w[i]:
+                tail = f"delta_{k}={dv[k - 1]} < weight {w[i]}"
+                break
+        checks.append(CheckResult("tail_delta_bound", tail is None, tail))
+
+    if dim == 3:
+        hs = set()
+        for a in w:
+            for q in range(1, isqrt(a) + 1):
+                if a % q == 0:
+                    hs.update((q, a // q))
+        hs.discard(1)
+        isolated = terminal = None
+        for h in sorted(hs):
+            n_w = 0
+            for a in w:
+                if a % h == 0:
+                    n_w += 1
+            n_d = 0
+            for d in ds:
+                if d % h == 0:
+                    n_d += 1
+            if isolated is None and n_w > cc + 1:
+                isolated = (f"{n_w} weights share divisor {h}, "
+                            f"at most {cc + 1} allowed")
+            if isolated is None and n_d < n_w - 1:
+                isolated = (f"divisor {h}: {n_w} weights but only {n_d} "
+                            f"degrees divisible, needs {n_w - 1}")
+            need = min(n_w, cc + 1)
+            if terminal is None and n_d < need:
+                if n_d < need - 1:
+                    escape = False
+                elif alpha == 0:
+                    # a weight outside the need chosen ones divisible by h
+                    escape = n_w - need >= 1
+                else:
+                    escape = any((a + alpha) % h == 0 for a in w)
+                if not escape:
+                    terminal = (f"divisor {h}: {n_d} of {need} required "
+                                f"degrees divisible, no escape weight")
+        checks.append(CheckResult("isolated_gcd_counts", isolated is None,
+                                  isolated))
+        checks.append(CheckResult("terminal_gcd_counts", terminal is None,
+                                  terminal))
+        if alpha == 0:
             checks.append(CheckResult("product_divides", check_cy_product(c)))
-    if c.amplitude >= 0 and order_ok:
-        dim, cc = c.dim, c.codim
-        total = sum(Fraction(d, a)
-                    for d, a in zip(c.degrees, c.weights[dim + 1:]))
+    if alpha >= 0 and order_ok:
+        total = sum(Fraction(d, a) for d, a in zip(ds, w[dim + 1:]))
         checks.append(CheckResult("degree_ratio_bound",
-                                  total <= cc + c.amplitude + dim + 1))
+                                  total <= cc + alpha + dim + 1))
     return ScreenReport(c, tuple(checks))
 
 

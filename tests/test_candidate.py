@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+from math import prod
 
 import pytest
 
@@ -17,14 +18,9 @@ from wcikit import (
     CheckResult,
     InvalidCandidate,
     RunConfig,
-    check_codim_bound,
     check_cy_product,
-    check_degree_weight_order,
-    check_gcd_counts,
-    check_weight_degree_divisibility,
     check_wps_wellformed,
     classify,
-    degree_ratio_screen,
     deltas,
     is_linear_cone,
     necessary_screen,
@@ -33,6 +29,18 @@ from wcikit import (
 )
 from wcikit.candidate import MAX_ENTRIES, _weight_divisors
 from fractions import Fraction
+
+
+def screen_checks(c):
+    """necessary_screen's results for a candidate or its text, by check name."""
+    if isinstance(c, str):
+        c = parse_candidate(c)
+    return {ch.name: ch for ch in necessary_screen(c).checks}
+
+
+def ratio_sum(c):
+    """sum d_j/a_{j+dim}, the quantity degree_ratio_bound caps."""
+    return sum(Fraction(d, a) for d, a in zip(c.degrees, c.weights[c.dim + 1:]))
 
 
 class TestParsing:
@@ -148,67 +156,63 @@ class TestBasicChecks:
             assert check_wps_wellformed(c) == wellformed_oracle(c.weights)
 
     def test_degree_weight_order(self):
-        assert check_degree_weight_order(parse_candidate("1,1,1,2,5 / 10"))
-        assert not check_degree_weight_order(parse_candidate("1,1,1,1,7 / 6"))
+        assert screen_checks("1,1,1,2,5 / 10")["degrees_dominate"].passed
+        order = screen_checks("1,1,1,1,7 / 6")["degrees_dominate"]
+        assert (order.passed, order.witness) == (False, "deltas (-1,)")
 
     def test_codim_bound(self):
-        assert check_codim_bound(parse_candidate("1,1,1,1,1,1,1,1 / 2,2,2,2"))
+        assert screen_checks("1,1,1,1,1,1,1,1 / 2,2,2,2")["codim_bound"].passed
         # amplitude 0 allows at most dim+1 degrees
-        assert not check_codim_bound(
-            parse_candidate("1,1,1,1,1,1,1,1,1 / 1,2,2,2,2"))
+        assert not screen_checks(
+            "1,1,1,1,1,1,1,1,1 / 1,2,2,2,2")["codim_bound"].passed
         # negative amplitude allows at most dim degrees
-        assert check_codim_bound(parse_candidate("1,1,1,1,1,1,1 / 2,2,2"))
-        assert not check_codim_bound(
-            parse_candidate("1,1,1,1,2,2,3,3 / 2,2,2,3"))
+        assert screen_checks("1,1,1,1,1,1,1 / 2,2,2")["codim_bound"].passed
+        assert not screen_checks(
+            "1,1,1,1,2,2,3,3 / 2,2,2,3")["codim_bound"].passed
 
 
 class TestDivisibilityFragments:
     def test_large_weight_must_divide(self):
-        results = {r.name: r for r in check_weight_degree_divisibility(
-            parse_candidate("1,1,1,5 / 4"))}
+        results = screen_checks("1,1,1,5 / 4")
         assert not results["large_weight_divides"].passed
         assert "5" in results["large_weight_divides"].witness
 
     def test_large_weight_divides_some_degree(self):
-        results = {r.name: r for r in check_weight_degree_divisibility(
-            parse_candidate("1,1,1,1,1,5 / 3,10"))}
+        results = screen_checks("1,1,1,1,1,5 / 3,10")
         assert results["large_weight_divides"].passed
 
     def test_large_weight_vacuous_when_small(self):
-        results = {r.name: r for r in check_weight_degree_divisibility(
-            parse_candidate("1,1,1,1,7 / 9"))}
+        results = screen_checks("1,1,1,1,7 / 9")
         assert results["large_weight_divides"].passed
 
     def test_tail_delta_bound_vacuous_low_codim(self):
-        results = {r.name: r for r in check_weight_degree_divisibility(
-            parse_candidate("1,1,1,2,5 / 10"))}
+        results = screen_checks("1,1,1,2,5 / 10")
         assert results["tail_delta_bound"].passed
         assert "vacuous" in results["tail_delta_bound"].witness
 
     def test_tail_delta_bound_active(self):
-        ok = parse_candidate("1,1,1,1,1,1,1,1 / 2,2,2,2")
-        results = {r.name: r for r in check_weight_degree_divisibility(ok)}
+        results = screen_checks("1,1,1,1,1,1,1,1 / 2,2,2,2")
         assert results["tail_delta_bound"].passed
 
-        bad = parse_candidate("1,2,2,2,3,3,3,3 / 4,4,4,4")
-        results = {r.name: r for r in check_weight_degree_divisibility(bad)}
+        results = screen_checks("1,2,2,2,3,3,3,3 / 4,4,4,4")
         assert not results["tail_delta_bound"].passed
+        assert results["tail_delta_bound"].witness == "delta_4=1 < weight 2"
 
 
 class TestGcdScreens:
-    def test_dimension_guard(self):
-        c = normalize([1, 1, 1, 1], [3])  # dim 2
-        with pytest.raises(InvalidCandidate):
-            check_gcd_counts(c)
+    GCD_CHECKS = ("isolated_gcd_counts", "terminal_gcd_counts")
+
+    def _gcd_results(self, c):
+        checks = screen_checks(c)
+        return [checks[name] for name in self.GCD_CHECKS]
 
     def test_known_pass(self):
-        isolated, terminal = check_gcd_counts(parse_candidate("1,1,1,2,5 / 10"))
+        isolated, terminal = self._gcd_results("1,1,1,2,5 / 10")
         assert isolated.passed
         assert terminal.passed
 
     def test_known_isolated_failure(self):
-        c = parse_candidate("1,1,2,2,2 / 6")
-        assert not check_gcd_counts(c)[0].passed
+        assert not self._gcd_results("1,1,2,2,2 / 6")[0].passed
 
     @pytest.mark.parametrize("text,isolated,terminal", [
         ("1,1,2,2,2 / 6",
@@ -226,9 +230,7 @@ class TestGcdScreens:
                  "no escape weight")),
     ])
     def test_golden_witnesses(self, text, isolated, terminal):
-        results = check_gcd_counts(parse_candidate(text))
-        assert [r.name for r in results] == [
-            "isolated_gcd_counts", "terminal_gcd_counts"]
+        results = self._gcd_results(text)
         assert [(r.passed, r.witness) for r in results] == [isolated, terminal]
 
     @pytest.mark.parametrize("text,counts", [
@@ -255,9 +257,8 @@ class TestGcdScreens:
             want = {h: sum(a % h == 0 for a in weights) for h in hs}
             assert _weight_divisors(normalize(weights, [50])) == want, weights
 
-    @staticmethod
-    def _assert_matches_oracles(c):
-        isolated, terminal = check_gcd_counts(c)
+    def _assert_matches_oracles(self, c):
+        isolated, terminal = self._gcd_results(c)
         cc = c.codim
         assert isolated.passed == isolated_subsets_ok(
             c.weights, c.degrees, cc), c.text()
@@ -299,13 +300,20 @@ class TestProductAndRatio:
             check_cy_product(parse_candidate("1,1,1,1,2 / 7"))  # amplitude 1
 
     def test_ratio_screen_value(self):
-        ok, bound = degree_ratio_screen(parse_candidate("1,1,1,2,5 / 10"))
-        assert ok
-        assert bound == Fraction(5, 1) ** 1 / 2
+        c = parse_candidate("1,1,1,2,5 / 10")
+        assert screen_checks(c)["degree_ratio_bound"].passed
+        cap = c.codim + c.amplitude + c.dim + 1
+        assert (ratio_sum(c), cap) == (2, 5)
+        bound = Fraction(cap, c.codim) ** c.codim / prod(c.weights[:4])
+        assert bound == Fraction(5, 2)
+        assert Fraction(prod(c.degrees), prod(c.weights)) <= bound
 
     def test_ratio_screen_dominates_product_ratio(self):
+        # prod(degrees)/prod(weights) <= ((c+alpha+4)/c)^c / prod(a_0..a_3)
+        # on a threefold with every delta >= 1 and alpha >= 0; at alpha 0
+        # this is the bound classify_cy enumerates the weights under
         rng = random.Random(41)
-        checked = 0
+        checked = cy = 0
         for _ in range(500):
             cc = rng.randint(1, 4)
             weights = sorted(rng.randint(1, 6) for _ in range(cc + 4))
@@ -316,18 +324,14 @@ class TestProductAndRatio:
             c = normalize(weights, sorted(degrees))
             if c.amplitude < 0:
                 continue
-            ok, bound = degree_ratio_screen(c)
-            if not ok:
-                continue
-            prod_d = 1
-            for d in c.degrees:
-                prod_d *= d
-            prod_a = 1
-            for a in c.weights:
-                prod_a *= a
-            assert Fraction(prod_d, prod_a) <= bound
+            assert screen_checks(c)["degree_ratio_bound"].passed
+            bound = (Fraction(cc + c.amplitude + 4, cc) ** cc
+                     / prod(c.weights[:4]))
+            assert Fraction(prod(c.degrees), prod(c.weights)) <= bound
             checked += 1
+            cy += c.amplitude == 0
         assert checked > 50
+        assert cy > 10
 
     def test_ratio_screen_holds_on_its_domain(self):
         # the sum d_j/a_{j+dim} never exceeds the cap once amplitude >= 0
@@ -337,7 +341,9 @@ class TestProductAndRatio:
         for _ in range(5000):
             c = random_screen_candidate(rng, big_share=0.05)
             if c.amplitude >= 0 and min(deltas(c)) >= 1:
-                assert degree_ratio_screen(c)[0], c.text()
+                assert ratio_sum(c) <= c.codim + c.amplitude + c.dim + 1, \
+                    c.text()
+                assert screen_checks(c)["degree_ratio_bound"].passed
                 checked += 1
         assert checked > 1000
 
@@ -345,16 +351,8 @@ class TestProductAndRatio:
         "1,1,1,1,1 / 5", "1,1,1,1,1,1,1,1 / 2,2,2,3"])
     def test_ratio_screen_equality_cases(self, text):
         c = parse_candidate(text)
-        total = sum(Fraction(d, a)
-                    for d, a in zip(c.degrees, c.weights[c.dim + 1:]))
-        assert total == c.codim + c.amplitude + c.dim + 1
-        assert degree_ratio_screen(c)[0]
-
-    def test_ratio_screen_guards(self):
-        with pytest.raises(InvalidCandidate):
-            degree_ratio_screen(parse_candidate("1,1,1,1,1 / 4"))  # amplitude -1
-        with pytest.raises(InvalidCandidate):
-            degree_ratio_screen(parse_candidate("1,1,1,1,7 / 9"))  # delta < 1
+        assert ratio_sum(c) == c.codim + c.amplitude + c.dim + 1
+        assert screen_checks(c)["degree_ratio_bound"].passed
 
 
 class TestNecessaryScreen:

@@ -33,14 +33,18 @@ def test_star_import():
 # RRKernel was a second Riemann-Roch form beside the point signatures.
 # The count-tuple objects wrapped what the sweep reads off plain rows;
 # tests/oracles.py keeps a tuple_of_candidate over (mu, nu) pairs.
-# The two gcd screens share one divisor scan in check_gcd_counts.
+# The two gcd screens share one divisor scan in _gcd_checks, and
+# necessary_screen is the screen's one entry point; the ratio cap holds
+# by proof.
 @pytest.mark.parametrize("name", [
     "pack", "merge_orbifolds", "count_five_packings", "chi_m", "c2_load",
     "candidate_formal_baskets", "enumerate_tuples", "DeltaVector",
     "RRKernel", "CountTuple", "tuple_of_candidate", "tuple_chis",
     "tuple_prefix", "InitialCounts", "initial_counts_from_chis",
     "check_isolated_divisibility", "check_terminal_divisibility",
-    "_div_counts"])
+    "_div_counts", "check_degree_weight_order", "check_codim_bound",
+    "check_weight_degree_divisibility", "check_gcd_counts",
+    "degree_ratio_screen"])
 def test_unused_helpers_are_gone(name):
     for module in (wcikit, wcikit.baskets, wcikit.candidate,
                    wcikit.classify, wcikit.series):
@@ -79,3 +83,30 @@ def test_every_import_is_used(path):
     if path.name == "__init__.py":
         used.update(wcikit.__all__)
     assert sorted(imported - used) == []
+
+
+# Public names nothing in the package calls yet; ROADMAP items 2 and 5
+# decide them.
+UNCALLED_BASKET_HELPERS = {"descendants", "is_prime_packing", "parse_basket",
+                           "format_basket", "initial_basket"}
+
+
+def test_every_public_definition_is_used():
+    # A public top-level function or class is named somewhere in the
+    # package outside its own definition; re-exports in __init__.py do
+    # not count
+    defined, used = set(), set()
+    for path in Path(wcikit.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+                    not own.startswith("_"):
+                defined.add(own)
+            for sub in ast.walk(node):
+                name = (sub.id if isinstance(sub, ast.Name) else
+                        sub.attr if isinstance(sub, ast.Attribute) else None)
+                if name != own:
+                    used.add(name)
+    assert sorted(defined - used) == sorted(UNCALLED_BASKET_HELPERS)
