@@ -14,15 +14,8 @@ from .baskets import (
     BasketInconsistency,
     FormalBasket,
     Orbifold,
-    canonical,
-    canonical_unpacking,
-    descendants,
-    format_basket,
     high_index_count_bounds,
-    initial_basket,
-    is_prime_packing,
     k3,
-    parse_basket,
     pluri_growth_filter,
 )
 from .candidate import (
@@ -86,26 +79,19 @@ __all__ = [
     "TableMethod",
     "TruncatedSeries",
     "basket_series_blocks",
-    "canonical",
-    "canonical_unpacking",
     "check_cy_product",
     "check_wps_wellformed",
     "classify",
     "classify_cy",
     "deltas",
-    "descendants",
     "divisor_matching",
-    "format_basket",
     "high_index_count_bounds",
-    "initial_basket",
     "is_linear_cone",
-    "is_prime_packing",
     "iter_tuples",
     "k3",
     "max_weight_ok",
     "necessary_screen",
     "normalize",
-    "parse_basket",
     "parse_candidate",
     "parse_series",
     "pluri_growth_filter",

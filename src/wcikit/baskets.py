@@ -11,14 +11,13 @@ the points (Buckley, Reid and Zhou, arXiv:1208.0457).  Packing merges
 two points into one; it runs opposite to deformation, so a basket's
 canonical unpacking dominates it and the finitely many baskets between
 the two are exactly the candidates sharing its low-degree chi data.
-These baskets, the fiber of an initial basket, are listed in closed
-form: one multiset of primitive vectors per index, the inverse of
-canonical_unpacking (_descendant_points).
+These baskets, the fiber of an initial basket of points (1, r), are
+listed in closed form: one multiset of primitive vectors per index, the
+inverse of the canonical unpacking (_descendant_points).
 """
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,44 +49,6 @@ class Orbifold:
 Basket = tuple[Orbifold, ...]
 # A basket as the (b, r) of its points, sorted by (r, b).
 Points = tuple[tuple[int, int], ...]
-
-
-def canonical(points: Iterable[Orbifold]) -> Basket:
-    """Sort a multiset of points by (r, b) into its canonical tuple."""
-    return tuple(sorted(points, key=lambda q: (q.r, q.b)))
-
-
-def format_basket(basket: Basket) -> str:
-    """Render as 'count x (b,r)' groups; empty basket renders empty."""
-    groups: list[str] = []
-    seen: dict[Orbifold, int] = {}
-    for q in basket:
-        seen[q] = seen.get(q, 0) + 1
-    for q in sorted(seen, key=lambda q: (q.r, q.b)):
-        groups.append(f"{seen[q]}x({q.b},{q.r})")
-    return "; ".join(groups)
-
-
-_GROUP = re.compile(r"^(?:(\d+)\s*x)?\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)$")
-
-
-def parse_basket(text: str) -> Basket:
-    """Parse 'Nx(b,r); ...'; the count prefix is optional, blank means empty."""
-    points: list[Orbifold] = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        m = _GROUP.match(chunk)
-        if not m:
-            raise BasketInconsistency(f"cannot parse basket term {chunk!r}")
-        count = int(m.group(1) or 1)
-        try:
-            q = Orbifold(int(m.group(2)), int(m.group(3)))
-        except ValueError as exc:
-            raise BasketInconsistency(str(exc)) from None
-        points.extend([q] * count)
-    return canonical(points)
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,31 +142,6 @@ def k3(fb: FormalBasket) -> Fraction:
         (Fraction(q.b * (q.r - q.b), q.r) for q in fb.basket), Fraction(0))
 
 
-def is_prime_packing(p: Orbifold, q: Orbifold) -> bool:
-    """Unit determinant marks the merges used by the canonical sequence."""
-    return abs(p.b * q.r - q.b * p.r) == 1
-
-
-def canonical_unpacking(q: Orbifold) -> Basket:
-    """Split (b, r) into b points of the two nearest unit types.
-
-    With r = qt*b + s, 0 <= s < b, the result is (b-s) copies of (1, qt)
-    and s copies of (1, qt+1).  Points with b <= 1 are already atomic.
-    """
-    if q.b <= 1:
-        return (q,)
-    qt, s = divmod(q.r, q.b)
-    return canonical([Orbifold(1, qt)] * (q.b - s) + [Orbifold(1, qt + 1)] * s)
-
-
-def initial_basket(basket: Basket) -> Basket:
-    """Canonical unpacking applied pointwise; dominates the input basket."""
-    out: list[Orbifold] = []
-    for q in basket:
-        out.extend(canonical_unpacking(q))
-    return canonical(out)
-
-
 def _unpacked(chi: int, chis: Mapping[int, int] | Sequence[int]
               ) -> tuple[int, int, int, int]:
     """(n12, n13, n14_plus, sigma) from chi and chis[m] = chi_m, m = 2..5.
@@ -245,13 +181,6 @@ def pluri_growth_filter(p: Mapping[int, int] | Sequence[int], pg: int) -> bool:
             return False
     return p[4] >= 2 * p[2] - 1 and p[6] >= 2 * p[3] - 1
 
-
-# Named prunes for descendants(), evaluated on a basket's integer data:
-# "c2" cuts sum(r - 1/r) > 24, the amplitude -1 bound on c_2 . (-K),
-# and keeps only the hits with K^3 < 0; "volume" cuts K^3 <= 0 for the
-# chi and chi_2 of the call.  Both cuts only grow more true under
-# packing.
-NAMED_PRUNES = ("c2", "volume")
 
 _SIGMA_TOP = 17  # chi_4..chi_6 as targets, k = 7..16 in the closure read
 
@@ -314,36 +243,25 @@ class _Shape(dict):
         return self.vectors[key]
 
 
-def descendants(b0: Basket, chi: int, chi2: int,
-                targets: Mapping[int, int],
-                prune: str | None = None) -> list[FormalBasket]:
-    """The baskets of b0's fiber whose chi_m hit the targets.
-
-    b0 must be an initial basket, every point (1, r); any other raises
-    ValueError.  Its fiber is every basket whose initial_basket is b0.
-    A basket survives iff its chi_m, for this chi and chi_2, equals
-    targets[m] for every listed m.  prune, one of NAMED_PRUNES, skips
-    the baskets it cuts; both prunes are monotone under packing (once
-    true they stay true on every further pack).  The "c2" prune also
-    drops the hits with K^3 >= 0.  The hits come sorted by their points'
-    (b, r).  The sweep calls _descendant_points on the root's indices.
-    """
-    if any(q.b != 1 for q in b0):
-        raise ValueError("b0 must be an initial basket of points (1, r)")
-    return [FormalBasket(tuple(Orbifold(b, r) for b, r in points), chi, chi2)
-            for points in _descendant_points(tuple(q.r for q in b0), chi,
-                                             chi2, targets, prune)]
-
-
 def _descendant_points(root: tuple[int, ...], chi: int, chi2: int,
-                       targets: Mapping[int, int], prune: str | None = None,
-                       points: _PointTable | None = None) -> list[Points]:
-    """descendants() of the points (1, r), r in root, hits as (b, r);
-    points is the run's _PointTable, a new one when not given.
+                       targets: Mapping[int, int], alpha: int,
+                       points: _PointTable) -> list[Points]:
+    """The baskets of a root's fiber whose chi_m hit the targets.
+
+    root holds the indices r of an initial basket's points (1, r), and
+    its fiber is every basket whose canonical unpacking is that root.
+    A basket hits iff its chi_m, for this chi and chi_2, equals
+    targets[m] for every listed m.  The amplitude alpha, -1 or +1, fixes
+    the cut: at -1 the walk cuts a c_2 load sum(r - 1/r) above 24, the
+    bound on c_2 . (-K), and keeps only the hits with K^3 < 0; at +1 it
+    cuts K^3 <= 0.  Both cuts are monotone under packing (below), so
+    the hits are exactly the fiber's baskets that the cut leaves.  Each
+    hit is the (b, r) of its points, and the hits come sorted.  points
+    is the run's _PointTable.
 
     The fiber in closed form.  A point (b, r) with b >= 2 has r = qb + s
     with 0 < s < b (s = 0 would break gcd(b, r) = 1, and 2b <= r makes
-    q >= 2), and canonical_unpacking gives it u = b - s points (1, q)
+    q >= 2), and its canonical unpacking is u = b - s points (1, q)
     and v = s points (1, q + 1), with u, v >= 1 and gcd(u, v) =
     gcd(b, r) = 1.  Conversely, for q >= 2 and a primitive vector
     (u, v), u, v >= 1, the point (u + v, q(u + v) + v) is normalized and
@@ -357,18 +275,16 @@ def _descendant_points(root: tuple[int, ...], chi: int, chi2: int,
     Adding (u, v) at q, with r = uq + v(q + 1), raises the c_2 load by
     u/q + v/(q + 1) - 1/r > 0 and, since sum b stays put, lowers
     K^3 = 2(chi_2 + 3 chi) - sum b + sum b^2/r by
-    u/q + v/(q + 1) - (u + v)^2/r > 0 (Cauchy-Schwarz).  So a prune
-    that holds on a basket holds on every basket the walk reaches from
-    it, and cutting the branch there keeps exactly the baskets of the
-    fiber it does not cut.  chi_m = t reads sigma_m = 12 t -
-    _chi_term(m), and K^3 < 0 reads l(2) > chi_2 + 3 chi.
+    u/q + v/(q + 1) - (u + v)^2/r > 0 (Cauchy-Schwarz).  So a cut that
+    holds on a basket holds on every basket the walk reaches from it
+    (every further pack), and cutting the branch there keeps exactly
+    the baskets of the fiber it does not cut.  chi_m = t reads
+    sigma_m = 12 t - _chi_term(m), and K^3 < 0 reads
+    l(2) > chi_2 + 3 chi.
     """
-    if prune is not None and prune not in NAMED_PRUNES:
-        raise ValueError(f"unknown prune {prune!r}")
     ms = tuple(sorted(targets))
     if ms and not 0 <= ms[0] <= ms[-1] < _SIGMA_TOP:
         raise ValueError(f"targets must lie in 0..{_SIGMA_TOP - 1}")
-    points = _PointTable() if points is None else points
     # Each index in the fiber is at most the root's total, below 2^bits,
     # so one shape serves every root whose total has as many bits.
     key = sum(root).bit_length(), ms
@@ -376,10 +292,11 @@ def _descendant_points(root: tuple[int, ...], chi: int, chi2: int,
         points.shapes[key] = _Shape(
             points, 2 * lcm(1, *range(1, 1 << key[0])), ms)
     shape = points.shapes[key]
-    scale, floor = shape.scale, chi2 + 3 * chi
-    at, limit = {"c2": (0, 24 * scale),
-                 "volume": (1, floor * scale - 1)}.get(prune, (0, inf))
-    l2_floor = floor * scale if prune == "c2" else -inf
+    floor = (chi2 + 3 * chi) * shape.scale
+    if alpha == -1:
+        at, limit, l2_floor = 0, 24 * shape.scale, floor
+    else:
+        at, limit, l2_floor = 1, floor - 1, -inf
     want = tuple(12 * targets[m] - _chi_term(chi, chi2, m) for m in ms)
 
     data = tuple(map(sum, zip((0,) * (len(ms) + 2),

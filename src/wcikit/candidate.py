@@ -222,7 +222,7 @@ def _gcd_checks(c: Candidate, cc: int, alpha: int) -> list[CheckResult]:
     - 1) degrees divisible by h and every larger subset coprime.
     Terminal: h divides need = min(w, c+1) degrees outright, or one fewer
     while h also divides a_m + amplitude for some weight a_m outside the
-    subset.  For amplitude 0 the escape weight must itself be divisible
+    subset, one that h does not divide.  For amplitude 0 the escape weight must itself be divisible
     by h, which forces h to divide as many degrees as weights.  Each
     result's witness is its first failing h.  cc is the codimension and
     alpha the amplitude.
@@ -247,7 +247,7 @@ def _gcd_checks(c: Candidate, cc: int, alpha: int) -> list[CheckResult]:
         if terminal is None and d < need:
             escape = d == need - 1 and (
                 w > need if alpha == 0
-                else any((a + alpha) % h == 0 for a in c.weights))
+                else any(a % h and (a + alpha) % h == 0 for a in c.weights))
             if not escape:
                 terminal = (f"divisor {h}: {d} of {need} required degrees "
                             f"divisible, no escape weight")

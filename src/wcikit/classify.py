@@ -174,7 +174,9 @@ def _chi_ints(low: Sequence[int], alpha: int) -> tuple[int, int, Sequence]:
 
 
 # The -1 index multisets weigh c_2 loads sum(r - 1/r), for r <= 24,
-# scaled by the lcm of 1..24, so every load is an integer.
+# scaled by the lcm of 1..24, so every load is an integer.  The indices
+# stop at 24 because one point (1, 25) alone loads 25 - 1/25 > 24, past
+# the walk's c_2 cut; a range of 5..30 reads the same 1,608 baskets.
 _C2_SCALE = lcm(*range(1, 25))
 _C2_LOAD = tuple(r * _C2_SCALE - _C2_SCALE // r if r else 0
                  for r in range(25))
@@ -285,7 +287,6 @@ def _tuple_baskets(row: tuple, alpha: int, points: _PointTable
             multisets = _r_multisets(
                 s, {r: _C2_LOAD[r] for r in range(5, 25)}, budget)
             case = "c2-capped" if s else "sigma5-zero"
-            prune = "c2"
         else:
             if s == 0:
                 multisets = iter([()])
@@ -314,13 +315,12 @@ def _tuple_baskets(row: tuple, alpha: int, points: _PointTable
                     s, {r: den // 4 - den // r for r in range(5, cap + 1)},
                     headroom * (den // scale) - 1)
                 case = "ambient-capped" if ambient_capped else "volume-capped"
-            prune = "volume"
         for rs in multisets:
             # Each basket lies in the fiber of one root, its initial
-            # basket, so no two roots find the same basket.  The prunes
-            # keep c_2 <= 24 and K^3 < 0 for -1, K^3 > 0 for +1.
+            # basket, so no two roots find the same basket.  The walk's
+            # cut keeps c_2 <= 24 and K^3 < 0 for -1, K^3 > 0 for +1.
             found.extend((hit, case) for hit in _descendant_points(
-                base + rs, chi, chi2, targets, prune, points))
+                base + rs, chi, chi2, targets, alpha, points))
     found.sort(key=lambda hit: hit[0])
     return found, violations, None, data
 

@@ -2,7 +2,7 @@
 
 Acceptance tests register one verdict line each; the lines are printed
 as a terminal summary section so they stay visible under output
-capture.  The default amplitude +1 run takes about 2-3 s, so the modules
+capture.  The default amplitude +1 run takes about 1.5 s, so the modules
 that read it share one.
 """
 

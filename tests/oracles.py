@@ -19,19 +19,14 @@ from wcikit import (
     InvalidCandidate,
     Orbifold,
     ScreenReport,
-    canonical,
-    canonical_unpacking,
     check_cy_product,
-    descendants,
     high_index_count_bounds,
-    initial_basket,
     is_linear_cone,
-    is_prime_packing,
     k3,
     normalize,
     pluri_growth_filter,
 )
-from wcikit.baskets import _unpacked
+from wcikit.baskets import _descendant_points, _PointTable, _unpacked
 
 
 def mul_into_oracle(c, k):
@@ -200,8 +195,8 @@ def tuple_baskets_oracle(t, alpha):
     (b, r) of its basket's points with its case label, as
     classify._tuple_baskets gives them.  The gcd counts scan the
     counted values; the chi data comes off low_series_oracle; the
-    roots are Orbifold lists made canonical, each reading descendants()
-    with Fraction multiset bounds.
+    roots are Orbifold lists made canonical, each read by the fiber walk
+    at this amplitude, with Fraction multiset bounds.
     """
     codim_max = {-1: 3, 1: 5}[alpha]
     mu, nu = t
@@ -244,9 +239,9 @@ def tuple_baskets_oracle(t, alpha):
             if load > 24:
                 continue
             multisets = fano_r_multisets_oracle(s, 24 - load)
-            case, prune = ("c2-capped" if s else "sigma5-zero"), "c2"
+            case = "c2-capped" if s else "sigma5-zero"
         elif s == 0:
-            multisets, case, prune = [()], "sigma5-zero", "volume"
+            multisets, case = [()], "sigma5-zero"
         else:
             beta = Fraction(1, 4) - vol + Fraction(s - 1, 20)
             caps = [31] if ambient_capped else []
@@ -258,12 +253,11 @@ def tuple_baskets_oracle(t, alpha):
                 continue
             multisets = gt_r_multisets_oracle(s, min(caps), vol)
             case = "ambient-capped" if ambient_capped else "volume-capped"
-            prune = "volume"
         for rs in multisets:
             b0 = canonical(base + [Orbifold(1, r) for r in rs])
-            found.extend((tuple((q.b, q.r) for q in fb.basket), case)
-                         for fb in descendants(b0, chi, chi2, targets,
-                                               prune=prune))
+            found.extend((hit, case) for hit in _descendant_points(
+                tuple(q.r for q in b0), chi, chi2, targets, alpha,
+                _PointTable()))
     found.sort(key=lambda hit: hit[0])
     return found, violations, None
 
@@ -297,11 +291,11 @@ def terminal_subsets_ok(weights, degrees, codim, alpha) -> bool:
             if d >= need:
                 continue
             if d == need - 1:
+                outside = [weights[i] for i in idx if i not in positions]
                 if alpha == 0:
-                    outside = [weights[i] for i in idx if i not in positions]
                     if any(a % g == 0 for a in outside):
                         continue
-                elif any((a + alpha) % g == 0 for a in weights):
+                elif any((a + alpha) % g == 0 for a in outside):
                     continue
             return False
     return True
@@ -431,7 +425,9 @@ def necessary_screen_oracle(c) -> ScreenReport:
                     # a weight outside the need chosen ones divisible by h
                     escape = n_w - need >= 1
                 else:
-                    escape = any((a + alpha) % h == 0 for a in w)
+                    # a weight outside the subset, h not dividing it
+                    escape = any((a + alpha) % h == 0 for a in w
+                                 if a % h != 0)
                 if not escape:
                     terminal = (f"divisor {h}: {n_d} of {need} required "
                                 f"degrees divisible, no escape weight")
@@ -478,6 +474,41 @@ def chi_m_oracle(fb: FormalBasket, m: int) -> Fraction:
     return poly * k3_oracle(fb) - (2 * m - 1) * fb.chi + local_correction(fb, m)
 
 
+def canonical(points):
+    """Sort a multiset of points by (r, b) into its canonical tuple."""
+    return tuple(sorted(points, key=lambda q: (q.r, q.b)))
+
+
+def basket_of(rows):
+    """The canonical basket of a record's [b, r, count] rows."""
+    return canonical(Orbifold(b, r) for b, r, n in rows for _ in range(n))
+
+
+def is_prime_packing(p: Orbifold, q: Orbifold) -> bool:
+    """Unit determinant marks the merges used by the canonical sequence."""
+    return abs(p.b * q.r - q.b * p.r) == 1
+
+
+def canonical_unpacking(q: Orbifold):
+    """Split (b, r) into b points of the two nearest unit types.
+
+    With r = qt*b + s, 0 <= s < b, the result is (b-s) copies of (1, qt)
+    and s copies of (1, qt+1).  Points with b <= 1 are already atomic.
+    """
+    if q.b <= 1:
+        return (q,)
+    qt, s = divmod(q.r, q.b)
+    return canonical([Orbifold(1, qt)] * (q.b - s) + [Orbifold(1, qt + 1)] * s)
+
+
+def initial_basket(basket):
+    """Canonical unpacking applied pointwise; dominates the input basket."""
+    out = []
+    for q in basket:
+        out.extend(canonical_unpacking(q))
+    return canonical(out)
+
+
 def merge_orbifolds(p: Orbifold, q: Orbifold) -> Orbifold | None:
     """Componentwise sum, or None when the sum leaves the normalized range."""
     b, r = p.b + q.b, p.r + q.r
@@ -508,7 +539,7 @@ def count_five_packings(chi: int, chis, sigma5: int) -> int:
 
 
 def descendants_oracle(b0, chi, chi2, targets, cut=None) -> list[FormalBasket]:
-    """descendants() by literal breadth-first search over pack().
+    """Every basket b0 packs to, by literal breadth-first search over pack().
 
     cut, a callable on baskets, drops each basket it is true on and
     everything reached only through one.  Returns the kept baskets whose
@@ -547,6 +578,37 @@ def fiber_oracle(b0, chi, chi2, targets, cut=None) -> list[FormalBasket]:
     return [fb for fb in descendants_oracle(b0, chi, chi2, {}, cut)
             if initial_basket(fb.basket) == root
             and all(chi_m_oracle(fb, m) == v for m, v in targets.items())]
+
+
+def fiber_walk(b0, chi, chi2, targets, alpha) -> list[FormalBasket]:
+    """The library's fiber walk at amplitude alpha on an initial basket b0."""
+    return [FormalBasket(tuple(Orbifold(b, r) for b, r in hit), chi, chi2)
+            for hit in _descendant_points(tuple(q.r for q in b0), chi, chi2,
+                                          targets, alpha, _PointTable())]
+
+
+def walk_oracle(b0, chi, chi2, targets, alpha) -> list[FormalBasket]:
+    """fiber_oracle under the fiber walk's cut at amplitude alpha.
+
+    -1 cuts a c_2 load above 24 and keeps the hits with K^3 < 0; +1
+    cuts K^3 <= 0.
+    """
+    if alpha == -1:
+        hits = fiber_oracle(b0, chi, chi2, targets,
+                            cut=lambda b: c2_load_oracle(b) > 24)
+        return [fb for fb in hits if k3_oracle(fb) < 0]
+    return fiber_oracle(b0, chi, chi2, targets,
+                        cut=lambda b: k3_oracle(FormalBasket(b, chi, chi2)) <= 0)
+
+
+def uncut_chi2(b0, chi) -> int:
+    """A chi_2 that puts K^3 > 0 on every basket of b0's fiber.
+
+    K^3 = 2(chi_2 + 3 chi) - sum b(r - b)/r, each term is at most r/4,
+    and packing keeps sum r; so chi_2 + 3 chi > sum r / 8 will do, and
+    the +1 walk then lists the whole fiber.
+    """
+    return sum(q.r for q in b0) // 8 + 1 - 3 * chi
 
 
 def c2_load_oracle(basket) -> Fraction:

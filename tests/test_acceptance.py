@@ -14,9 +14,11 @@ import pytest
 
 from conftest import record_verdict
 from oracles import (
+    canonical,
     chi_m_oracle,
     count_five_packings,
     five_merge_counts,
+    initial_basket,
     prime_packing_reachable,
     random_basket,
     random_presentation,
@@ -25,10 +27,8 @@ from test_classify import CY_FAMILIES
 from wcikit import (
     FormalBasket,
     RunConfig,
-    canonical,
     classify,
     high_index_count_bounds,
-    initial_basket,
     k3,
     necessary_screen,
     parse_candidate,

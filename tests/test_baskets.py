@@ -8,33 +8,33 @@ import pytest
 
 from oracles import (
     c2_load_oracle,
+    canonical,
+    canonical_unpacking,
     chi_m_oracle,
     count_five_packings,
     descendants_oracle,
     fiber_oracle,
+    fiber_walk,
     five_merge_counts,
+    initial_basket,
+    is_prime_packing,
     k3_oracle,
     merge_orbifolds,
     pack,
     prime_packing_reachable,
     random_basket,
     rr_correction,
+    uncut_chi2,
+    walk_oracle,
 )
 from wcikit import (
     BasketInconsistency,
     FormalBasket,
     Orbifold,
     basket_series_blocks,
-    canonical,
-    canonical_unpacking,
-    descendants,
-    format_basket,
     high_index_count_bounds,
-    initial_basket,
-    is_prime_packing,
     iter_tuples,
     k3,
-    parse_basket,
     pluri_growth_filter,
     realize,
     series_from_basket,
@@ -42,6 +42,7 @@ from wcikit import (
 from wcikit.baskets import (
     _chi_term,
     _chis,
+    _descendant_points,
     _point_sigmas,
     _PointTable,
     _unpacked,
@@ -70,26 +71,11 @@ class TestOrbifold:
         pts = [Orbifold(2, 5), Orbifold(1, 2), Orbifold(1, 5)]
         assert canonical(pts) == (Orbifold(1, 2), Orbifold(1, 5), Orbifold(2, 5))
 
-
-class TestBasketText:
-    def test_format_groups_repeats(self):
-        basket = canonical([Orbifold(1, 2), Orbifold(1, 2), Orbifold(2, 5)])
-        text = format_basket(basket)
-        assert parse_basket(text) == basket
-
-    def test_parse_single_and_counted(self):
-        assert parse_basket("(1,2)") == (Orbifold(1, 2),)
-        assert parse_basket("2x(1,2); 1x(2,5)") == canonical(
-            [Orbifold(1, 2), Orbifold(1, 2), Orbifold(2, 5)])
-
-    def test_parse_empty(self):
-        assert parse_basket("") == ()
-        assert parse_basket("   ") == ()
-
-    @pytest.mark.parametrize("text", ["(1;2)", "2(1,2)", "(2,4)", "x(1,2)"])
-    def test_parse_errors(self, text):
-        with pytest.raises(BasketInconsistency):
-            parse_basket(text)
+    def test_record_form_groups_repeats(self):
+        # a record writes its basket as [b, r, count] rows sorted by (r, b)
+        fb = FormalBasket((Orbifold(2, 5), Orbifold(1, 2), Orbifold(1, 2)),
+                          1, 0)
+        assert fb.to_dict()["basket"] == [[1, 2, 2], [2, 5, 1]]
 
 
 class TestCorrectionTerm:
@@ -115,7 +101,7 @@ class TestCorrectionTerm:
             assert rr_correction(q, m + r) - rr_correction(q, m) == period_sum
 
     def test_closure_signature_is_integral(self):
-        # descendants() and the sweep's closure read carry
+        # the fiber walk and the sweep's closure read carry
         # sigma_m = 12 l(m) - 2(2m-1)m(m-1) l(2) per point as an integer
         # (_point_sigmas).  It is even a multiple of 12, so every
         # chi_m of a basket is integral and _chis never raises on valid
@@ -246,15 +232,19 @@ class TestIntegerKernel:
         rng = random.Random(89)
         for _ in range(60):
             b0 = _random_root(rng, max_r=12, max_size=4)
-            chi, chi2 = rng.randint(-10, 40), rng.randint(-10, 40)
-            closure = fiber_oracle(b0, chi, chi2, {})
-            assert descendants(b0, chi, chi2, {}) == closure
-            # targets read off one member, so at least that member hits
-            src = rng.choice(closure)
-            targets = {m: chi_m_oracle(src, m) for m in (3, 4, 5, 6)}
-            got = descendants(b0, chi, chi2, targets)
-            assert got == fiber_oracle(b0, chi, chi2, targets)
-            assert src in got
+            chi = rng.randint(-10, 40)
+            for chi2 in (rng.randint(-10, 40), uncut_chi2(b0, chi)):
+                closure = fiber_oracle(b0, chi, chi2, {})
+                # targets read off one member, so at least that one hits
+                src = rng.choice(closure)
+                targets = {m: chi_m_oracle(src, m) for m in (3, 4, 5, 6)}
+                for alpha in (-1, 1):
+                    for want in ({}, targets):
+                        assert fiber_walk(b0, chi, chi2, want, alpha) == \
+                            walk_oracle(b0, chi, chi2, want, alpha)
+            # the +1 walk cuts nothing at uncut_chi2: the whole fiber
+            assert fiber_walk(b0, chi, chi2, {}, 1) == closure
+            assert src in fiber_walk(b0, chi, chi2, targets, 1)
 
 
 class TestVolumeAndChi:
@@ -396,12 +386,11 @@ class TestCurvatureFilters:
         assert c2_load_oracle(()) == 0
 
     def test_c2_bound(self):
-        # the "c2" prune keeps sum(r - 1/r) <= 24 and cuts the rest
+        # the -1 walk keeps sum(r - 1/r) <= 24 and cuts the rest
         half = (Orbifold(1, 2),)
-        assert descendants(half, 1, -5, {}, prune="c2") == \
-            [FormalBasket(half, 1, -5)]
+        assert fiber_walk(half, 1, -5, {}, -1) == [FormalBasket(half, 1, -5)]
         big = tuple(Orbifold(1, 24) for _ in range(2))
-        assert descendants(big, 1, 0, {}, prune="c2") == []
+        assert fiber_walk(big, 1, 0, {}, -1) == []
 
     def test_c2_monotone_under_packing(self):
         rng = random.Random(61)
@@ -445,82 +434,69 @@ class TestGrowthAndVolumeFilters:
 
 
 class TestDescendants:
+    """_descendant_points, the fiber walk, with the cut of each amplitude."""
+
     def test_golden_chain(self):
         src = FormalBasket((Orbifold(2, 5),), 1, 0)
         targets = {m: chi_m_oracle(src, m) for m in (3, 4, 5, 6)}
         b0 = canonical([Orbifold(1, 2), Orbifold(1, 3)])
-        out = descendants(b0, 1, 0, targets)
+        out = fiber_walk(b0, 1, 0, targets, 1)
         assert [fb.basket for fb in out] == [(Orbifold(2, 5),)]
 
     def test_includes_start_when_consistent(self):
         b0 = canonical([Orbifold(1, 2), Orbifold(1, 3)])
         src = FormalBasket(b0, 1, 0)
         targets = {m: chi_m_oracle(src, m) for m in (3, 4, 5, 6)}
-        out = descendants(b0, 1, 0, targets)
+        out = fiber_walk(b0, 1, 0, targets, 1)
         assert any(fb.basket == b0 for fb in out)
 
     def test_prune_cuts_root(self):
         # chi_2 + 3 chi = -7 puts K^3 below 0 on the root already
         b0 = canonical([Orbifold(1, 2), Orbifold(1, 3)])
-        assert descendants(b0, 1, -10, {}, prune="volume") == []
+        assert fiber_walk(b0, 1, -10, {}, 1) == []
         assert descendants_oracle(
             b0, 1, -10, {},
             cut=lambda b: k3_oracle(FormalBasket(b, 1, -10)) <= 0) == []
 
     def test_closure_is_complete_without_targets(self):
-        # (1,2)+(1,4) and every merge onto (3,9) drop out on gcd grounds
+        # (1,2)+(1,4) and every merge onto (3,9) drop out on gcd grounds;
+        # K^3 > 0 on every basket, so the +1 walk cuts none
         b0 = canonical([Orbifold(1, 2), Orbifold(1, 3), Orbifold(1, 4)])
-        out = descendants(b0, 1, 0, {})
+        out = fiber_walk(b0, 1, 0, {}, 1)
         assert {fb.basket for fb in out} == {
             b0,
             canonical([Orbifold(2, 5), Orbifold(1, 4)]),
             canonical([Orbifold(1, 2), Orbifold(2, 7)]),
         }
 
-    def test_named_prunes_match_callables(self):
+    def test_amplitude_cuts_match_callables(self):
         # sum(r - 1/r) = 24 and K^3 = 0 exactly sit on the boundaries:
-        # the first is kept, the second cut by "volume" and dropped from
-        # the hits of "c2"
+        # the first is kept at -1, the second cut at +1 and dropped from
+        # the hits at -1
         sixteen = canonical([Orbifold(1, 2)] * 16)
-        assert descendants(sixteen, 1, 0, {}, prune="c2") == \
+        assert fiber_walk(sixteen, 1, 0, {}, -1) == \
             [FormalBasket(sixteen, 1, 0)]
         # so is a packed basket at 24, (1,2) + (1,3) packed to (2,5)
         fives = canonical([Orbifold(1, r) for r in (2, 3, 5, 5, 5, 5)])
         packed = canonical([Orbifold(1, 5)] * 4 + [Orbifold(2, 5)])
-        assert FormalBasket(packed, 1, -2) in \
-            descendants(fives, 1, -2, {}, prune="c2")
+        assert FormalBasket(packed, 1, -2) in fiber_walk(fives, 1, -2, {}, -1)
         four = canonical([Orbifold(1, 2)] * 4)
-        assert descendants(four, 1, -2, {}, prune="volume") == []
-        assert descendants(four, 1, -2, {}, prune="c2") == []
-        assert descendants(four, 1, -2, {}) == [FormalBasket(four, 1, -2)]
+        assert fiber_walk(four, 1, -2, {}, 1) == []
+        assert fiber_walk(four, 1, -2, {}, -1) == []
+        assert fiber_oracle(four, 1, -2, {}) == [FormalBasket(four, 1, -2)]
         rng = random.Random(97)
-        cut = {"c2": 0, "volume": 0}
+        cut = {-1: 0, 1: 0}
         for _ in range(80):
             b0 = _random_root(rng, max_r=12, max_size=4)
-            # chi_2 + 3 chi, the volume prune's floor, near l(2)
+            # chi_2 + 3 chi, the +1 cut's floor, near l(2)
             chi = rng.randint(-3, 3)
             chi2 = rng.randint(0, 4) - 3 * chi
-            full = descendants(b0, chi, chi2, {})
-            callables = {
-                "c2": lambda b: c2_load_oracle(b) > 24,
-                "volume": lambda b: k3_oracle(FormalBasket(b, chi, chi2)) <= 0,
-            }
-            for name, fn in callables.items():
-                got = descendants(b0, chi, chi2, {}, prune=name)
-                want = fiber_oracle(b0, chi, chi2, {}, cut=fn)
-                if name == "c2":
-                    want = [fb for fb in want if k3_oracle(fb) < 0]
-                assert got == want
-                cut[name] += len(got) < len(full)
+            full = fiber_oracle(b0, chi, chi2, {})
+            for alpha in cut:
+                got = fiber_walk(b0, chi, chi2, {}, alpha)
+                assert got == walk_oracle(b0, chi, chi2, {}, alpha)
+                cut[alpha] += len(got) < len(full)
         assert min(cut.values()) > 10
-
-    def test_prune_guards(self):
-        b0 = canonical([Orbifold(1, 2), Orbifold(1, 3)])
-        with pytest.raises(ValueError):
-            descendants(b0, 1, 0, {}, prune="k3")
-        # callables are not prunes
-        with pytest.raises(ValueError):
-            descendants(b0, 1, 0, {}, prune=lambda b: False)
 
 
 def _points_upto(r_max):
@@ -530,10 +506,10 @@ def _points_upto(r_max):
 
 @pytest.fixture(scope="module", params=[-1, 1], ids=["fano", "ample-canonical"])
 def sweep_calls(request):
-    """Every descendants() call of the -1 sweep, or of a seeded +1 sample.
+    """Every fiber walk of the -1 sweep, or of a seeded +1 sample.
 
-    Each entry is (tuple, root, chi, chi_2, targets, prune, hits), the
-    hits as the sweep got them.
+    Each entry is (tuple, root, chi, chi_2, targets, hits), the root as
+    its points (1, r) and the hits as FormalBaskets of what the sweep got.
     """
     classify_module = sys.modules["wcikit.classify"]
     alpha = request.param
@@ -543,13 +519,13 @@ def sweep_calls(request):
     calls = []
     current = []
 
-    def recorded(root, chi, chi2, targets, prune=None, points=None):
-        # the sweep reads the points of the baskets descendants() builds
-        # from the Orbifold form of its root
-        b0 = tuple(Orbifold(1, r) for r in root)
-        hits = descendants(b0, chi, chi2, targets, prune=prune)
-        calls.append((current[0], b0, chi, chi2, dict(targets), prune, hits))
-        return [tuple((q.b, q.r) for q in fb.basket) for fb in hits]
+    def recorded(root, chi, chi2, targets, alpha, points):
+        hits = _descendant_points(root, chi, chi2, targets, alpha, points)
+        calls.append((current[0], tuple(Orbifold(1, r) for r in root),
+                      chi, chi2, dict(targets), [FormalBasket(
+                          tuple(Orbifold(b, r) for b, r in hit), chi, chi2)
+                          for hit in hits]))
+        return hits
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classify_module, "_descendant_points", recorded)
@@ -591,19 +567,11 @@ class TestFibers:
     def test_matches_fiber_oracle_on_sweep_roots(self, sweep_calls):
         alpha, calls = sweep_calls
         checked = 0
-        for _, b0, chi, chi2, targets, prune, hits in calls:
+        for _, b0, chi, chi2, targets, hits in calls:
             assert initial_basket(b0) == b0
             if len(b0) > 12:
                 continue  # the all-merge oracle grows too fast
-            if prune == "c2":
-                cut = lambda b: c2_load_oracle(b) > 24  # noqa: E731
-            else:
-                cut = lambda b: k3_oracle(  # noqa: E731
-                    FormalBasket(b, chi, chi2)) <= 0
-            want = fiber_oracle(b0, chi, chi2, targets, cut=cut)
-            if prune == "c2":
-                want = [fb for fb in want if k3_oracle(fb) < 0]
-            assert hits == want, b0
+            assert hits == walk_oracle(b0, chi, chi2, targets, alpha), b0
             checked += len(hits)
         # every -1 basket; most of the +1 sample's
         assert checked == (1608 if alpha == -1 else 852)
@@ -619,20 +587,3 @@ class TestFibers:
             assert len(set(fbs)) == len(fbs), t
         assert sum(map(len, by_tuple.values())) == (
             1608 if alpha == -1 else 927)
-
-    def test_refuses_roots_that_are_not_initial(self):
-        # a fiber is listed from its initial basket only: a root with a
-        # point b >= 2, or the packing unit (0, 1), raises
-        rng = random.Random(103)
-        refused = 0
-        for _ in range(60):
-            b0 = canonical(random_basket(rng, max_r=12, max_size=5))
-            if initial_basket(b0) == b0:
-                assert descendants(b0, 1, 0, {}) == fiber_oracle(b0, 1, 0, {})
-                continue
-            with pytest.raises(ValueError):
-                descendants(b0, 1, 0, {})
-            refused += 1
-        assert refused > 30
-        with pytest.raises(ValueError):
-            descendants((Orbifold(0, 1), Orbifold(1, 2)), 1, 0, {})

@@ -215,9 +215,12 @@ class TestGcdScreens:
         assert not self._gcd_results("1,1,2,2,2 / 6")[0].passed
 
     @pytest.mark.parametrize("text,isolated,terminal", [
+        # amplitude -2: an escape weight a with h | a - 2 lies outside the
+        # weights h divides, so no even weight counts at h = 2
         ("1,1,2,2,2 / 6",
          (False, "3 weights share divisor 2, at most 2 allowed"),
-         (True, None)),
+         (False, "divisor 2: 1 of 2 required degrees divisible, "
+                 "no escape weight")),
         # each screen keeps its own first failing divisor: the scan goes
         # on past the isolated failure at 2 to the terminal one at 3
         ("2,2,2,3,3 / 12",
@@ -228,9 +231,14 @@ class TestGcdScreens:
          (True, None),
          (False, "divisor 100003: 0 of 1 required degrees divisible, "
                  "no escape weight")),
+        # amplitude -2 again, with codimension 2
+        ("1,2,11,12,26,28 / 34,44",
+         (False, "4 weights share divisor 2, at most 3 allowed"),
+         (False, "divisor 2: 2 of 3 required degrees divisible, "
+                 "no escape weight")),
     ])
     def test_golden_witnesses(self, text, isolated, terminal):
-        results = self._gcd_results(text)
+        results = self._assert_matches_oracles(parse_candidate(text))
         assert [(r.passed, r.witness) for r in results] == [isolated, terminal]
 
     @pytest.mark.parametrize("text,counts", [
@@ -411,7 +419,7 @@ class TestNecessaryScreen:
     # sha256 of the reports below, one to_json() per line; every change
     # to the screen must leave it as it is
     OUTPUT_DIGEST = (
-        "1651babaa9a48e4a4af8f853bc759a39edae13d9c16f1cf6ec48679d1b6714b4")
+        "98d8d5e55f5d3770ae064c3a6211cb1f479c9c8d805b2cbe097846294931818b")
 
     def test_output_digest(self):
         rng = random.Random(61)

@@ -9,6 +9,8 @@ from math import lcm
 import pytest
 
 from oracles import (
+    basket_of,
+    canonical,
     chi_data_oracle,
     chi_m_oracle,
     clears_denominator_oracle,
@@ -33,7 +35,6 @@ from wcikit import (
     InvalidCandidate,
     Orbifold,
     RunConfig,
-    canonical,
     classify,
     classify_cy,
     divisor_matching,
@@ -41,7 +42,6 @@ from wcikit import (
     max_weight_ok,
     necessary_screen,
     normalize,
-    parse_basket,
     poincare_series,
     realize,
     recover_weights_degrees,
@@ -169,7 +169,7 @@ class TestTupleChis:
             _chi_ints(_low_series(row_of(X4_TUPLE, -1)), 0)
 
 
-def no_fiber(root, chi, chi2, targets, prune, points):
+def no_fiber(root, chi, chi2, targets, alpha, points):
     """_descendant_points, as the sweep calls it, finding no basket."""
     return []
 
@@ -446,7 +446,7 @@ class TestPrefixExactness:
         # the cap is first hit at index 31: the last index of the third
         # block by default, the first of the second block when the first
         # holds 31 coefficients, inside the first block from 32 on
-        fb = FormalBasket(parse_basket("1x(2,5); 1x(5,12)"), 1, -1)
+        fb = FormalBasket(basket_of([[2, 5, 1], [5, 12, 1]]), 1, -1)
         assert _cap_index(fb, -1, 40) == 31
         for first in (1, 2, 8, 16, 31, 32):
             monkeypatch.setattr(series_module, "_FIRST_BLOCK", first)
@@ -464,8 +464,8 @@ class TestPrefixExactness:
         # c_0..c_5 read as the single weight 1, clean at length 6 and
         # past 4 + sum(a), but the identity degree 4 + (2+3+5+8) + 1 = 23
         # is not reached; the family shows up only further on
-        fb = FormalBasket(parse_basket("2x(1,2); 2x(1,3); 1x(1,5); 1x(1,8)"),
-                          1, -1)
+        fb = FormalBasket(
+            basket_of([[1, 2, 2], [1, 3, 2], [1, 5, 1], [1, 8, 1]]), 1, -1)
         monkeypatch.setattr(series_module, "_FIRST_BLOCK", 6)
         table = TableMethod(max_weights=7, max_degrees=3)
         assert table.feed(next(basket_series_blocks(fb, -1, 300)))
@@ -481,17 +481,17 @@ class TestPrefixExactness:
         # 1,6,8,9,10,15 / 18,30: num + 1 = 4 + (2+3+5+8) + 1 = 23, but the
         # degree 30 is read only at length 31, so the certificate fails
         # at 23 and holds at the next block's end, 46
-        ("2x(1,2); 2x(1,3); 1x(1,5); 1x(1,8)", 1, -1, -1,
+        ([[1, 2, 2], [1, 3, 2], [1, 5, 1], [1, 8, 1]], 1, -1, -1,
          {8: [8, 8, 7, 23], 12: [12, 11, 23], 23: [23, 23], 31: [23, 23]}),
         # 1,1,1,1,1,2 / 3,5: every entry is read by num + 1 = 4 + 2 + 1 + 1
-        ("1x(1,2)", -4, 16, 1, {4: [4, 4], 7: [7, 1], 8: [8], 9: [8]})],
+        ([[1, 2, 1]], -4, 16, 1, {4: [4, 4], 7: [7, 1], 8: [8], 9: [8]})],
         ids=["fano", "ample-canonical"])
     def test_reads_to_the_first_block_past_the_identity_degree(
             self, monkeypatch, basket, chi, chi2, alpha, reads):
         # the identity S = P is certified at the first block end past
         # both num and the largest entry: no block runs past num + 1, and
         # a block end from num + 1 on certifies once every entry is read
-        fb = FormalBasket(parse_basket(basket), chi, chi2)
+        fb = FormalBasket(basket_of(basket), chi, chi2)
         fed = []
 
         def counted(*args):

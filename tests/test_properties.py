@@ -14,11 +14,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from oracles import (  # noqa: E402
-    c2_load_oracle,
+    canonical,
     chi_m_oracle,
     fiber_oracle,
-    k3_oracle,
+    fiber_walk,
     recover_oracle,
+    uncut_chi2,
+    walk_oracle,
 )
 from wcikit._jsonout import dumps  # noqa: E402
 from wcikit import (  # noqa: E402
@@ -26,8 +28,6 @@ from wcikit import (  # noqa: E402
     Orbifold,
     TableMethod,
     TruncatedSeries,
-    canonical,
-    descendants,
     normalize,
     parse_candidate,
     parse_series,
@@ -150,7 +150,7 @@ def unit_roots(draw):
 @SEEDED
 @given(unit_roots(), st.data())
 def test_fiber_walk_matches_fiber_oracle(b0, data):
-    # chi_2 + 3 chi, the volume prune's floor, near l(2) of the root
+    # chi_2 + 3 chi, the +1 cut's floor, near l(2) of the root
     chi = data.draw(st.integers(-3, 3))
     chi2 = data.draw(st.integers(0, 4)) - 3 * chi
     targets = {}
@@ -159,15 +159,12 @@ def test_fiber_walk_matches_fiber_oracle(b0, data):
         # read off one member of the fiber, so at least that one hits
         src = data.draw(st.sampled_from(fiber_oracle(b0, chi, chi2, {})))
         targets = {m: chi_m_oracle(src, m) for m in ms}
-    cuts = {None: None,
-            "c2": lambda b: c2_load_oracle(b) > 24,
-            "volume": lambda b: k3_oracle(FormalBasket(b, chi, chi2)) <= 0}
     trivial = all(q.r + 1 != p.r for q, p in zip(b0, b0[1:]))
-    for prune, cut in cuts.items():
-        got = descendants(b0, chi, chi2, targets, prune)
-        want = fiber_oracle(b0, chi, chi2, targets, cut=cut)
-        if prune == "c2":
-            want = [fb for fb in want if k3_oracle(fb) < 0]
-        assert got == want, prune
+    for alpha in (-1, 1):
+        got = fiber_walk(b0, chi, chi2, targets, alpha)
+        assert got == walk_oracle(b0, chi, chi2, targets, alpha), alpha
         if trivial:  # no prime packing: the root alone, or nothing
-            assert got in ([], [FormalBasket(b0, chi, chi2)]), prune
+            assert got in ([], [FormalBasket(b0, chi, chi2)]), alpha
+    # at uncut_chi2 the +1 walk cuts nothing: the whole fiber
+    full = uncut_chi2(b0, chi)
+    assert fiber_walk(b0, chi, full, {}, 1) == fiber_oracle(b0, chi, full, {})

@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -28,8 +29,12 @@ def test_star_import():
     assert out.stdout == "True\n"
 
 
-# Helpers no driver calls; the packing calculus, count_five_packings
-# and the rational chi_m and c2 loads live on in tests/oracles.py.
+# Helpers no driver calls; the packing calculus (canonical,
+# canonical_unpacking, initial_basket, is_prime_packing, pack,
+# merge_orbifolds), count_five_packings and the rational chi_m and c2
+# loads live on in tests/oracles.py.  The basket text format had no
+# caller, and _descendant_points is the fiber walk's one entry, its cut
+# fixed by the amplitude.
 # RRKernel was a second Riemann-Roch form beside the point signatures.
 # The count-tuple objects wrapped what the sweep reads off plain rows;
 # tests/oracles.py keeps a tuple_of_candidate over (mu, nu) pairs.
@@ -44,7 +49,9 @@ def test_star_import():
     "check_isolated_divisibility", "check_terminal_divisibility",
     "_div_counts", "check_degree_weight_order", "check_codim_bound",
     "check_weight_degree_divisibility", "check_gcd_counts",
-    "degree_ratio_screen"])
+    "degree_ratio_screen", "descendants", "NAMED_PRUNES", "parse_basket",
+    "format_basket", "initial_basket", "canonical_unpacking",
+    "is_prime_packing", "canonical"])
 def test_unused_helpers_are_gone(name):
     for module in (wcikit, wcikit.baskets, wcikit.candidate,
                    wcikit.classify, wcikit.series):
@@ -85,12 +92,6 @@ def test_every_import_is_used(path):
     assert sorted(imported - used) == []
 
 
-# Public names nothing in the package calls yet; ROADMAP items 2 and 5
-# decide them.
-UNCALLED_BASKET_HELPERS = {"descendants", "is_prime_packing", "parse_basket",
-                           "format_basket", "initial_basket"}
-
-
 def test_every_public_definition_is_used():
     # A public top-level function or class is named somewhere in the
     # package outside its own definition; re-exports in __init__.py do
@@ -109,4 +110,35 @@ def test_every_public_definition_is_used():
                         sub.attr if isinstance(sub, ast.Attribute) else None)
                 if name != own:
                     used.add(name)
-    assert sorted(defined - used) == sorted(UNCALLED_BASKET_HELPERS)
+    assert sorted(defined - used) == []
+
+
+def test_readme_library_block(gt_report):
+    # The README's Library example imports only exported names, and each
+    # result it states in a comment holds; classify(RunConfig(alpha=1))
+    # reads the session's shared +1 report instead of a second run
+    readme = Path(wcikit.__file__).parents[2] / "README.md"
+    text = readme.read_text(encoding="utf-8").split("## Library", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+
+    def shared_run(config):
+        assert config == wcikit.RunConfig(alpha=1)
+        return gt_report[0]
+
+    namespace, stated = {}, []
+    for node in ast.parse(block).body:
+        code = ast.get_source_segment(block, node)
+        if isinstance(node, ast.ImportFrom):
+            assert node.module == "wcikit"
+            assert {a.name for a in node.names} <= set(wcikit.__all__)
+            exec(code, namespace)
+            namespace["classify"] = shared_run
+        elif isinstance(node, ast.Expr):
+            want = lines[node.end_lineno - 1].split("#", 1)[1]
+            assert eval(code, namespace) == eval(
+                want, {"Fraction": Fraction}), code
+            stated.append(want.strip())
+        else:
+            exec(code, namespace)
+    assert stated == ["True", "(1, 4, 11, 24)", "Fraction(7, 2)", "122"]
